@@ -50,6 +50,28 @@ type event =
   | Recovery_done
   | Crash_point  (* [crash_cycle] fired: lose the machine *)
 
+(* The boundary-path counters, resolved once per engine (see
+   [Sim.Stats.handle]). *)
+type counters = {
+  subthreads : Sim.Stats.handle;
+  tokens : Sim.Stats.handle;
+  sync_parks : Sim.Stats.handle;
+  retired : Sim.Stats.handle;
+  steals : Sim.Stats.handle;
+  sub_cycles : Sim.Stats.sampler;
+}
+
+let counters stats =
+  let h = Sim.Stats.handle stats in
+  {
+    subthreads = h "gprs.subthreads";
+    tokens = h "gprs.tokens";
+    sync_parks = h "gprs.sync_parks";
+    retired = h "gprs.retired";
+    steals = h "gprs.steals";
+    sub_cycles = Sim.Stats.sampler stats "gprs.sub_cycles";
+  }
+
 type eng = {
   cfg : config;
   st : event Exec.State.t;
@@ -84,11 +106,22 @@ type eng = {
   mutable fault_times : int list;
   budget : int;  (* max_cycles, or max_int *)
   instrs : int ref;  (* cached "instrs" counter *)
+  ctrs : counters;
+  ring : Event_ring.t;
   mutable io_tid : int;  (* thread being dispatched: owner of Io_op appends *)
   mutable par : Exec.Par.session option;  (* speculative-window session *)
 }
 
 let now eng = Exec.State.now eng.st
+
+(* [GPRS_DEBUG] turns on the event ring and, on a DNC run, the wedge dump
+   that prints it. *)
+let debug () = Sys.getenv_opt "GPRS_DEBUG" <> None
+
+let default_ring () =
+  let r = Event_ring.create () in
+  if debug () then Event_ring.enable r ~capacity:4096;
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Whole-runtime crashes                                               *)
@@ -132,6 +165,7 @@ type crash_dump = {
   d_order : Order.t;
   d_injector : Faults.Injector.t;
   d_dead_ctx : bool array;
+  d_ring : Event_ring.t;  (* host-side debugging record, kept across restart *)
 }
 
 exception Crashed of crash_dump
@@ -148,6 +182,7 @@ let capture eng =
     d_order = eng.order;
     d_injector = eng.injector;
     d_dead_ctx = eng.dead_ctx;
+    d_ring = eng.ring;
   }
 
 let dump_cycle d = d.d_cycle
@@ -205,7 +240,7 @@ let new_sub eng (tcb : Vm.Tcb.t) =
   Rol.insert eng.rol sub;
   ignore (Wal.append eng.wal ~at:(now eng) ~order:id (Wal.Rol_insert { sub = id }));
   Tidtab.set eng.cur_sub tcb.Vm.Tcb.tid (Some sub);
-  Sim.Stats.incr eng.st.Exec.State.stats "gprs.subthreads";
+  Sim.Stats.bump eng.ctrs.subthreads;
   sub
 
 (* Drop a record back into the pool once nothing can reach it: clear the
@@ -232,7 +267,18 @@ let take_delay eng tid =
 (* Scheduling                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let on_ctx eng tid = Array.exists (fun o -> o = Some tid) eng.ctx_of
+(* Called on every [make_runnable]: a monomorphic scan that allocates
+   nothing. *)
+let on_ctx eng tid =
+  let ctx_of = eng.ctx_of in
+  let n = Array.length ctx_of in
+  let i = ref 0 in
+  while
+    !i < n && match ctx_of.(!i) with Some t -> t <> tid | None -> true
+  do
+    incr i
+  done;
+  !i < n
 
 (* Speculation seam. The fused-dispatch horizon is [min budget
    fault-horizon] (see the fused leg below); it is usually infinite, so
@@ -264,8 +310,8 @@ let make_runnable eng ~ctx_hint tid =
   let queued = Tidtab.get eng.queued tid
   and on_c = on_ctx eng tid
   and destroyed = Tidtab.get eng.destroyed tid in
-  Sim.Trace.recordf eng.st.Exec.State.trace (now eng)
-    "make_runnable %d queued=%b on_ctx=%b destroyed=%b" tid queued on_c destroyed;
+  Event_ring.make_runnable eng.ring ~at:(now eng) ~tid ~queued ~on_ctx:on_c
+    ~destroyed;
   if (not queued) && (not on_c) && not destroyed then begin
     (* A flag, not a Hashtbl.add: a re-add after a missed remove cannot
        shadow-stack bindings. *)
@@ -297,7 +343,7 @@ let complete_current eng tid =
   | None -> ()
   | Some sub ->
     sub.Subthread.status <- Subthread.Complete (now eng);
-    Sim.Stats.observe eng.st.Exec.State.stats "gprs.sub_cycles"
+    Sim.Stats.sample eng.ctrs.sub_cycles
       (float_of_int (now eng - sub.Subthread.started_at));
     (match Rol.min_live_id eng.rol with
     | Some min_id when min_id = sub.Subthread.id ->
@@ -310,13 +356,12 @@ let complete_current eng tid =
 let grant eng tid =
   let st = eng.st in
   let tcb = Exec.State.thread st tid in
-  Sim.Stats.incr st.Exec.State.stats "gprs.tokens";
+  Sim.Stats.bump eng.ctrs.tokens;
   complete_current eng tid;
   let instr =
     match Vm.Tcb.current_instr tcb with None -> Vm.Isa.Exit | Some i -> i
   in
-  Sim.Trace.recordf st.Exec.State.trace (now eng) "grant %d %s pc=%d" tid
-    (Vm.Isa.instr_name instr) tcb.Vm.Tcb.pc;
+  Event_ring.grant eng.ring ~at:(now eng) ~tid instr ~pc:tcb.Vm.Tcb.pc;
   (match instr with
   | Vm.Isa.Exit -> ()
   | _ ->
@@ -592,9 +637,8 @@ and dispatch_seq eng ctx (tcb : Vm.Tcb.t) =
     tcb.Vm.Tcb.wait <- Vm.Tcb.On_token;
     eng.ctx_of.(ctx) <- None;
     eng.tick_handle.(ctx) <- None;
-    Sim.Stats.incr st.Exec.State.stats "gprs.sync_parks";
-    Sim.Trace.recordf st.Exec.State.trace (now eng) "park %d %s pc=%d" tid
-      (Vm.Isa.instr_name instr) tcb.Vm.Tcb.pc;
+    Sim.Stats.bump eng.ctrs.sync_parks;
+    Event_ring.park eng.ring ~at:(now eng) ~tid instr ~pc:tcb.Vm.Tcb.pc;
     (* Fork, join and exit are sub-thread boundaries but not
        communication through shared objects: their boundary is processed
        on arrival (the fork order is the parent's program order; join and
@@ -819,13 +863,11 @@ and fill eng ctx =
       if Tidtab.get eng.destroyed tid then fill eng ctx
       else begin
         let tcb = Exec.State.thread eng.st tid in
-        Sim.Trace.recordf eng.st.Exec.State.trace (now eng) "fill ctx=%d tid=%d wait=%s"
-          ctx tid
-          (Format.asprintf "%a" Vm.Tcb.pp_wait tcb.Vm.Tcb.wait);
+        Event_ring.fill eng.ring ~at:(now eng) ~ctx ~tid tcb.Vm.Tcb.wait;
         if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then begin
           eng.ctx_of.(ctx) <- Some tid;
           if stolen then begin
-            Sim.Stats.incr eng.st.Exec.State.stats "gprs.steals";
+            Sim.Stats.bump eng.ctrs.steals;
             add_delay eng tid eng.cfg.costs.Vm.Costs.steal
           end;
           dispatch eng ctx tcb
@@ -850,7 +892,7 @@ let retire eng =
     eng.squashed_since_retire <- 0;
     List.iter
       (fun (sub : Subthread.t) ->
-        Sim.Stats.incr st.Exec.State.stats "gprs.retired";
+        Sim.Stats.bump eng.ctrs.retired;
         (* Quarantined frees become real at retirement (output commit). *)
         List.iter
           (fun (a, size) ->
@@ -1316,7 +1358,7 @@ let finalize eng ~dnc =
     Sim.Stats.add st.Exec.State.stats "pool.evq.cells_alloc" cells_alloc;
     Sim.Stats.add st.Exec.State.stats "pool.evq.cells_recycled" cells_recycled
   end;
-  if dnc && Sys.getenv_opt "GPRS_DEBUG" <> None then begin
+  if dnc && debug () then begin
     Format.eprintf "=== GPRS wedge dump (t=%d) ===@." (now eng);
     Format.eprintf "holder=%s recovering=%b sched_len=%d@."
       (match Order.holder eng.order with
@@ -1338,12 +1380,13 @@ let finalize eng ~dnc =
       (Format.pp_print_list ~pp_sep:Format.pp_print_space Subthread.pp)
       (Rol.to_list eng.rol);
     List.iter
-      (fun (t, m) -> Format.eprintf "  [%d] %s@." t m)
-      (Sim.Trace.to_list st.Exec.State.trace)
+      (fun (t, ev) -> Format.eprintf "  [%d] %a@." t Event_ring.pp_event ev)
+      (Event_ring.to_list eng.ring)
   end;
   Exec.State.mk_result st ~dnc
 
-let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable =
+let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable
+    ~ring =
   {
     cfg;
     st;
@@ -1372,6 +1415,8 @@ let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable =
     fault_times = [];
     budget = Option.value ~default:max_int cfg.max_cycles;
     instrs = Sim.Stats.counter st.Exec.State.stats "instrs";
+    ctrs = counters st.Exec.State.stats;
+    ring;
     io_tid = 0;
     par = None;
   }
@@ -1509,7 +1554,7 @@ let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
   let eng =
     mk_eng cfg st ~order:d.d_order ~injector:d.d_injector
       ~destroyed:d.d_destroyed ~dead_ctx:d.d_dead_ctx ~next_sub_id:next_sub
-      ~stable:cfg.wal_stable
+      ~stable:cfg.wal_stable ~ring:d.d_ring
   in
   eng.allow_crash <- false;
   install_hooks eng;
@@ -1704,7 +1749,7 @@ let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
   schedule_next_fault eng;
   fun () -> run_loop eng
 
-let run ?(lint = `Warn) ?wal_out ?blocks cfg program =
+let run ?(lint = `Warn) ?wal_out ?blocks ?events cfg program =
   (match lint with
   | `Off -> ()
   | (`Warn | `Strict) as mode -> (
@@ -1738,6 +1783,7 @@ let run ?(lint = `Warn) ?wal_out ?blocks cfg program =
       ~destroyed:(Tidtab.create false)
       ~dead_ctx:(Array.make cfg.n_contexts false)
       ~next_sub_id:0 ~stable
+      ~ring:(match events with Some r -> r | None -> default_ring ())
   in
   install_hooks eng;
   boot_checkpoint eng;

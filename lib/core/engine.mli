@@ -133,6 +133,7 @@ val run :
   ?lint:[ `Off | `Warn | `Strict ] ->
   ?wal_out:string ref ->
   ?blocks:Vm.Block.t ->
+  ?events:Event_ring.t ->
   config ->
   Vm.Isa.program ->
   Exec.State.run_result
@@ -153,4 +154,10 @@ val run :
 
     [wal_out], on normal completion with a stable WAL, receives the final
     serialized image (the fault-free pilot the crash sweep enumerates
-    crash points from). *)
+    crash points from).
+
+    [events] is the run's {!Event_ring}; it keeps recording after a
+    {!cold_restart}. Without it the run records into a fresh ring that
+    is enabled only when [GPRS_DEBUG] is set; on a DNC run [GPRS_DEBUG]
+    also prints a wedge dump (scheduler and ROL state, then the ring) to
+    stderr. *)

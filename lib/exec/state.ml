@@ -13,7 +13,7 @@ type 'ev t = {
   mutable live_threads : int;
   evq : 'ev Sim.Event_queue.t;
   stats : Sim.Stats.t;
-  trace : Sim.Trace.t;
+  cow_words : Sim.Stats.handle;
   prng : Sim.Prng.t;
   mutable current_undo : Undo_log.t option;
   mutable acc_cost : int;
@@ -34,8 +34,7 @@ exception Deadlock of string
 
 let main_tid = 0
 
-let create ?(trace_capacity = 4096) ?blocks ~program ~costs ~n_contexts ~seed
-    () =
+let create ?blocks ~program ~costs ~n_contexts ~seed () =
   let open Vm.Isa in
   let mem = Vm.Mem.create ~words:program.mem_words in
   if program.reserved_words > 0 then
@@ -78,7 +77,7 @@ let create ?(trace_capacity = 4096) ?blocks ~program ~costs ~n_contexts ~seed
     live_threads = 1;
     evq = Sim.Event_queue.create ();
     stats;
-    trace = Sim.Trace.create ~capacity:trace_capacity ();
+    cow_words = Sim.Stats.handle stats "ckpt.cow_words";
     prng = Sim.Prng.create seed;
     current_undo = None;
     acc_cost = 0;
@@ -163,7 +162,7 @@ let note_undo t key ~old =
   | Some log ->
     if Undo_log.note log key ~old then begin
       t.acc_cost <- t.acc_cost + t.costs.Vm.Costs.cow_first_write;
-      Sim.Stats.incr t.stats "ckpt.cow_words"
+      Sim.Stats.bump t.cow_words
     end
 
 let tsan_access t (tcb : Vm.Tcb.t) hook a =

@@ -27,7 +27,8 @@ type 'ev t = {
   mutable live_threads : int;
   evq : 'ev Sim.Event_queue.t;
   stats : Sim.Stats.t;
-  trace : Sim.Trace.t;
+  cow_words : Sim.Stats.handle;
+      (** ["ckpt.cow_words"], bumped per first write an undo log notes *)
   prng : Sim.Prng.t;
   mutable current_undo : Undo_log.t option;
   mutable acc_cost : int;  (** cycles accrued by tracked accesses *)
@@ -53,7 +54,6 @@ and cond = { mutable sleepers : Fifo.t }
 and barrier = { parties : int; mutable arrived : int list }
 
 val create :
-  ?trace_capacity:int ->
   ?blocks:Vm.Block.t ->
   program:Vm.Isa.program ->
   costs:Vm.Costs.t ->

@@ -29,6 +29,18 @@ let counter t k =
 let incr t k = Stdlib.incr (counter t k)
 let add t k v = counter t k := !(counter t k) + v
 
+type handle = { h_stats : t; h_key : string; mutable h_cell : int ref option }
+
+let handle t k = { h_stats = t; h_key = k; h_cell = Hashtbl.find_opt t.counters k }
+
+let bump h =
+  match h.h_cell with
+  | Some r -> Stdlib.incr r
+  | None ->
+    let r = counter h.h_stats h.h_key in
+    h.h_cell <- Some r;
+    Stdlib.incr r
+
 let set_max t k v =
   match Hashtbl.find_opt t.maxima k with
   | Some r -> if v > !r then r := v
@@ -42,12 +54,25 @@ let summary t k =
     Hashtbl.add t.summaries k s;
     s
 
-let observe t k v =
-  let s = summary t k in
+let feed s v =
   s.n <- s.n + 1;
   s.sum <- s.sum +. v;
   if v < s.min_v then s.min_v <- v;
   if v > s.max_v then s.max_v <- v
+
+let observe t k v = feed (summary t k) v
+
+type sampler = { s_stats : t; s_key : string; mutable s_cell : summary option }
+
+let sampler t k = { s_stats = t; s_key = k; s_cell = Hashtbl.find_opt t.summaries k }
+
+let sample sp v =
+  match sp.s_cell with
+  | Some s -> feed s v
+  | None ->
+    let s = summary sp.s_stats sp.s_key in
+    sp.s_cell <- Some s;
+    feed s v
 
 let get t k =
   match Hashtbl.find_opt t.counters k with

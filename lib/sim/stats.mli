@@ -19,6 +19,21 @@ val counter : t -> string -> int ref
 val add : t -> string -> int -> unit
 (** Add an arbitrary amount to a counter. *)
 
+type handle
+(** A counter resolved once, for hot paths: bumping it hashes no key.
+    The counter is created at the first bump, so a handle that is never
+    bumped leaves no key behind (unlike {!counter}). *)
+
+val handle : t -> string -> handle
+val bump : handle -> unit
+
+type sampler
+(** The {!observe} counterpart of {!handle}: the summary is resolved
+    once and created at the first sample. *)
+
+val sampler : t -> string -> sampler
+val sample : sampler -> float -> unit
+
 val set_max : t -> string -> int -> unit
 (** Keep the running maximum of the values fed in. *)
 

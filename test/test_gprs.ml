@@ -185,6 +185,82 @@ let test_fork_cheap_under_gprs () =
     true
     (g.Exec.State.sim_cycles < b.Exec.State.sim_cycles)
 
+(* --- the typed event ring ----------------------------------------------- *)
+
+let ring_run ?(n_contexts = 4) ring =
+  Gprs.Engine.run ~events:ring
+    { Gprs.Engine.default_config with n_contexts }
+    (Tprog.locked_counter ~workers:4 ~iters:5 ())
+
+let test_ring_off_by_default () =
+  let ring = Gprs.Event_ring.create () in
+  checkb "created off" false (Gprs.Event_ring.enabled ring);
+  Gprs.Event_ring.park ring ~at:1 ~tid:0 Vm.Isa.Exit ~pc:0;
+  Gprs.Event_ring.fill ring ~at:2 ~ctx:0 ~tid:0 Vm.Tcb.Runnable;
+  check "records nothing" 0 (Gprs.Event_ring.recorded ring);
+  check "holds nothing" 0 (List.length (Gprs.Event_ring.to_list ring))
+
+let test_ring_disabled_run () =
+  let off = Gprs.Event_ring.create () in
+  let r = ring_run off in
+  check "count" 20 (mem0 r);
+  check "a disabled ring records nothing" 0 (Gprs.Event_ring.recorded off);
+  let on = Gprs.Event_ring.create () in
+  Gprs.Event_ring.enable on ~capacity:4096;
+  ignore (ring_run on);
+  checkb "an enabled ring records the run" true (Gprs.Event_ring.recorded on > 0);
+  let has p = List.exists (fun (_, ev) -> p ev) (Gprs.Event_ring.to_list on) in
+  checkb "all four sites record" true
+    (has (function Gprs.Event_ring.Make_runnable _ -> true | _ -> false)
+    && has (function Gprs.Event_ring.Grant _ -> true | _ -> false)
+    && has (function Gprs.Event_ring.Park _ -> true | _ -> false)
+    && has (function Gprs.Event_ring.Fill _ -> true | _ -> false))
+
+let test_ring_wraps () =
+  let ring = Gprs.Event_ring.create () in
+  Gprs.Event_ring.enable ring ~capacity:4;
+  for pc = 1 to 6 do
+    Gprs.Event_ring.park ring ~at:(10 * pc) ~tid:1 Vm.Isa.Exit ~pc
+  done;
+  check "counts every record" 6 (Gprs.Event_ring.recorded ring);
+  Alcotest.(check (list string))
+    "keeps the newest 4, oldest first"
+    [ "30 park 1 exit pc=3"; "40 park 1 exit pc=4"; "50 park 1 exit pc=5";
+      "60 park 1 exit pc=6" ]
+    (List.map
+       (fun (t, ev) -> Format.asprintf "%d %a" t Gprs.Event_ring.pp_event ev)
+       (Gprs.Event_ring.to_list ring));
+  (* a run overflows a small ring the same way *)
+  Gprs.Event_ring.enable ring ~capacity:8;
+  let r = ring_run ring in
+  let kept = Gprs.Event_ring.to_list ring in
+  check "full" 8 (List.length kept);
+  checkb "overflowed" true (Gprs.Event_ring.recorded ring > 8);
+  let times = List.map fst kept in
+  checkb "in time order, within the run" true
+    (List.sort compare times = times
+    && List.for_all (fun t -> t <= r.Exec.State.sim_cycles) times)
+
+(* --- counters resolved once, created lazily ------------------------------ *)
+
+let keys (r : Exec.State.run_result) = List.map fst (Sim.Stats.to_assoc r.Exec.State.run_stats)
+
+let test_no_cow_key_under_pthreads () =
+  let p = Tprog.locked_counter ~workers:4 ~iters:5 () in
+  let b = Exec.Baseline.run { Exec.Baseline.default_config with n_contexts = 4 } p in
+  checkb "pthreads: no ckpt.cow_words" false (List.mem "ckpt.cow_words" (keys b));
+  checkb "gprs: ckpt.cow_words" true (List.mem "ckpt.cow_words" (keys (grun p)))
+
+let test_no_steals_key_without_steals () =
+  let r = ring_run ~n_contexts:1 (Gprs.Event_ring.create ()) in
+  check "count" 20 (mem0 r);
+  checkb "no gprs.steals" false (List.mem "gprs.steals" (keys r));
+  checkb "boundary counters present" true
+    (List.for_all
+       (fun k -> List.mem k (keys r))
+       [ "gprs.subthreads"; "gprs.tokens"; "gprs.sync_parks"; "gprs.retired";
+         "gprs.sub_cycles.mean" ])
+
 let suite =
   [
     Alcotest.test_case "fork/join" `Quick test_fork_join;
@@ -211,4 +287,11 @@ let suite =
     Alcotest.test_case "dnc budget" `Quick test_dnc_budget;
     Alcotest.test_case "rol drains" `Quick test_rol_drains;
     Alcotest.test_case "fork cheap under DEX" `Quick test_fork_cheap_under_gprs;
+    Alcotest.test_case "event ring: off by default" `Quick test_ring_off_by_default;
+    Alcotest.test_case "event ring: disabled run" `Quick test_ring_disabled_run;
+    Alcotest.test_case "event ring: wrap-around" `Quick test_ring_wraps;
+    Alcotest.test_case "counters: pthreads has no cow key" `Quick
+      test_no_cow_key_under_pthreads;
+    Alcotest.test_case "counters: no steals, no key" `Quick
+      test_no_steals_key_without_steals;
   ]

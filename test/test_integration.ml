@@ -154,6 +154,45 @@ let test_basic_recovery_workload () =
   checkb "completed" false r.Exec.State.dnc;
   checks "digest" d_ref (spec.Workloads.Workload.digest r)
 
+(* The event ring observes without perturbing: every workload under GPRS,
+   fault-free and under faults, gives the same digest, cycles and stats
+   with the ring recording as with it off. *)
+let test_event_ring_equivalence () =
+  List.iter
+    (fun (spec : Workloads.Workload.spec) ->
+      let name = spec.Workloads.Workload.name in
+      let _, base = reference spec in
+      List.iter
+        (fun faulty ->
+          let cfg =
+            {
+              Gprs.Engine.default_config with
+              n_contexts;
+              injector =
+                (if faulty then
+                   Faults.Injector.config (rate_for ~k:(gprs_k name) ~base ())
+                 else Faults.Injector.default_config);
+              max_cycles = Some (300 * base);
+            }
+          in
+          let run ring = Gprs.Engine.run ~lint:`Off ~events:ring cfg (build spec) in
+          let off = run (Gprs.Event_ring.create ()) in
+          let ring = Gprs.Event_ring.create () in
+          Gprs.Event_ring.enable ring ~capacity:64;
+          let on = run ring in
+          let leg = Printf.sprintf "%s (%s)" name (if faulty then "faults" else "fault-free") in
+          checkb (leg ^ " recorded") true (Gprs.Event_ring.recorded ring > 0);
+          checks (leg ^ " digest") (spec.Workloads.Workload.digest off)
+            (spec.Workloads.Workload.digest on);
+          Alcotest.(check int) (leg ^ " cycles") off.Exec.State.sim_cycles
+            on.Exec.State.sim_cycles;
+          Alcotest.(check (list (pair string (float 0.0))))
+            (leg ^ " stats")
+            (Sim.Stats.to_assoc off.Exec.State.run_stats)
+            (Sim.Stats.to_assoc on.Exec.State.run_stats))
+        [ false; true ])
+    Workloads.Suite.all
+
 let suite =
   [
     Alcotest.test_case "gprs: all workloads, faults, exact digests" `Slow
@@ -168,4 +207,6 @@ let suite =
       test_balance_aware_beats_round_robin_on_pipelines;
     Alcotest.test_case "basic recovery on a workload" `Slow
       test_basic_recovery_workload;
+    Alcotest.test_case "event ring on = off, all workloads" `Slow
+      test_event_ring_equivalence;
   ]

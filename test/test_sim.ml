@@ -239,23 +239,23 @@ let test_stats_merge () =
   check "merged counter" 5 (Sim.Stats.get a "k");
   Alcotest.(check (float 1e-9)) "merged mean" 3.0 (Sim.Stats.mean a "o")
 
-let test_trace_ring () =
-  let t = Sim.Trace.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Sim.Trace.record t i (Printf.sprintf "e%d" i)
-  done;
-  Alcotest.(check (list string))
-    "keeps the newest 4"
-    [ "e3"; "e4"; "e5"; "e6" ]
-    (List.map snd (Sim.Trace.to_list t))
-
-let test_trace_find_and_disable () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.record t 1 "hello world";
-  Sim.Trace.set_enabled t false;
-  Sim.Trace.record t 2 "dropped";
-  checkb "found" true (Sim.Trace.find t ~substring:"world" <> None);
-  checkb "dropped" true (Sim.Trace.find t ~substring:"dropped" = None)
+(* Resolving a handle creates nothing; the key appears at the first bump
+   and the handle then shares the table's cell. *)
+let test_stats_handles_lazy () =
+  let s = Sim.Stats.create () in
+  let h = Sim.Stats.handle s "h" and sp = Sim.Stats.sampler s "sp" in
+  Alcotest.(check (list string)) "no keys" [] (List.map fst (Sim.Stats.to_assoc s));
+  Sim.Stats.bump h;
+  Sim.Stats.add s "h" 10;
+  Sim.Stats.bump h;
+  Sim.Stats.sample sp 2.0;
+  Sim.Stats.sample sp 4.0;
+  check "bumped" 12 (Sim.Stats.get s "h");
+  check "samples" 2 (Sim.Stats.count s "sp");
+  Alcotest.(check (float 1e-9)) "mean" 3.0 (Sim.Stats.mean s "sp");
+  (* a handle resolved after the key exists shares its cell *)
+  Sim.Stats.bump (Sim.Stats.handle s "h");
+  check "shared cell" 13 (Sim.Stats.get s "h")
 
 let test_time_conversions () =
   let c = Sim.Time.of_seconds ~cycles_per_second:1000 2.5 in
@@ -287,7 +287,6 @@ let suite =
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
     Alcotest.test_case "stats max/mean" `Quick test_stats_max_and_mean;
     Alcotest.test_case "stats merge" `Quick test_stats_merge;
-    Alcotest.test_case "trace ring" `Quick test_trace_ring;
-    Alcotest.test_case "trace find/disable" `Quick test_trace_find_and_disable;
+    Alcotest.test_case "stats handles are lazy" `Quick test_stats_handles_lazy;
     Alcotest.test_case "time conversions" `Quick test_time_conversions;
   ]

@@ -48,6 +48,49 @@ let test_all_oldest_first () =
   | [ a; b ] -> checkb "oldest first" true (a.Wal.lsn < b.Wal.lsn)
   | _ -> Alcotest.fail "expected two"
 
+(* Arming the stable image changes no volatile state: one append/prune/
+   drop sequence leaves the same entries, size and high water armed or
+   not, and the armed image parses back to exactly the ops appended. *)
+let test_armed_matches_unarmed () =
+  let op i =
+    match i mod 6 with
+    | 0 -> Wal.Alloc { addr = 100 + i; size = i + 1 }
+    | 1 -> Wal.Free { addr = 100 + i; size = 2 }
+    | 2 -> Wal.Thread_create { tid = i }
+    | 3 -> Wal.Rol_insert { sub = i }
+    | 4 -> Wal.Sched_enqueue { sub = i }
+    | _ -> Wal.Io_op { file = 1; words = i }
+  in
+  let order i = if i < 12 then i mod 4 else 4 + (i mod 2) in
+  let drive w =
+    for i = 0 to 11 do
+      ignore (Wal.append w ~at:(10 * i) ~order:(order i) (op i))
+    done;
+    ignore (Wal.prune_below w ~order:1);
+    ignore (Wal.drop_for w ~orders:(fun o -> o = 3));
+    for i = 12 to 15 do
+      ignore (Wal.append w ~at:(10 * i) ~order:(order i) (op i))
+    done;
+    ignore (Wal.prune_below w ~order:5)
+  in
+  let plain = Wal.create () and armed = Wal.create ~stable:true () in
+  drive plain;
+  drive armed;
+  checkb "unarmed keeps no image" true (Wal.stable_image plain = None);
+  checkb "same entries" true (Wal.all plain = Wal.all armed);
+  check "same size" (Wal.size plain) (Wal.size armed);
+  check "same high water" (Wal.high_water plain) (Wal.high_water armed);
+  let recs = Wal.parse_image (Option.get (Wal.stable_image armed)) in
+  let ops =
+    List.filter_map (function Wal.S_op { at; e } -> Some (at, e) | _ -> None) recs
+  in
+  checkb "every append round-trips" true
+    (ops
+    = List.init 16 (fun i -> (10 * i, { Wal.lsn = i; order = order i; op = op i })));
+  let count p = List.length (List.filter p recs) in
+  check "prune markers" 2 (count (function Wal.S_prune _ -> true | _ -> false));
+  check "drop markers" 1 (count (function Wal.S_drop _ -> true | _ -> false))
+
 (* Undo log *)
 
 let mk_state () =
@@ -110,6 +153,7 @@ let suite =
     Alcotest.test_case "drop_for" `Quick test_drop_for;
     Alcotest.test_case "prune_below" `Quick test_prune_below;
     Alcotest.test_case "all oldest first" `Quick test_all_oldest_first;
+    Alcotest.test_case "armed image matches unarmed" `Quick test_armed_matches_unarmed;
     Alcotest.test_case "undo: first write only" `Quick test_undo_first_write_only;
     Alcotest.test_case "undo: replay restores" `Quick test_undo_replay_restores;
     Alcotest.test_case "undo: merge keeps older" `Quick test_undo_reverse_order;
