@@ -51,8 +51,8 @@ let map ~jobs f items =
    to live. The shared pool keeps up to [jobs] worker domains across
    submissions, spawning them lazily on demand and parking them on a
    condvar between tasks; [shared_quiesce] drains and joins (the
-   daemon's idle housekeeping, mirroring [Exec.Par.quiesce] discipline),
-   after which the next submission transparently respawns.
+   daemon's idle housekeeping), after which the next submission
+   transparently respawns.
 
    [shared_submit] and [shared_quiesce] may race (the daemon's reader
    threads submit while the housekeeper quiesces, and [stop] may quiesce

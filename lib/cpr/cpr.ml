@@ -102,7 +102,6 @@ type eng = {
   mutable next_report_time : int;
   budget : int;  (* max_cycles, or max_int *)
   instrs : int ref;  (* cached "instrs" counter *)
-  mutable par : Exec.Par.session option;  (* intra-run window pool claim *)
 }
 
 let note_work eng tid d =
@@ -209,57 +208,7 @@ let schedule_tick eng ctx ~after =
   in
   eng.tick_handle.(ctx) <- Some h
 
-(* One integer bound for the fused chain, folding the budget, the armed
-   checkpoint alarm, the outstanding fault report and the scheduler
-   quantum — exactly the deopt predicate the sequential fused leg uses. *)
-let hop_horizon eng ctx ~q_empty ~t_next =
-  let quantum = eng.st.Exec.State.costs.Vm.Costs.quantum in
-  let b = if eng.budget = max_int then max_int else eng.budget + 1 in
-  let sched_h =
-    let q = eng.started.(ctx) + quantum in
-    if q_empty && t_next > q then t_next else q
-  in
-  Stdlib.min
-    (Stdlib.min b eng.alarm_time)
-    (Stdlib.min eng.next_report_time sched_h)
-
-let entry_horizon eng ctx =
-  let q_empty = Sched.Scheduler.is_empty eng.sched in
-  let t_next =
-    match Sim.Event_queue.peek_time eng.st.Exec.State.evq with
-    | Some t -> t
-    | None -> max_int
-  in
-  hop_horizon eng ctx ~q_empty ~t_next
-
-(* Offer the thread's next hop to the window pool (see Exec.Baseline's
-   lease_next for the guessing rationale). CPR threads all charge
-   copy-on-write against the single current interval log. *)
-let lease_next eng ctx (tcb : Vm.Tcb.t) ~t_tick =
-  if
-    eng.par <> None && eng.mode = Normal
-    && tcb.Vm.Tcb.wait = Vm.Tcb.Runnable
-  then begin
-    let q_empty = Sched.Scheduler.is_empty eng.sched in
-    let t_next =
-      match eng.tick_handle.(ctx) with
-      | Some h -> (
-        match Sim.Event_queue.next_time_excluding eng.st.Exec.State.evq h with
-        | Some t -> t
-        | None -> max_int)
-      | None -> max_int
-    in
-    let horizon = hop_horizon eng ctx ~q_empty ~t_next in
-    let hrel =
-      if horizon = max_int then max_int
-      else
-        Stdlib.max (horizon - t_tick) eng.st.Exec.State.costs.Vm.Costs.quantum
-    in
-    Exec.Par.lease eng.par eng.st tcb
-      ~undo:eng.st.Exec.State.current_undo ~delay:0 ~hrel
-  end
-
-let dispatch_seq eng ctx (tcb : Vm.Tcb.t) =
+let dispatch eng ctx (tcb : Vm.Tcb.t) =
   let st = eng.st in
   let t0 = now eng in
   let ctrl = ref 0 in
@@ -348,10 +297,23 @@ let dispatch_seq eng ctx (tcb : Vm.Tcb.t) =
       | Some t -> t
       | None -> max_int
     in
+    let started = eng.started.(ctx) in
+    let quantum = st.Exec.State.costs.Vm.Costs.quantum in
     (* Strict on the alarm and report horizons: at those instants the
        alarm/report event outranks the tick (lower priority value), so
-       the unfused engine quiesces or restores before dispatching. *)
-    let horizon = hop_horizon eng ctx ~q_empty ~t_next in
+       the unfused engine quiesces or restores before dispatching. All
+       inputs are constant for the hop, so the deopt predicate folds
+       into one integer bound. *)
+    let b = if eng.budget = max_int then max_int else eng.budget + 1 in
+    let sched_h =
+      let q = started + quantum in
+      if q_empty && t_next > q then t_next else q
+    in
+    let horizon =
+      Stdlib.min
+        (Stdlib.min b eng.alarm_time)
+        (Stdlib.min eng.next_report_time sched_h)
+    in
     let vend =
       Exec.Fuse.run_chain st tcb ~instrs:eng.instrs ~horizon
         ~on_fused:(fun _ _ -> ())
@@ -359,33 +321,11 @@ let dispatch_seq eng ctx (tcb : Vm.Tcb.t) =
         ()
     in
     note_work eng tcb.Vm.Tcb.tid (vend - t0);
-    schedule_tick eng ctx ~after:(vend - t0);
-    lease_next eng ctx tcb ~t_tick:vend
+    schedule_tick eng ctx ~after:(vend - t0)
   end
   else begin
     note_work eng tcb.Vm.Tcb.tid (!ctrl + d);
     schedule_tick eng ctx ~after:(!ctrl + d)
-  end
-
-(* Dispatch seam: a leased window for this thread, if it validates,
-   replaces the whole sequential hop above (including its note_work). *)
-let dispatch eng ctx (tcb : Vm.Tcb.t) =
-  if eng.par = None then dispatch_seq eng ctx tcb
-  else if not (Vm.Block.fusing ()) || eng.mode <> Normal then begin
-    Exec.Par.cancel eng.par ~tid:tcb.Vm.Tcb.tid;
-    dispatch_seq eng ctx tcb
-  end
-  else begin
-    let t0 = now eng in
-    match
-      Exec.Par.commit eng.par eng.st tcb ~horizon:(entry_horizon eng ctx)
-        ~delay:0 ~instrs:eng.instrs
-    with
-    | None -> dispatch_seq eng ctx tcb
-    | Some c ->
-      note_work eng tcb.Vm.Tcb.tid (c.Exec.Par.c_vend - t0);
-      schedule_tick eng ctx ~after:(c.Exec.Par.c_vend - t0);
-      lease_next eng ctx tcb ~t_tick:c.Exec.Par.c_vend
   end
 
 let fill eng ctx =
@@ -714,11 +654,8 @@ let run ?blocks cfg program =
       next_report_time = max_int;
       budget = Option.value ~default:max_int cfg.max_cycles;
       instrs = Sim.Stats.counter st.Exec.State.stats "instrs";
-      par = None;
     }
   in
-  eng.par <- Exec.Par.start st;
-  Fun.protect ~finally:(fun () -> Exec.Par.stop eng.par) @@ fun () ->
   st.Exec.State.current_undo <- Some eng.cur_log;
   (* Initial (time-0) checkpoint so recovery is always possible. *)
   eng.snaps <- [ take_snapshot eng ];

@@ -1,158 +1,5 @@
-(** Intra-run parallelism: speculative execution windows on a domain pool.
-
-    One simulation is still driven by one coordinator (the engine's event
-    loop) — that is what keeps the discrete-event clock, the ROL, the WAL
-    and fault injection bit-exact. What this module adds is a way to get
-    the {e work} of a hop off the coordinator's critical path: when a hop
-    ends and the context's next tick is scheduled, the engine may {e
-    lease} the upcoming hop as a window. A worker domain then executes
-    the whole fused chain speculatively — against a private overlay, with
-    every base-memory and file observation logged — while the coordinator
-    processes other contexts' events. When the leased tick fires, the
-    engine first tries to {e commit} the window: a set of cheap guards
-    (same thread, same clock, same registers, same deopt horizon) plus a
-    read-validation pass (every base value the worker saw still holds)
-    and a copy-on-write prediction check decide whether the speculation
-    equals what the sequential hop would have done. If yes, the window's
-    effect log is replayed through the thread's real tracked environment
-    — landing the same undo-log entries, the same first-touch charges and
-    the same stats in the same order as sequential execution — and the
-    context's tick is scheduled at the window's end time. If anything
-    fails, the window is squashed without having touched shared state and
-    the hop runs sequentially: the fallback {e is} the baseline path, so
-    a squash can change wall-clock time but never the simulation.
-
-    Windows contain only [Work]/[Opaque] instructions and control
-    transfers (the same fusibility rule as {!Fuse}): locks, barriers,
-    atomics, forks, allocation, and exits always execute on the
-    coordinator, as do WAL appends — a window that would grow a file
-    under an engine with an I/O-grow hook bails out instead of
-    speculating past a durability record. Commit order is the engine's
-    own dispatch order (for GPRS, the ROL token order), which is why
-    committing in that order preserves the sequential digest.
-
-    Determinism contract: for a fixed program, seed and configuration,
-    every simulated observable — digest, cycles, stats — is identical for
-    [-j 1] and [-j N]. Only the profiling-gated ["par.*"] counters (and
-    host wall-clock) may differ, because {e which} hops commit from
-    windows depends on host timing.
-
-    The sanitizer's shadow state is coordinator-only, so under
-    [GPRS_TSAN=1] (or a per-run sanitizer) windows are not leased at all:
-    {!effective_jobs} reports 1 and {!start} declines the session. *)
-
-val jobs : unit -> int
-(** Requested parallelism (total domains including the coordinator).
-    Initialized from [GPRS_PAR_J]; 1 (sequential) by default. *)
+(** Kept only because the frozen benchmark suite calls it; removed in the
+    next benchmark change. *)
 
 val set_jobs : int -> unit
-(** Override {!jobs} (clamped to >= 1), mirroring
-    {!Vm.Block.set_fusing} and friends; tests save/restore around use. *)
-
-val effective_jobs : unit -> int
-(** {!jobs}, forced to 1 while {!Tsan.enabled} — the serialize-under-TSAN
-    rule pinned by the test suite. *)
-
-type session
-(** One run's claim on the worker pool: per-context window slots plus the
-    global pool handle. At most one session is live at a time (a second
-    concurrent run — e.g. under {!Analysis.Pool} — simply executes
-    sequentially, which is always equivalent). *)
-
-val start : 'ev State.t -> session option
-(** Acquire a session for this run. [None] — and therefore a fully
-    sequential run — when {!effective_jobs} is 1, the run has a live
-    sanitizer, fusing is disabled, or another session holds the pool. *)
-
-val stop : session option -> unit
-(** Release the session: outstanding windows are abandoned (workers
-    finishing one later find it unreferenced) and the pool becomes
-    available to the next run. Engines call this from a [Fun.protect]
-    finalizer so crash-signal exits release too. *)
-
-val quiesce : unit -> unit
-(** Join all worker domains (they respawn on the next parallel {!start}).
-    Even a worker parked on the pool's condvar participates in every
-    stop-the-world collection, taxing single-domain code that runs later
-    in the same process — the bench harness calls this after its parallel
-    section so the remaining rows measure a one-domain runtime. Must not
-    be called while a session is live. No-op when no workers exist. *)
-
-val set_idle_timeout_ms : int -> unit
-(** Arm (or, with [0], disarm) the idle auto-quiesce watchdog: once no
-    session has held the pool for this many host milliseconds, a
-    background systhread joins the worker domains exactly as {!quiesce}
-    would, so a warm daemon stops paying the parked-domain
-    stop-the-world tax between request bursts. Workers respawn
-    transparently on the next parallel {!start}. Initialized from
-    [GPRS_PAR_IDLE_MS]; 0 (disabled) by default — the one-shot CLI and
-    the bench keep their explicit {!quiesce} discipline, the daemon arms
-    this at startup. *)
-
-val idle_timeout_ms : unit -> int
-(** Current idle auto-quiesce timeout (0 = disabled). *)
-
-val workers_live : unit -> int
-(** Worker domains currently spawned (parked or running). Observability
-    for tests and the daemon's stats endpoint; racy by a transition at
-    most. *)
-
-type committed = {
-  c_vend : int;
-      (** absolute end-of-chain virtual time; the engine schedules the
-          context's next tick at it, exactly as after a sequential hop *)
-  c_steps : int;  (** instructions committed (first landing + chain) *)
-  c_opaques : int;  (** [Opaque] steps among them *)
-  c_last_opaque_in_cpr : bool;
-      (** CPR-region flag at the last [Opaque] — the value GPRS's
-          last-writer [global_dep] update needs *)
-  c_entered_cpr : bool;  (** a [Cpr_begin] was crossed anywhere *)
-}
-
-val lease :
-  session option ->
-  'ev State.t ->
-  Vm.Tcb.t ->
-  undo:Undo_log.t option ->
-  delay:int ->
-  hrel:int ->
-  unit
-(** Offer the thread's next hop to the pool, keyed by its thread id.
-    Called by the engine at any point where the thread's architectural
-    state is final until its next dispatch: after scheduling its tick at
-    the end of a hop, or (under GPRS) when a token grant or wake leaves
-    it runnable and queued. [undo] is the log the thread's writes will
-    charge copy-on-write against at that dispatch (its sub-thread's
-    under GPRS, the interval log under CPR, none for the baseline);
-    [delay] is the engine-pending extra latency the dispatch will fold
-    into the first step ([0] unless GPRS boundaries are owed); [hrel]
-    bounds how far past the dispatch time the worker speculates —
-    a guess, typically the engine's deopt horizon minus the current
-    time, clamped up when the real horizon is unknowable. Declines (and
-    leaves no slot) unless the thread is runnable, the hop's first
-    landing is fusible and [hrel] leaves the window room to run. A new
-    lease replaces any stale window for the same thread. *)
-
-val cancel : session option -> tid:int -> unit
-(** Drop the thread's slot, if any: the engine is about to run a hop
-    sequentially without consulting it (e.g. the fused path is
-    disqualified this dispatch, or the thread was preempted). *)
-
-val commit :
-  session option ->
-  'ev State.t ->
-  Vm.Tcb.t ->
-  horizon:int ->
-  delay:int ->
-  instrs:int ref ->
-  committed option
-(** At dispatch entry, consume the thread's slot and try to commit it.
-    [horizon] is the engine's real deopt horizon for this hop, computed
-    exactly as the sequential fused path computes it; [delay] is the
-    engine-pending delay the dispatch is about to fold in (the caller
-    must consume it itself on success). [Some c] means the hop is done:
-    shared state, the undo log, [instrs] and (under profiling) the
-    dispatch/compile/fuse counters have been updated bit-identically to
-    sequential execution, and the engine should only apply its own
-    per-hop bookkeeping and schedule the tick at [c.c_vend]. [None]
-    means run the hop sequentially. *)
+(** Accepts [1]; raises [Invalid_argument] for any other value. *)

@@ -40,14 +40,6 @@ val note : t -> key -> old:int -> bool
     Returns [true] when the entry was recorded (a "first write"), which is
     when the executor charges the copy-on-write cost. *)
 
-val mem : t -> key -> bool
-(** Read-only membership probe: would {!note} on [key] return [false]
-    because a pre-image is already held? Mutates nothing (unlike [note],
-    which stamps the dirty epoch on the paged path), so speculative
-    executors can use it to {e predict} copy-on-write charges for a
-    window without perturbing the log; the coordinator re-runs the same
-    probes before believing the prediction. *)
-
 val size : t -> int
 (** Number of recorded pre-images (words of checkpoint state). *)
 

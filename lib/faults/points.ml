@@ -18,7 +18,6 @@ type point =
   | Recovery_undo
   | Cold_restart
   | Pool_submit
-  | Window_commit
   | Cache_insert
   | Admission_enqueue
 
@@ -41,7 +40,6 @@ let all =
     Recovery_undo;
     Cold_restart;
     Pool_submit;
-    Window_commit;
     Cache_insert;
     Admission_enqueue;
   ]
@@ -59,7 +57,6 @@ let to_name = function
   | Recovery_undo -> "recovery_undo"
   | Cold_restart -> "cold_restart"
   | Pool_submit -> "pool_submit"
-  | Window_commit -> "window_commit"
   | Cache_insert -> "cache_insert"
   | Admission_enqueue -> "admission_enqueue"
 
@@ -82,8 +79,7 @@ let action_of_name = function
 
 (* Soundness matrix. Skip is offered only where the seam has a
    well-defined "didn't happen" meaning (a checkpoint that never ran, a
-   window that falls back to the sequential path, a cache that stays
-   cold); skipping a WAL append or a lock handoff would silently
+   cache that stays cold); skipping a WAL append or a lock handoff would silently
    diverge the run instead of failing it. Crash is an engine-runtime
    notion (captured as a crash dump), so it is offered only at seams
    executing under the engine's run loop. Torn_write needs a stable WAL
@@ -96,7 +92,6 @@ let supported = function
   | Recovery_analysis | Recovery_redo | Recovery_undo | Cold_restart ->
     [ Error; Delay ]
   | Pool_submit | Admission_enqueue -> [ Error; Delay ]
-  | Window_commit -> [ Skip; Delay ]
   | Cache_insert -> [ Skip; Error; Delay ]
 
 (* --- registry ----------------------------------------------------------- *)

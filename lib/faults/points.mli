@@ -23,7 +23,6 @@ type point =
   | Recovery_undo  (** loser-op undo during cold restart *)
   | Cold_restart  (** entry to cold restart from a crash dump *)
   | Pool_submit  (** task submission to the shared analysis pool *)
-  | Window_commit  (** speculative window commit attempt *)
   | Cache_insert  (** compiled-program insertion into the service cache *)
   | Admission_enqueue  (** service admission of a run request *)
 

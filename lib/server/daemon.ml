@@ -8,9 +8,8 @@
    systhreads (they spend their lives blocked in accept/read and take no
    part in stop-the-world collections); simulation runs execute on the
    shared pool's domains. A housekeeping systhread quiesces the pool
-   after an idle period, and Exec.Par's own idle watchdog does the same
-   for speculative-window workers — so a warm-but-idle daemon holds no
-   parked domains and pays no STW tax when the next burst arrives. *)
+   after an idle period, so a warm-but-idle daemon holds no parked
+   domains and pays no STW tax when the next burst arrives. *)
 
 type addr = Tcp of int | Unix_sock of string
 
@@ -19,7 +18,7 @@ type config = {
   jobs : int;  (* pool worker domains for concurrent requests *)
   depth : int;  (* admission bound: queued-or-running groups *)
   cache_capacity : int;
-  idle_quiesce_ms : int;  (* 0 disables both idle watchdogs *)
+  idle_quiesce_ms : int;  (* 0 disables the idle watchdog *)
   allow_fault : bool;  (* expose the fault-injection verb *)
 }
 
@@ -84,7 +83,7 @@ type t = {
   mutable conns : conn list;
   mutable inflight : int;  (* accepted-not-done work units *)
   mutable stopping : bool;
-  mutable last_done : float;
+  mutable last_done : int64;  (* monotonic ns, see [housekeeper] *)
   (* counters, under [mutex] *)
   mutable n_requests : int;
   mutable n_served : int;  (* groups executed *)
@@ -172,7 +171,7 @@ let group_finished t key reply =
   in
   t.inflight <- t.inflight - 1;
   t.n_served <- t.n_served + 1;
-  t.last_done <- Unix.gettimeofday ();
+  t.last_done <- Monotonic_clock.now ();
   Mutex.unlock t.mutex;
   List.iter (fun w -> send w.w_conn (reply ~id:w.w_id)) (List.rev waiters)
 
@@ -322,7 +321,7 @@ let handle_sleep t conn j =
           Mutex.lock t.mutex;
           t.inflight <- t.inflight - 1;
           t.n_served <- t.n_served + 1;
-          t.last_done <- Unix.gettimeofday ();
+          t.last_done <- Monotonic_clock.now ();
           Mutex.unlock t.mutex;
           send conn
             (Json.Obj [ ("id", Json.Str id); ("event", Json.Str "done") ]))
@@ -331,7 +330,7 @@ let handle_sleep t conn j =
     | exception Faults.Points.Fault_error msg ->
       Mutex.lock t.mutex;
       t.inflight <- t.inflight - 1;
-      t.last_done <- Unix.gettimeofday ();
+      t.last_done <- Monotonic_clock.now ();
       Mutex.unlock t.mutex;
       send conn (err_reply ~id 500 ("pool submit failed: " ^ msg))
   end
@@ -365,7 +364,6 @@ let stats_json t =
       ("fault_points", Json.Int (Faults.Points.armed_count ()));
       ("pool_workers", Json.Int (Analysis.Pool.shared_workers t.pool));
       ("pool_pending", Json.Int (Analysis.Pool.shared_pending t.pool));
-      ("par_workers", Json.Int (Exec.Par.workers_live ()));
       ("analyses", Json.Int (Vm.Block.analyses ()));
       ("jobs", Json.Int t.cfg.jobs);
       ("depth", Json.Int t.cfg.depth);
@@ -521,11 +519,12 @@ let acceptor t () =
   loop ()
 
 (* Idle housekeeping: once the daemon has been quiet for the configured
-   window, drain-join the shared pool's domains (Exec.Par's own watchdog
-   handles the speculative-window workers). The next burst respawns
-   both transparently. *)
+   window, drain-join the shared pool's domains. The next burst respawns
+   them transparently. Idleness is measured on the monotonic clock, so a
+   wall-clock step cannot postpone (or hasten) the quiesce. *)
 let housekeeper t () =
   let period = float_of_int (Stdlib.max 20 t.cfg.idle_quiesce_ms) /. 4000. in
+  let idle_ns = Int64.mul 1_000_000L (Int64.of_int t.cfg.idle_quiesce_ms) in
   let rec loop () =
     Thread.delay period;
     let stop_now =
@@ -533,8 +532,7 @@ let housekeeper t () =
       let s = t.stopping in
       let idle =
         t.inflight = 0
-        && (Unix.gettimeofday () -. t.last_done) *. 1000.
-           >= float_of_int t.cfg.idle_quiesce_ms
+        && Int64.sub (Monotonic_clock.now ()) t.last_done >= idle_ns
       in
       Mutex.unlock t.mutex;
       if (not s) && idle && Analysis.Pool.shared_workers t.pool > 0 then
@@ -548,8 +546,6 @@ let housekeeper t () =
 let start cfg =
   let leg = Leg.capture () in
   Leg.apply leg;
-  if cfg.idle_quiesce_ms > 0 then
-    Exec.Par.set_idle_timeout_ms cfg.idle_quiesce_ms;
   let listener, bound = listen_on cfg.addr in
   let t =
     {
@@ -565,7 +561,7 @@ let start cfg =
       conns = [];
       inflight = 0;
       stopping = false;
-      last_done = Unix.gettimeofday ();
+      last_done = Monotonic_clock.now ();
       n_requests = 0;
       n_served = 0;
       n_coalesced = 0;
@@ -592,7 +588,6 @@ let stop t =
     (* let in-flight work finish and reply, then join the domains *)
     Analysis.Pool.shared_wait t.pool;
     Analysis.Pool.shared_quiesce t.pool;
-    Exec.Par.quiesce ();
     Mutex.lock t.mutex;
     let conns = t.conns in
     t.conns <- [];

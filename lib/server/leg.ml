@@ -1,4 +1,4 @@
-(* The experiment "leg": the five runtime knobs that the one-shot CLI
+(* The experiment "leg": the four runtime knobs that the one-shot CLI
    reads from the environment at process start. A long-lived daemon
    must pin them once, at server start, into an explicit record: the
    knobs are process-global, so if they could drift between requests a
@@ -11,7 +11,6 @@ type t = {
   compile : bool;  (* GPRS_NO_COMPILE unset *)
   pool : bool;  (* GPRS_NO_POOL unset *)
   tsan : bool;  (* GPRS_TSAN set *)
-  par_j : int;  (* GPRS_PAR_J *)
 }
 
 let capture () =
@@ -20,7 +19,6 @@ let capture () =
     compile = Vm.Block.compiling ();
     pool = Gprs.Subthread.pooling ();
     tsan = Exec.Tsan.enabled ();
-    par_j = Exec.Par.jobs ();
   }
 
 (* [pool] governs two switches initialized from the same GPRS_NO_POOL
@@ -31,13 +29,12 @@ let apply l =
   Vm.Block.set_compiling l.compile;
   Gprs.Subthread.set_pooling l.pool;
   Sim.Event_queue.set_recycling l.pool;
-  Exec.Tsan.set_enabled l.tsan;
-  Exec.Par.set_jobs l.par_j
+  Exec.Tsan.set_enabled l.tsan
 
 let key l =
-  Printf.sprintf "f%db%dp%dt%dj%d"
+  Printf.sprintf "f%db%dp%dt%d"
     (Bool.to_int l.fuse) (Bool.to_int l.compile) (Bool.to_int l.pool)
-    (Bool.to_int l.tsan) l.par_j
+    (Bool.to_int l.tsan)
 
 let to_json l =
   Json.Obj
@@ -46,5 +43,4 @@ let to_json l =
       ("compile", Json.Bool l.compile);
       ("pool", Json.Bool l.pool);
       ("tsan", Json.Bool l.tsan);
-      ("par_j", Json.Int l.par_j);
     ]

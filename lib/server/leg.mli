@@ -1,7 +1,7 @@
 (** Snapshot of the process-global runtime knobs ("the leg").
 
     The one-shot CLI reads [GPRS_NO_FUSE] / [GPRS_NO_COMPILE] /
-    [GPRS_NO_POOL] / [GPRS_TSAN] / [GPRS_PAR_J] once at process start;
+    [GPRS_NO_POOL] / [GPRS_TSAN] once at process start;
     a daemon must do the same and then never let them drift, or a
     program compiled under one leg could serve a request issued under
     another. {!Daemon.start} captures the leg once, {!apply}s it, and
@@ -12,11 +12,10 @@ type t = {
   compile : bool;  (** superblock trace compilation enabled *)
   pool : bool;  (** sub-thread pooling + event-queue cell recycling *)
   tsan : bool;  (** dynamic race sanitizer armed for every run *)
-  par_j : int;  (** intra-run speculative-window domains *)
 }
 
 val capture : unit -> t
-(** Read the current values of all five switches. *)
+(** Read the current values of all four switches. *)
 
 val apply : t -> unit
 (** Install the snapshot into the runtime switches. [pool] sets both

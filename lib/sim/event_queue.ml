@@ -206,20 +206,3 @@ let rec peek_time q =
     peek_time q
   end
   else Some q.heap.(0).time
-
-(* O(heap) scan rather than a pop/re-push dance: callers use it once per
-   speculative lease to guess what [peek_time] will say after [h] fires,
-   and the heap holds a handful of per-context ticks plus a few timers. *)
-let next_time_excluding q (H (c, gen)) =
-  let best = ref max_int in
-  for i = 0 to q.size - 1 do
-    let cell = q.heap.(i) in
-    if
-      (not cell.cancelled)
-      (* [handle] packs its cell existentially; physical identity is the
-         only comparison needed, so unpack via [Obj.repr]. *)
-      && (not (Obj.repr cell == Obj.repr c && cell.gen = gen))
-      && cell.time < !best
-    then best := cell.time
-  done;
-  if !best = max_int then None else Some !best

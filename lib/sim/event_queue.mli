@@ -67,15 +67,6 @@ val pop : 'a t -> (Time.cycles * 'a) option
 val peek_time : 'a t -> Time.cycles option
 (** Time of the earliest live event without removing it. *)
 
-val next_time_excluding : 'a t -> handle -> Time.cycles option
-(** Earliest live event time ignoring the event named by the handle —
-    what {!peek_time} will answer once that event has fired. Engines
-    leasing a speculative window at hop end use this to guess the
-    scheduling component of the {e next} hop's deopt horizon (the tick
-    they just scheduled is the excluded event); the guess is validated
-    against the real horizon at commit time. A stale or fired handle
-    excludes nothing. *)
-
 val now : 'a t -> Time.cycles
 (** Time of the last popped event (simulation clock); {!Time.zero}
     initially. *)

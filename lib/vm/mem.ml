@@ -111,8 +111,6 @@ let touch t a =
   end
   else false
 
-let touched t a = t.word_epoch.(a) >= t.epoch
-
 type image = {
   img_data : int array;
   (* Epoch the image was last synced at; -1 means never (full copy). *)

@@ -20,7 +20,6 @@ let () =
       ("pool", Test_pool.suite);
       ("crash", Test_crash.suite);
       ("race", Test_race.suite);
-      ("par", Test_par.suite);
       ("service", Test_service.suite);
       ("points", Test_points.suite);
       ("properties", Props.suite);

@@ -106,6 +106,14 @@ let test_env_arming () =
   Points.reset_all ();
   Unix.putenv "GPRS_FAULT_POINTS" "wal_append=skip";
   checkb "unsound clause rejected" true (Result.is_error (Points.arm_from_env ()));
+  (* a retired point is an unknown name, not a silently ignored one *)
+  Unix.putenv "GPRS_FAULT_POINTS" "window_commit=delay:0";
+  (match Points.arm_from_env () with
+  | Ok () -> Alcotest.fail "retired point window_commit armed"
+  | Error m ->
+    checks "window_commit is an unknown point"
+      {|clause "window_commit=delay:0": unknown point "window_commit"|} m);
+  checki "nothing armed" 0 (Points.armed_count ());
   Unix.putenv "GPRS_FAULT_POINTS" ""
 
 (* --- unarmed / benign arms are invisible ------------------------------- *)

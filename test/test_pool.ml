@@ -30,13 +30,7 @@ let observe digest (r : Exec.State.run_result) =
     o_digest = digest r;
     o_cycles = r.Exec.State.sim_cycles;
     o_dnc = r.Exec.State.dnc;
-    o_stats =
-      (* par.* counters depend on host timing; see Exec.Par. *)
-      List.filter
-        (fun (k, _) ->
-          not
-            (String.length k >= 4 && String.sub k 0 4 = "par."))
-        (Sim.Stats.to_assoc r.Exec.State.run_stats);
+    o_stats = Sim.Stats.to_assoc r.Exec.State.run_stats;
   }
 
 (* One switch drives both recycling layers, like GPRS_NO_POOL does. *)

@@ -223,12 +223,6 @@ let scenario ?(engine = "gprs") ?(rate = 0.0) ?(seed = 7) ~id ~workload () =
     want_stats = true;
   }
 
-(* par.* counters depend on host timing (see Exec.Par); everything else
-   must match bit-for-bit. *)
-let filter_par =
-  List.filter (fun (k, _) ->
-      not (String.length k >= 4 && String.sub k 0 4 = "par."))
-
 let stats_of_reply j =
   match J.member "stats" j with
   | Some (J.Obj fields) ->
@@ -288,8 +282,7 @@ let test_equivalence_sweep () =
                     (jint "races" j);
                   Alcotest.(check (list (pair string (float 0.0))))
                     (label "stats")
-                    (filter_par local.Server.Scenario.stats)
-                    (filter_par (stats_of_reply j)))
+                    local.Server.Scenario.stats (stats_of_reply j))
                 [ "cold"; "warm" ])
             [ 0.0; 60.0 ])
         [ "pthreads"; "cpr"; "gprs" ])
@@ -411,37 +404,6 @@ let test_daemon_idle_quiesce () =
   in
   checks "post-quiesce run done" "done" (jstr "event" j2)
 
-let test_par_idle_quiesce () =
-  let saved_j = Exec.Par.jobs () in
-  let saved_ms = Exec.Par.idle_timeout_ms () in
-  Fun.protect ~finally:(fun () ->
-      Exec.Par.set_idle_timeout_ms saved_ms;
-      Exec.Par.set_jobs saved_j;
-      Exec.Par.quiesce ())
-  @@ fun () ->
-  Exec.Par.set_idle_timeout_ms 0;
-  Exec.Par.set_jobs 3;
-  let spec = Workloads.Suite.find "histogram" in
-  let program =
-    spec.Workloads.Workload.build ~n_contexts:4
-      ~grain:Workloads.Workload.Default ~scale:0.02
-  in
-  let run () =
-    ignore
-      (Gprs.Engine.run
-         { Gprs.Engine.default_config with n_contexts = 4; seed = 7 }
-         program)
-  in
-  run ();
-  checkb "window workers live after a -j 3 run" true
-    (Exec.Par.workers_live () > 0);
-  Exec.Par.set_idle_timeout_ms 40;
-  poll_until ~msg:"idle watchdog never joined the window workers" (fun () ->
-      Exec.Par.workers_live () = 0);
-  (* and they come back for the next run *)
-  run ();
-  checkb "workers respawn on demand" true (Exec.Par.workers_live () > 0)
-
 let suite =
   [
     Alcotest.test_case "json codec round-trips" `Quick test_json_roundtrip;
@@ -462,6 +424,4 @@ let suite =
       test_protocol_errors;
     Alcotest.test_case "daemon housekeeper joins the idle pool" `Quick
       test_daemon_idle_quiesce;
-    Alcotest.test_case "Par idle watchdog joins window workers" `Quick
-      test_par_idle_quiesce;
   ]
