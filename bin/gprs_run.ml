@@ -7,14 +7,28 @@
 
 open Cmdliner
 
+let scenario ?(rate = 0.0) ?(ordering = "balance-aware")
+    ?(interval = Cpr.default_config.Cpr.checkpoint_interval) ~engine workload
+    contexts scale seed grain =
+  {
+    Server.Scenario.id = "";
+    workload;
+    engine;
+    ordering;
+    contexts;
+    scale;
+    grain;
+    seed;
+    rate;
+    interval;
+    want_stats = false;
+  }
+
 let build_workload workload contexts scale grain =
   let spec = Workloads.Suite.find workload in
-  let grain =
-    match grain with
-    | "fine" -> Workloads.Workload.Fine
-    | _ -> Workloads.Workload.Default
-  in
-  (spec, spec.Workloads.Workload.build ~n_contexts:contexts ~grain ~scale)
+  ( spec,
+    spec.Workloads.Workload.build ~n_contexts:contexts
+      ~grain:(List.assoc grain Server.Scenario.grains) ~scale )
 
 (* Lint at the CLI level (all engines, not just GPRS), then hand the
    program to the engine with its own hook off so findings print once. *)
@@ -33,7 +47,7 @@ let cli_lint ~strict_lint ~no_lint program =
   end
 
 (* Dispatch-mix report (--profile): per-instruction-kind dispatch counts
-   and, when fusion is on, the fused-hop-length histogram. *)
+   and the fused-hop-length histogram. *)
 let print_profile (r : Exec.State.run_result) =
   let prefixed ~prefix k =
     String.length k >= String.length prefix
@@ -62,21 +76,24 @@ let print_profile (r : Exec.State.run_result) =
      counts. *)
   let compile = List.filter (fun (k, _) -> prefixed ~prefix:"compile." k) assoc in
   if compile <> [] then begin
-    Format.printf "compile (GPRS_NO_COMPILE=1 disables trace compilation):@.";
+    Format.printf "compile (superblock trace compiler):@.";
     List.iter (fun (k, v) -> Format.printf "  %-24s %12.1f@." k v) compile
   end;
   (* Pool effectiveness (gprs only): sub-thread record reuse and
      event-queue cell recycling, plus the live high-water mark. *)
   let pool = List.filter (fun (k, _) -> prefixed ~prefix:"pool." k) assoc in
   if pool <> [] then begin
-    Format.printf "pool (GPRS_NO_POOL=1 disables recycling):@.";
+    Format.printf "pool (sub-thread record and event-cell recycling):@.";
     List.iter (fun (k, v) -> Format.printf "  %-24s %12.0f@." k v) pool
   end
 
 let run workload engine contexts scale seed rate grain ordering interval
     show_stats profile strict_lint no_lint =
   if profile then Vm.Block.set_profiling true;
-  let spec, program = build_workload workload contexts scale grain in
+  let scn =
+    scenario ~rate ~ordering ~interval ~engine workload contexts scale seed grain
+  in
+  let spec, program = Server.Scenario.build_program scn in
   match cli_lint ~strict_lint ~no_lint program with
   | `Refuse ->
     Format.eprintf
@@ -86,41 +103,7 @@ let run workload engine contexts scale seed rate grain ordering interval
     Stdlib.exit 2
   | `Run ->
     let result =
-      try
-        match engine with
-      | "pthreads" ->
-        Exec.Baseline.run
-          { Exec.Baseline.default_config with n_contexts = contexts; seed }
-          program
-      | "cpr" ->
-        Cpr.run
-          {
-            Cpr.default_config with
-            n_contexts = contexts;
-            seed;
-            checkpoint_interval = interval;
-            injector = Faults.Injector.config ~seed rate;
-          }
-          program
-      | "gprs" ->
-        let ordering =
-          match ordering with
-          | "round-robin" -> Gprs.Order.Round_robin
-          | "weighted" -> Gprs.Order.Weighted
-          | "recorded" -> Gprs.Order.Recorded
-          | _ -> Gprs.Order.Balance_aware
-        in
-        Gprs.Engine.run ~lint:`Off
-          {
-            Gprs.Engine.default_config with
-            n_contexts = contexts;
-            seed;
-            ordering;
-            injector = Faults.Injector.config ~seed rate;
-          }
-          program
-      | other -> failwith (Printf.sprintf "unknown engine %S" other)
-      with
+      try Server.Scenario.exec scn program with
       | Faults.Points.Fault_error msg ->
         Format.eprintf "gprs_run: injected fault surfaced: %s@." msg;
         Stdlib.exit 1
@@ -189,20 +172,6 @@ let lint_cmd_run workload contexts scale grain verbose json =
    The paper's selective-restart guarantee (§3.3) assumes cross-thread
    dependences are mediated by tracked sync; either detector finding a
    race voids that assumption, so any report exits 1. *)
-let run_engine ~engine ~contexts ~seed program =
-  match engine with
-  | "pthreads" ->
-    Exec.Baseline.run
-      { Exec.Baseline.default_config with n_contexts = contexts; seed }
-      program
-  | "cpr" ->
-    Cpr.run { Cpr.default_config with n_contexts = contexts; seed } program
-  | "gprs" ->
-    Gprs.Engine.run ~lint:`Off
-      { Gprs.Engine.default_config with n_contexts = contexts; seed }
-      program
-  | other -> failwith (Printf.sprintf "unknown engine %S" other)
-
 let report_json r =
   Printf.sprintf
     "{\"addr\":%d,\"kind\":\"%s\",\"tid1\":%d,\"pc1\":%d,\"tid2\":%d,\"pc2\":%d,\"proc2\":\"%s\"}"
@@ -212,7 +181,8 @@ let report_json r =
     (Lint.Render.json_escape r.Exec.Tsan.proc2)
 
 let racecheck_one ~json ~engine workload contexts scale grain seed =
-  let _, program = build_workload workload contexts scale grain in
+  let scn = scenario ~engine workload contexts scale seed grain in
+  let _, program = Server.Scenario.build_program scn in
   let static_races =
     List.filter
       (fun d -> d.Lint.Diagnostic.kind = Lint.Diagnostic.Race_unprotected)
@@ -223,7 +193,7 @@ let racecheck_one ~json ~engine workload contexts scale grain seed =
   let result =
     Fun.protect
       ~finally:(fun () -> Exec.Tsan.set_enabled was)
-      (fun () -> run_engine ~engine ~contexts ~seed program)
+      (fun () -> Server.Scenario.exec scn program)
   in
   let dynamic = result.Exec.State.races in
   if json then
@@ -406,22 +376,6 @@ let serve_run port sock jobs depth cache_cap idle_ms () allow_fault =
 
 (* --- client subcommand ------------------------------------------------- *)
 
-let scenario_base ~want_stats workload engine contexts scale seed rate grain
-    ordering interval =
-  {
-    Server.Scenario.id = "";
-    workload;
-    engine;
-    ordering;
-    contexts;
-    scale;
-    grain;
-    seed;
-    rate;
-    interval;
-    want_stats;
-  }
-
 (* Local one-shot ground truth for --verify: same scenario, fresh decode,
    no daemon. Digest, cycles and DNC must match bit for bit. *)
 let verify_against_local scn reply =
@@ -458,8 +412,7 @@ let client_run port sock retries workload engine contexts scale seed rate
   let c = Server.Client.connect ~retries addr in
   let failures = ref 0 in
   let base =
-    scenario_base ~want_stats:false workload engine contexts scale seed rate
-      grain ordering interval
+    scenario ~rate ~ordering ~interval ~engine workload contexts scale seed grain
   in
   (match open_rps with
   | Some rps ->
@@ -599,24 +552,32 @@ let faultsweep_run matrix seed iters scenarios out quiet =
 
 (* --- terms ------------------------------------------------------------ *)
 
+(* A string option restricted to [names]: anything else is a usage
+   error (exit 124), not a silent fallback. *)
+let one_of names = Arg.enum (List.map (fun n -> (n, n)) names)
+
 let workload =
   let doc =
     Printf.sprintf "Workload: %s." (String.concat ", " Workloads.Suite.names)
   in
-  Arg.(value & opt string "pbzip2" & info [ "w"; "workload" ] ~doc)
+  Arg.(value & opt (one_of Workloads.Suite.names) "pbzip2"
+       & info [ "w"; "workload" ] ~doc)
 
 let engine =
   let doc = "Engine: pthreads, cpr, or gprs." in
-  Arg.(value & opt string "gprs" & info [ "e"; "engine" ] ~doc)
+  Arg.(value & opt (one_of Server.Scenario.engines) "gprs"
+       & info [ "e"; "engine" ] ~doc)
 
 let contexts = Arg.(value & opt int 24 & info [ "contexts"; "n" ] ~doc:"Hardware contexts.")
 let scale = Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Input scale.")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.")
 let rate = Arg.(value & opt float 0.0 & info [ "rate" ] ~doc:"Exceptions per second.")
-let grain = Arg.(value & opt string "default" & info [ "grain" ] ~doc:"default or fine.")
+let grain =
+  Arg.(value & opt (one_of (List.map fst Server.Scenario.grains)) "default"
+       & info [ "grain" ] ~doc:"default or fine.")
 
 let ordering =
-  Arg.(value & opt string "balance-aware"
+  Arg.(value & opt (one_of (List.map fst Server.Scenario.orderings)) "balance-aware"
        & info [ "ordering" ]
            ~doc:
              "GPRS ordering: round-robin, balance-aware, weighted, or recorded \
@@ -631,9 +592,9 @@ let profile_flag =
   Arg.(value & flag
        & info [ "profile" ]
            ~doc:
-             "Profile the dispatch mix: per-instruction-kind dispatch counts \
-              and the fused-hop-length histogram (set $(b,GPRS_NO_FUSE=1) to \
-              compare against unfused dispatch).")
+             "Profile the dispatch mix: per-instruction-kind dispatch counts, \
+              the fused-hop-length histogram, and trace-compiler and pool \
+              counters.")
 
 let strict_lint =
   Arg.(value & flag

@@ -22,6 +22,7 @@ type config = {
           written (the crash-sweep trigger: one run per record boundary) *)
   crash_cycle : int option;
       (** crash the whole runtime at this simulated cycle *)
+  reference : bool;  (* single-step reference run; tests only *)
 }
 
 let default_config =
@@ -38,6 +39,7 @@ let default_config =
     wal_stable = false;
     crash_lsn = None;
     crash_cycle = None;
+    reference = false;
   }
 
 type victim = V_sub of int | V_runtime
@@ -727,7 +729,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
     in
     let first = !ctrl + d + take_delay eng tid in
     if
-      Vm.Block.fusing () && tcb.Vm.Tcb.wait = Vm.Tcb.Runnable
+      (not eng.cfg.reference) && tcb.Vm.Tcb.wait = Vm.Tcb.Runnable
       && (not eng.recovering)
       && Rol.size eng.rol < 4096
     then begin
@@ -1272,8 +1274,8 @@ let finalize eng ~dnc =
   Sim.Stats.set_max st.Exec.State.stats "gprs.rol_depth" (Rol.max_size eng.rol);
   Sim.Stats.set_max st.Exec.State.stats "wal.high_water" (Wal.high_water eng.wal);
   (* Pool effectiveness counters are host-side observations, recorded only
-     under --profile so run stats stay identical across pooled/unpooled
-     (and fused/unfused) legs. *)
+     under --profile so run stats stay identical between production and
+     reference runs. *)
   if !Vm.Block.profiling then begin
     let hits, misses, live_hw = Subthread.pool_stats eng.pool in
     Sim.Stats.add st.Exec.State.stats "pool.sub.hits" hits;
@@ -1326,7 +1328,7 @@ let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable
     rol = Rol.create ();
     wal = Wal.create ~stable ();
     next_sub_id;
-    pool = Subthread.pool_create ();
+    pool = Subthread.pool_create ~reuse:(not cfg.reference) ();
     cur_sub = Tidtab.create None;
     pending_delay = Tidtab.create 0;
     queued = Tidtab.create false;
@@ -1692,7 +1694,7 @@ let run ?(lint = `Warn) ?wal_out ?blocks ?events cfg program =
           (Lint.Render.pp ~title:"GPRS-lint (pre-execution)")
           visible));
   let st =
-    Exec.State.create ?blocks ~program ~costs:cfg.costs
+    Exec.State.create ?blocks ~reference:cfg.reference ~program ~costs:cfg.costs
       ~n_contexts:cfg.n_contexts ~seed:cfg.seed ()
   in
   let stable =

@@ -77,6 +77,9 @@ type config = {
       (** crash at a simulated cycle instead of a WAL boundary — the
           schedule-comparison form used to hit GPRS and P-CPR at the same
           points *)
+  reference : bool;
+      (** single-step reference run (see {!Exec.State.t.reference}) with
+          sub-thread record reuse off; tests only. Default [false]. *)
 }
 
 val default_config : config

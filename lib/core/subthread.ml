@@ -158,11 +158,8 @@ let completion_time t =
 
 (* --- pooling ---------------------------------------------------------- *)
 
-let pool_enabled = ref (Sys.getenv_opt "GPRS_NO_POOL" = None)
-let pooling () = !pool_enabled
-let set_pooling b = pool_enabled := b
-
 type pool = {
+  reuse : bool;
   mutable free : t list;
   mutable hits : int;
   mutable misses : int;
@@ -170,13 +167,14 @@ type pool = {
   mutable live_hw : int;
 }
 
-let pool_create () = { free = []; hits = 0; misses = 0; live = 0; live_hw = 0 }
+let pool_create ?(reuse = true) () =
+  { reuse; free = []; hits = 0; misses = 0; live = 0; live_hw = 0 }
 
 let acquire p ~id ~tid ~now ~(tcb : Vm.Tcb.t) =
   p.live <- p.live + 1;
   if p.live > p.live_hw then p.live_hw <- p.live;
   match p.free with
-  | sub :: rest when !pool_enabled ->
+  | sub :: rest when p.reuse ->
     p.free <- rest;
     p.hits <- p.hits + 1;
     sub.id <- id;
@@ -191,7 +189,7 @@ let acquire p ~id ~tid ~now ~(tcb : Vm.Tcb.t) =
 
 let release p sub =
   p.live <- p.live - 1;
-  if !pool_enabled then begin
+  if p.reuse then begin
     (* Scrub at release, not acquire: a parked record must reference
        nothing from its previous life (undo pre-images, freed blocks,
        forked tids), so squashed state can never be resurrected through

@@ -23,8 +23,9 @@
     are pooled: {!acquire} recycles a record retired or squashed earlier
     in the run instead of heap-allocating one per boundary — the host-side
     analogue of keeping the paper's per-boundary generation cost t_g
-    small. GPRS_NO_POOL=1 (or {!set_pooling}[ false]) restores the
-    allocating path; both paths are observationally identical. *)
+    small. A reference run ([Engine.config.reference]) creates its pool
+    with reuse off, so every acquire allocates; both paths are
+    observationally identical. *)
 
 type alias =
   | Mutex of int
@@ -110,19 +111,18 @@ val aset_shares : aset -> t -> bool
 
 (** {1 Pooling} *)
 
-val pooling : unit -> bool
-val set_pooling : bool -> unit
-
 type pool
 (** Per-engine-run free list of sub-thread records. Never shared across
     runs: register/barrier buffer shapes are per-program. *)
 
-val pool_create : unit -> pool
+val pool_create : ?reuse:bool -> unit -> pool
+(** [reuse] (default [true]): whether {!release}d records are parked for
+    later {!acquire}s; off, every acquire allocates a fresh record. *)
 
 val acquire :
   pool -> id:int -> tid:int -> now:int -> tcb:Vm.Tcb.t -> t
 (** A [Running] sub-thread whose [saved] snapshot is captured from [tcb];
-    recycles a released record when pooling is on (blitting into its
+    recycles a released record when the pool reuses (blitting into its
     existing buffers), else allocates. *)
 
 val release : pool -> t -> unit

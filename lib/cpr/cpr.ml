@@ -19,6 +19,7 @@ type config = {
           last committed global checkpoint is lost and the machine
           restarts from it — the comparison leg the crash sweep runs
           against GPRS's WAL-driven cold recovery *)
+  reference : bool;  (* single-step reference run; tests only *)
 }
 
 let default_config =
@@ -32,6 +33,7 @@ let default_config =
     costs = Vm.Costs.default;
     commit_progress_fraction = 0.5;
     crash_at = None;
+    reference = false;
   }
 
 type event =
@@ -290,7 +292,7 @@ let dispatch eng ctx (tcb : Vm.Tcb.t) =
     | Vm.Isa.Goto _ | Vm.Isa.If _ | Vm.Isa.Cpr_begin | Vm.Isa.Cpr_end ->
       assert false
   in
-  if Vm.Block.fusing () && tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then begin
+  if (not st.Exec.State.reference) && tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then begin
     let q_empty = Sched.Scheduler.is_empty eng.sched in
     let t_next =
       match Sim.Event_queue.peek_time st.Exec.State.evq with
@@ -622,7 +624,7 @@ let schedule_next_fault eng =
 
 let run ?blocks cfg program =
   let st =
-    Exec.State.create ?blocks ~program ~costs:cfg.costs
+    Exec.State.create ?blocks ~reference:cfg.reference ~program ~costs:cfg.costs
       ~n_contexts:cfg.n_contexts ~seed:cfg.seed ()
   in
   let eng =

@@ -39,6 +39,9 @@ type config = {
           all work since the last committed global checkpoint and restores
           it — P-CPR's answer to the crash the GPRS sweep recovers from
           via WAL replay + history-buffer restarts. Default [None]. *)
+  reference : bool;
+      (** single-step reference run (see {!Exec.State.t.reference});
+          tests only. Default [false]. *)
 }
 
 val default_config : config

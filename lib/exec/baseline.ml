@@ -2,8 +2,8 @@ type config = {
   n_contexts : int;
   seed : int;
   max_cycles : int option;
-  sched_policy : Sched.Scheduler.policy;
   costs : Vm.Costs.t;
+  reference : bool;
 }
 
 let default_config =
@@ -11,8 +11,8 @@ let default_config =
     n_contexts = 24;
     seed = 1;
     max_cycles = None;
-    sched_policy = Sched.Scheduler.Fifo;
     costs = Vm.Costs.default;
+    reference = false;
   }
 
 type event = Tick of int
@@ -132,7 +132,7 @@ let dispatch eng ctx (tcb : Vm.Tcb.t) =
     | Vm.Isa.Goto _ | Vm.Isa.If _ | Vm.Isa.Cpr_begin | Vm.Isa.Cpr_end ->
       assert false (* fused above *)
   in
-  if Vm.Block.fusing () && tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then begin
+  if (not st.State.reference) && tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then begin
     (* The run queue is sampled after the first instruction (which may
        have woken threads); the event queue cannot have changed since the
        hop started, so its head bounds how long the sample stays valid. *)
@@ -216,13 +216,13 @@ let tick eng ctx =
 
 let run ?blocks config program =
   let st =
-    State.create ?blocks ~program ~costs:config.costs
+    State.create ?blocks ~reference:config.reference ~program ~costs:config.costs
       ~n_contexts:config.n_contexts ~seed:config.seed ()
   in
   let eng =
     {
       st;
-      sched = Sched.Scheduler.create config.sched_policy ~n_contexts:config.n_contexts;
+      sched = Sched.Scheduler.create Sched.Scheduler.Fifo ~n_contexts:config.n_contexts;
       ctx_of = Array.make config.n_contexts None;
       last_tid = Array.make config.n_contexts (-1);
       started = Array.make config.n_contexts 0;

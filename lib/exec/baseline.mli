@@ -12,13 +12,15 @@ type config = {
   n_contexts : int;
   seed : int;
   max_cycles : int option;  (** DNC budget; [None] = unbounded *)
-  sched_policy : Sched.Scheduler.policy;
-      (** [Fifo] for the OS baseline; [Work_steal] exists for ablations *)
   costs : Vm.Costs.t;
+  reference : bool;
+      (** single-step reference run (see {!State.t.reference}); tests
+          only *)
 }
 
 val default_config : config
-(** 24 contexts, seed 1, unbounded, FIFO, default cost model. *)
+(** 24 contexts, seed 1, unbounded, default cost model, production
+    dispatch. *)
 
 val run : ?blocks:Vm.Block.t -> config -> Vm.Isa.program -> State.run_result
 (** Execute to completion (all threads exited). Raises {!State.Deadlock}

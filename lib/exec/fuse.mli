@@ -10,15 +10,15 @@
     the per-instruction schedule; only the number of heap operations
     changes.
 
-    When trace compilation is on ({!Vm.Block.compiling}), the chain runs
-    through compiled superblock closures: each boundary whose pc has a
-    compiled cell executes whole guard-checked runs of instructions per
-    closure entry, deopting back to the interpreted probe loop on a
-    mispredicted [If] (one interpreted commit, then re-entry) and
-    stopping outright when the hop's horizon falls inside the trace. All
-    committed effects — pc, CPR flag, clock, memory, stats — are
-    identical either way; the closure only removes per-instruction
-    dispatch overhead. *)
+    The chain runs through compiled superblock closures: each boundary
+    whose pc has a compiled cell executes whole guard-checked runs of
+    instructions per closure entry, deopting back to the interpreted
+    probe loop on a mispredicted [If] (one interpreted commit, then
+    re-entry) and stopping outright when the hop's horizon falls inside
+    the trace. All committed effects — pc, CPR flag, clock, memory,
+    stats — are identical to stepping one instruction per hop (an
+    engine's [reference] run, which never calls [run_chain]); the
+    closure only removes per-instruction dispatch overhead. *)
 
 val run_chain :
   'ev State.t ->

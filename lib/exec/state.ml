@@ -19,6 +19,7 @@ type 'ev t = {
   mutable acc_cost : int;
   output_handles : (string * Vm.Io.file) list;
   blocks : Vm.Block.t;
+  reference : bool;
   mutable on_io_grow : (Vm.Io.file -> int -> unit) option;
   tsan : Tsan.t option;
   mutable envs : Vm.Env.t option array;
@@ -34,7 +35,7 @@ exception Deadlock of string
 
 let main_tid = 0
 
-let create ?blocks ~program ~costs ~n_contexts ~seed () =
+let create ?blocks ~reference ~program ~costs ~n_contexts ~seed () =
   let open Vm.Isa in
   let mem = Vm.Mem.create ~words:program.mem_words in
   if program.reserved_words > 0 then
@@ -75,7 +76,7 @@ let create ?blocks ~program ~costs ~n_contexts ~seed () =
     threads;
     n_threads = 1;
     live_threads = 1;
-    evq = Sim.Event_queue.create ();
+    evq = Sim.Event_queue.create ~recycle:(not reference) ();
     stats;
     cow_words = Sim.Stats.handle stats "ckpt.cow_words";
     prng = Sim.Prng.create seed;
@@ -90,9 +91,10 @@ let create ?blocks ~program ~costs ~n_contexts ~seed () =
       (let b =
          match blocks with Some b -> b | None -> Vm.Block.analyze program
        in
-       if !Vm.Block.profiling && Vm.Block.compiling () then
+       if !Vm.Block.profiling && not reference then
          Sim.Stats.add stats "compile.superblocks" (Vm.Block.n_compiled b);
        b);
+    reference;
     on_io_grow = None;
     tsan =
       (if Tsan.enabled () then

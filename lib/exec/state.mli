@@ -34,6 +34,12 @@ type 'ev t = {
   mutable acc_cost : int;  (** cycles accrued by tracked accesses *)
   output_handles : (string * Vm.Io.file) list;
   blocks : Vm.Block.t;  (** fused-block pre-decode of [program] *)
+  reference : bool;
+      (** Reference run: the engine steps one instruction per event-queue
+          hop (no fused chains, no compiled superblocks) and the event
+          queue allocates every cell. Tests compare it with the
+          production run, which must be bit-identical in every
+          non-profiling observable. *)
   mutable on_io_grow : (Vm.Io.file -> int -> unit) option;
       (** Fired when a tracked write grows a file ([file], words grown) —
           the file-metadata change [Wal.Io_op] records. The GPRS engine
@@ -55,6 +61,7 @@ and barrier = { parties : int; mutable arrived : int list }
 
 val create :
   ?blocks:Vm.Block.t ->
+  reference:bool ->
   program:Vm.Isa.program ->
   costs:Vm.Costs.t ->
   n_contexts:int ->
@@ -65,7 +72,8 @@ val create :
     (tid 0, group 0, [Runnable]). [blocks], when given, must be
     [Vm.Block.analyze program]'s result — the service-mode program cache
     passes it so repeated runs pay decode + superblock compilation once
-    per program, not per run. *)
+    per program, not per run. [reference] is stored (see the field) and
+    turns the event queue's cell recycling off. *)
 
 val thread : 'ev t -> int -> Vm.Tcb.t
 val main_tid : int

@@ -4,8 +4,7 @@
    happens-before clocks and per-word access shadows on the side, charge
    no simulated cycles, touch no PRNG and add no stats — with the
    sanitizer disabled every run is bit-identical to a build without it
-   (the same leg discipline as GPRS_NO_FUSE / GPRS_NO_POOL, inverted:
-   GPRS_TSAN=1 opts in).
+   (GPRS_TSAN=1 opts in).
 
    Happens-before edges observed:
    - mutex release -> next acquire, through the {!State.set_holder}

@@ -158,18 +158,12 @@ let parse_matrix j =
 
 (* --- execution ----------------------------------------------------------- *)
 
-let gprs_ordering = function
-  | "round-robin" -> Gprs.Order.Round_robin
-  | "weighted" -> Gprs.Order.Weighted
-  | "recorded" -> Gprs.Order.Recorded
-  | _ -> Gprs.Order.Balance_aware
-
 let gprs_cfg ?max_cycles (s : Scenario.t) =
   {
     Gprs.Engine.default_config with
     n_contexts = s.contexts;
     seed = s.seed;
-    ordering = gprs_ordering s.ordering;
+    ordering = Scenario.ordering s;
     injector = Faults.Injector.config ~seed:s.seed s.rate;
     wal_stable = true;
     max_cycles;

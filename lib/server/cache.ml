@@ -6,9 +6,9 @@
    Sharing one entry across concurrent runs is sound: programs are
    immutable after build (input arrays are copied into each run's
    [Vm.Io] at [Exec.State.create]), [Vm.Block.analyze] results are
-   immutable after analyze, and the determinism pins from the
-   compiled-vs-interpreted and -j1-vs-jN sweeps make the cached decode
-   observationally identical to a fresh one.
+   immutable after analyze, and the production-vs-reference sweeps pin
+   compiled execution to the single-step interpreter, so the cached
+   decode is observationally identical to a fresh one.
 
    Builds are deduplicated in flight: the first requester of a key
    installs a [Building] slot and builds outside the lock; concurrent

@@ -1,7 +1,7 @@
 (** LRU program cache with in-flight build deduplication.
 
     An entry bundles everything the cold path computes once per
-    (workload, build knobs, leg): the decoded program, its
+    (workload, build knobs): the decoded program, its
     fused/compiled {!Vm.Block.t} superblocks, and the lint admission
     verdict. Sharing entries across concurrent runs is sound because
     programs and analyzed blocks are immutable after construction and

@@ -1,8 +1,7 @@
 (* The persistent simulation daemon. One process holds, across requests:
    the program cache (decode + superblock compilation + lint admission
-   paid once per key), a shared long-lived Analysis.Pool the admission
-   queue multiplexes runs onto, and the leg snapshot that pins the
-   runtime knobs for the server's lifetime.
+   paid once per key) and a shared long-lived Analysis.Pool the
+   admission queue multiplexes runs onto.
 
    Threading model: the listener and each connection reader are
    systhreads (they spend their lives blocked in accept/read and take no
@@ -72,7 +71,6 @@ type group = {
 
 type t = {
   cfg : config;
-  leg : Leg.t;
   cache : Cache.t;
   pool : Analysis.Pool.shared;
   listener : Unix.file_descr;
@@ -178,7 +176,7 @@ let group_finished t key reply =
 let exec_group t key (g : group) () =
   let scn = g.g_scn in
   match
-    Cache.find t.cache ~key:(Scenario.program_key ~leg:t.leg scn)
+    Cache.find t.cache ~key:(Scenario.program_key scn)
       ~build:(build_entry scn)
   with
   | exception Invalid_argument msg ->
@@ -367,7 +365,6 @@ let stats_json t =
       ("analyses", Json.Int (Vm.Block.analyses ()));
       ("jobs", Json.Int t.cfg.jobs);
       ("depth", Json.Int t.cfg.depth);
-      ("leg", Leg.to_json t.leg);
     ]
 
 (* --- fault-injection verb ----------------------------------------------- *)
@@ -544,13 +541,10 @@ let housekeeper t () =
   loop ()
 
 let start cfg =
-  let leg = Leg.capture () in
-  Leg.apply leg;
   let listener, bound = listen_on cfg.addr in
   let t =
     {
       cfg;
-      leg;
       cache = Cache.create ~capacity:cfg.cache_capacity;
       pool = Analysis.Pool.shared_create ~jobs:cfg.jobs;
       listener;

@@ -1,10 +1,9 @@
 (** The persistent simulation daemon (GPRS-as-a-service).
 
     One process holds, across requests: the {!Cache} of decoded +
-    superblock-compiled + lint-admitted programs, a shared long-lived
+    superblock-compiled + lint-admitted programs and a shared long-lived
     {!Analysis.Pool} that the bounded admission queue multiplexes run
-    execution onto, and the {!Leg} snapshot pinning the runtime knobs
-    for the server's lifetime. Identical queued scenarios coalesce into
+    execution onto. Identical queued scenarios coalesce into
     one execution fanned out to every requester; load beyond the
     admission bound is shed with a 429-style error instead of queueing
     without limit.
@@ -43,9 +42,9 @@ val default_config : config
 type t
 
 val start : config -> t
-(** Capture and {!Leg.apply} the leg, bind, and return immediately; the
-    listener, connection readers and idle housekeeping run on
-    background systhreads, request execution on pool domains. *)
+(** Bind and return immediately; the listener, connection readers and
+    idle housekeeping run on background systhreads, request execution on
+    pool domains. *)
 
 val stop : t -> unit
 (** Graceful stop: refuse new work, let in-flight requests finish and

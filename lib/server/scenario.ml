@@ -1,8 +1,8 @@
 (* A scenario request: one (workload, engine, ordering, fault schedule,
    seed, knobs) point, exactly the parameter space of `gprs_run run`.
-   [run] mirrors the CLI's engine dispatch line for line so a daemon
-   result is bit-identical to the one-shot invocation — that equivalence
-   is what the service test sweep pins. *)
+   [exec] is the one engine dispatch both `gprs_run run` and the daemon
+   go through, so a daemon result is the one-shot result by
+   construction. *)
 
 type t = {
   id : string;  (* request correlation id, echoed in every reply *)
@@ -18,36 +18,62 @@ type t = {
   want_stats : bool;  (* include run stats in the done event *)
 }
 
+let engines = [ "pthreads"; "cpr"; "gprs" ]
+
+let orderings =
+  [
+    ("round-robin", Gprs.Order.Round_robin);
+    ("balance-aware", Gprs.Order.Balance_aware);
+    ("weighted", Gprs.Order.Weighted);
+    ("recorded", Gprs.Order.Recorded);
+  ]
+
+let grains =
+  [ ("default", Workloads.Workload.Default); ("fine", Workloads.Workload.Fine) ]
+
+let unknown what name = Printf.sprintf "unknown %s %S" what name
+
+let lookup what table name =
+  match List.assoc_opt name table with
+  | Some v -> v
+  | None -> invalid_arg (unknown what name)
+
+let ordering s = lookup "ordering" orderings s.ordering
+let grain s = lookup "grain" grains s.grain
+
 let of_json j =
   let ( let* ) = Result.bind in
+  let known what names v =
+    if List.mem v names then Ok v else Error (unknown what v)
+  in
   let* id = Json.str ~default:"" "id" j in
   let* workload = Json.str "workload" j in
   let* engine = Json.str ~default:"gprs" "engine" j in
+  let* engine = known "engine" engines engine in
   let* ordering = Json.str ~default:"balance-aware" "ordering" j in
+  let* ordering = known "ordering" (List.map fst orderings) ordering in
   let* contexts = Json.int ~default:24 "contexts" j in
   let* scale = Json.float ~default:1.0 "scale" j in
   let* grain = Json.str ~default:"default" "grain" j in
+  let* grain = known "grain" (List.map fst grains) grain in
   let* seed = Json.int ~default:1 "seed" j in
   let* rate = Json.float ~default:0.0 "rate" j in
   let* interval = Json.float ~default:0.05 "interval" j in
   let* want_stats = Json.bool ~default:false "stats" j in
-  match engine with
-  | "pthreads" | "cpr" | "gprs" ->
-    Ok
-      {
-        id;
-        workload;
-        engine;
-        ordering;
-        contexts;
-        scale;
-        grain;
-        seed;
-        rate;
-        interval;
-        want_stats;
-      }
-  | other -> Error (Printf.sprintf "unknown engine %S" other)
+  Ok
+    {
+      id;
+      workload;
+      engine;
+      ordering;
+      contexts;
+      scale;
+      grain;
+      seed;
+      rate;
+      interval;
+      want_stats;
+    }
 
 let to_json s =
   Json.Obj
@@ -67,12 +93,11 @@ let to_json s =
     ]
 
 (* Program-cache key: exactly the inputs of decode + superblock
-   compilation + lint admission — workload identity and build knobs plus
-   the server's leg — and nothing of the run (seed, rate, ordering,
-   engine), so one cached program serves every run against it. *)
-let program_key ~leg s =
-  Printf.sprintf "%s/n%d/s%.17g/%s/%s" s.workload s.contexts s.scale s.grain
-    (Leg.key leg)
+   compilation + lint admission — workload identity and build knobs —
+   and nothing of the run (seed, rate, ordering, engine), so one cached
+   program serves every run against it. *)
+let program_key s =
+  Printf.sprintf "%s/n%d/s%.17g/%s" s.workload s.contexts s.scale s.grain
 
 (* Coalescing key: the full run identity minus the correlation id. Two
    requests with equal keys are the same deterministic computation, so
@@ -105,58 +130,46 @@ let outcome_to_json o =
 
 let build_program s =
   let spec = Workloads.Suite.find s.workload in
-  let grain =
-    match s.grain with
-    | "fine" -> Workloads.Workload.Fine
-    | _ -> Workloads.Workload.Default
-  in
   ( spec,
-    spec.Workloads.Workload.build ~n_contexts:s.contexts ~grain ~scale:s.scale
-  )
+    spec.Workloads.Workload.build ~n_contexts:s.contexts ~grain:(grain s)
+      ~scale:s.scale )
 
-(* Engine dispatch, a transliteration of gprs_run's: the pthreads
-   baseline takes no injector (rate is ignored there, as in the CLI),
-   cpr takes the checkpoint interval, gprs the ordering scheme; both
-   fault-injecting engines derive the injector stream from the scenario
-   seed. GPRS's own lint hook stays off — admission linting happened
-   once at cache fill. *)
+(* The engine dispatch: the pthreads baseline takes no injector (rate is
+   ignored there), cpr takes the checkpoint interval, gprs the ordering
+   scheme; both fault-injecting engines derive the injector stream from
+   the scenario seed. GPRS's own lint hook stays off — callers lint
+   first (the CLI before the run, the daemon once at cache fill). *)
+let exec ?blocks s program =
+  match s.engine with
+  | "pthreads" ->
+    Exec.Baseline.run ?blocks
+      { Exec.Baseline.default_config with n_contexts = s.contexts;
+        seed = s.seed }
+      program
+  | "cpr" ->
+    Cpr.run ?blocks
+      {
+        Cpr.default_config with
+        n_contexts = s.contexts;
+        seed = s.seed;
+        checkpoint_interval = s.interval;
+        injector = Faults.Injector.config ~seed:s.seed s.rate;
+      }
+      program
+  | "gprs" ->
+    Gprs.Engine.run ~lint:`Off ?blocks
+      {
+        Gprs.Engine.default_config with
+        n_contexts = s.contexts;
+        seed = s.seed;
+        ordering = ordering s;
+        injector = Faults.Injector.config ~seed:s.seed s.rate;
+      }
+      program
+  | other -> invalid_arg (unknown "engine" other)
+
 let run ~spec ~program ?blocks s =
-  let result =
-    match s.engine with
-    | "pthreads" ->
-      Exec.Baseline.run ?blocks
-        { Exec.Baseline.default_config with n_contexts = s.contexts;
-          seed = s.seed }
-        program
-    | "cpr" ->
-      Cpr.run ?blocks
-        {
-          Cpr.default_config with
-          n_contexts = s.contexts;
-          seed = s.seed;
-          checkpoint_interval = s.interval;
-          injector = Faults.Injector.config ~seed:s.seed s.rate;
-        }
-        program
-    | "gprs" ->
-      let ordering =
-        match s.ordering with
-        | "round-robin" -> Gprs.Order.Round_robin
-        | "weighted" -> Gprs.Order.Weighted
-        | "recorded" -> Gprs.Order.Recorded
-        | _ -> Gprs.Order.Balance_aware
-      in
-      Gprs.Engine.run ~lint:`Off ?blocks
-        {
-          Gprs.Engine.default_config with
-          n_contexts = s.contexts;
-          seed = s.seed;
-          ordering;
-          injector = Faults.Injector.config ~seed:s.seed s.rate;
-        }
-        program
-    | other -> failwith (Printf.sprintf "unknown engine %S" other)
-  in
+  let result = exec ?blocks s program in
   {
     digest = spec.Workloads.Workload.digest result;
     sim_cycles = result.Exec.State.sim_cycles;

@@ -23,22 +23,18 @@ type 'a t = {
   (* Popped (fired) cells are recycled through a small free list instead
      of re-allocating one record per event. Invisible to pop order: a
      reused cell is fully re-initialized at [schedule]. *)
+  recycle : bool;  (* off in reference runs: every schedule allocates *)
   mutable free : 'a cell list;
   mutable n_free : int;
   mutable cells_alloc : int;
   mutable cells_recycled : int;
 }
 
-(* Recycling shares the pooled-hot-path kill switch with the sub-thread
-   pool: GPRS_NO_POOL=1 restores the allocating behaviour everywhere. *)
-let recycle_enabled = ref (Sys.getenv_opt "GPRS_NO_POOL" = None)
-let recycling () = !recycle_enabled
-let set_recycling b = recycle_enabled := b
-
 let max_free = 64
 
-let create () =
+let create ?(recycle = true) () =
   {
+    recycle;
     heap = [||];
     size = 0;
     next_seq = 0;
@@ -188,7 +184,7 @@ let rec pop q =
       q.live <- q.live - 1;
       q.clock <- top.time;
       let r = Some (top.time, top.payload) in
-      if !recycle_enabled && q.n_free < max_free then begin
+      if q.recycle && q.n_free < max_free then begin
         (* Invalidate outstanding handles, then park the record. *)
         top.gen <- top.gen + 1;
         q.free <- top :: q.free;

@@ -19,7 +19,13 @@ type 'a t
 type handle
 (** Names one scheduled event, for cancellation. *)
 
-val create : unit -> 'a t
+val create : ?recycle:bool -> unit -> 'a t
+(** [recycle] (default [true]) parks popped cells on a per-queue free
+    list that later {!schedule}s reuse instead of allocating. Recycling
+    is invisible to pop order and to cancellation: a reused cell is
+    fully re-initialized, and handles are generation-stamped so a stale
+    handle can never cancel the cell's new occupant. Reference runs
+    ([reference = true] in an engine config) turn it off. *)
 
 val is_empty : 'a t -> bool
 
@@ -47,15 +53,6 @@ val heap_size : 'a t -> int
 (** Physical heap occupancy, including not-yet-reclaimed cancelled
     cells; [length q <= heap_size q] always. For tests and
     diagnostics. *)
-
-val recycling : unit -> bool
-(** Whether popped cells are recycled through the per-queue free list
-    (module-wide switch; defaults to on unless GPRS_NO_POOL is set).
-    Recycling is invisible to pop order and to cancellation: a reused
-    cell is fully re-initialized, and handles are generation-stamped so
-    a stale handle can never cancel the cell's new occupant. *)
-
-val set_recycling : bool -> unit
 
 val cell_stats : 'a t -> int * int
 (** [(allocated, recycled)] cell counts for this queue: how many

@@ -10,15 +10,7 @@ let classify = function
   | Isa.Join _ | Isa.Alloc _ | Isa.Free _ | Isa.Exit ->
     Stop
 
-(* --- runtime switches ------------------------------------------------- *)
-
-let enabled = ref (Sys.getenv_opt "GPRS_NO_FUSE" = None)
-let fusing () = !enabled
-let set_fusing b = enabled := b
-
-let compile_enabled = ref (Sys.getenv_opt "GPRS_NO_COMPILE" = None)
-let compiling () = !compile_enabled
-let set_compiling b = compile_enabled := b
+(* --- profiling switch ------------------------------------------------ *)
 
 let profiling = ref false
 let set_profiling b = profiling := b

@@ -49,25 +49,7 @@ type cls =
 
 val classify : Isa.instr -> cls
 
-(** {1 Runtime switches} *)
-
-val fusing : unit -> bool
-(** Whether engines may fuse. Initialized from the environment:
-    [GPRS_NO_FUSE] (any value) starts it [false]. *)
-
-val set_fusing : bool -> unit
-(** Tests flip this to compare fused and unfused legs in-process. Set it
-    only between runs (engines read it per hop). *)
-
-val compiling : unit -> bool
-(** Whether fused chains may enter compiled superblocks. Initialized from
-    the environment: [GPRS_NO_COMPILE] (any value) starts it [false].
-    Orthogonal to {!fusing}: with compilation off, chains fall back to
-    the interpreted probe loop. *)
-
-val set_compiling : bool -> unit
-(** Tests flip this to compare compiled and interpreted legs in-process.
-    Set it only between runs. *)
+(** {1 Profiling} *)
 
 val set_profiling : bool -> unit
 (** Enable the dispatch-mix profiler: engines then count

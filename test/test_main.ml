@@ -15,9 +15,9 @@ let () =
       ("analysis", Test_analysis.suite);
       ("lint", Test_lint.suite);
       ("integration", Test_integration.suite);
-      ("fusion", Test_fusion.suite);
-      ("compile", Test_compile.suite);
-      ("pool", Test_pool.suite);
+      ("fusion", Test_reference.fusion);
+      ("compile", Test_reference.compile);
+      ("pool", Test_reference.pool);
       ("crash", Test_crash.suite);
       ("race", Test_race.suite);
       ("service", Test_service.suite);

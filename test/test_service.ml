@@ -373,7 +373,23 @@ let test_protocol_errors () =
     Server.Client.run_sync c (scenario ~id:"e2" ~workload:"nope" ())
   in
   checks "unknown workload refused" "error" (jstr "event" bad_workload);
-  checki "with 400" 400 (jint "code" bad_workload)
+  checki "with 400" 400 (jint "code" bad_workload);
+  (* An unknown ordering or grain is refused, not run under the
+     default. *)
+  let bad_ordering =
+    Server.Client.run_sync c
+      { (scenario ~id:"e3" ~workload:"histogram" ()) with
+        Server.Scenario.ordering = "roundrobin" }
+  in
+  checks "unknown ordering refused" "error" (jstr "event" bad_ordering);
+  checki "with 400" 400 (jint "code" bad_ordering);
+  let bad_grain =
+    Server.Client.run_sync c
+      { (scenario ~id:"e4" ~workload:"histogram" ()) with
+        Server.Scenario.grain = "fien" }
+  in
+  checks "unknown grain refused" "error" (jstr "event" bad_grain);
+  checki "with 400" 400 (jint "code" bad_grain)
 
 (* --- idle watchdogs ----------------------------------------------------- *)
 
