@@ -10,45 +10,75 @@ let default_cfg =
   { n_contexts = 24; scale = 1.0; seed = 1; dnc_factor = 30; jobs = 1 }
 
 (* ------------------------------------------------------------------ *)
-(* Engine front-ends                                                   *)
+(* Prepared programs and engine runners                                *)
 (* ------------------------------------------------------------------ *)
 
-let build cfg (spec : Workloads.Workload.spec) ~grain =
-  spec.Workloads.Workload.build ~n_contexts:cfg.n_contexts ~grain ~scale:cfg.scale
+(* One workload x grain x context count, built and analyzed once. The
+   engine's [`Warn] lint runs at most once, before the first GPRS run:
+   the drivers hold a prepared value for one row, inside one [Pool.map]
+   task, so the lazy is never forced from two domains. *)
+type prepared = {
+  cfg : cfg;
+  spec : Workloads.Workload.spec;
+  grain : Workloads.Workload.grain;
+  program : Vm.Isa.program;
+  blocks : Vm.Block.t;
+  linted : unit Lazy.t;
+}
 
-let run_pthreads cfg spec ~grain =
-  Exec.Baseline.run
+let prepare cfg (spec : Workloads.Workload.spec) ~grain =
+  let program =
+    spec.Workloads.Workload.build ~n_contexts:cfg.n_contexts ~grain
+      ~scale:cfg.scale
+  in
+  {
+    cfg;
+    spec;
+    grain;
+    program;
+    blocks = Vm.Block.analyze program;
+    linted = lazy (Gprs.Engine.admit `Warn program);
+  }
+
+let pthreads_on ?max_cycles p =
+  Exec.Baseline.run ~blocks:p.blocks
     {
       Exec.Baseline.default_config with
-      n_contexts = cfg.n_contexts;
-      seed = cfg.seed;
+      n_contexts = p.cfg.n_contexts;
+      seed = p.cfg.seed;
+      max_cycles;
     }
-    (build cfg spec ~grain)
+    p.program
 
-let run_gprs ?(ordering = Gprs.Order.Balance_aware) ?(costs = Vm.Costs.default)
-    ?(rate = 0.0) ?(recovery = Gprs.Engine.Selective) ?max_cycles cfg spec
-    ~grain =
-  Gprs.Engine.run
+let gprs_exec p config =
+  Lazy.force p.linted;
+  Gprs.Engine.run ~lint:`Off ~blocks:p.blocks config p.program
+
+let gprs_on ?(ordering = Gprs.Order.Balance_aware) ?(costs = Vm.Costs.default)
+    ?(rate = 0.0) ?(recovery = Gprs.Engine.Selective) ?max_cycles p =
+  gprs_exec p
     {
       Gprs.Engine.default_config with
-      n_contexts = cfg.n_contexts;
-      seed = cfg.seed;
+      n_contexts = p.cfg.n_contexts;
+      seed = p.cfg.seed;
       ordering;
       recovery;
       costs;
-      injector = Faults.Injector.config ~seed:cfg.seed rate;
+      injector = Faults.Injector.config ~seed:p.cfg.seed rate;
       max_cycles;
     }
-    (build cfg spec ~grain)
 
 let baseline_cache : (string, int) Hashtbl.t = Hashtbl.create 32
 let baseline_cache_lock = Mutex.create ()
 
-let baseline_cycles cfg spec ~grain =
+(* Fault-free default-grain Pthreads cycles of [p]'s workload at [p]'s
+   context count, scale and seed; a miss runs on [p] itself when it is
+   the default-grain program. *)
+let baseline_cycles p =
+  let cfg = p.cfg in
   let key =
-    Printf.sprintf "%s/%d/%f/%d/%s" spec.Workloads.Workload.name cfg.n_contexts cfg.scale
-      cfg.seed
-      (match grain with Workloads.Workload.Default -> "d" | Workloads.Workload.Fine -> "f")
+    Printf.sprintf "%s/%d/%f/%d" p.spec.Workloads.Workload.name cfg.n_contexts
+      cfg.scale cfg.seed
   in
   let cached =
     Mutex.protect baseline_cache_lock (fun () ->
@@ -57,31 +87,48 @@ let baseline_cycles cfg spec ~grain =
   match cached with
   | Some c -> c
   | None ->
-    let r = run_pthreads cfg spec ~grain:Workloads.Workload.Default in
+    let d =
+      match p.grain with
+      | Workloads.Workload.Default -> p
+      | Workloads.Workload.Fine ->
+        prepare cfg p.spec ~grain:Workloads.Workload.Default
+    in
+    let c = (pthreads_on d).Exec.State.sim_cycles in
     Mutex.protect baseline_cache_lock (fun () ->
-        Hashtbl.replace baseline_cache key r.Exec.State.sim_cycles);
-    r.Exec.State.sim_cycles
+        Hashtbl.replace baseline_cache key c);
+    c
 
-let run_cpr ?interval ?(rate = 0.0) ?max_cycles cfg spec ~grain =
+let cpr_on ?interval ?(rate = 0.0) ?max_cycles p =
   let interval =
     match interval with
     | Some i -> i
     | None ->
-      let base = baseline_cycles cfg spec ~grain in
       Sim.Time.to_seconds
         ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second
-        (Stdlib.max 1 (base / 25))
+        (Stdlib.max 1 (baseline_cycles p / 25))
   in
-  Cpr.run
+  Cpr.run ~blocks:p.blocks
     {
       Cpr.default_config with
-      n_contexts = cfg.n_contexts;
-      seed = cfg.seed;
+      n_contexts = p.cfg.n_contexts;
+      seed = p.cfg.seed;
       checkpoint_interval = interval;
-      injector = Faults.Injector.config ~seed:cfg.seed rate;
+      injector = Faults.Injector.config ~seed:p.cfg.seed rate;
       max_cycles;
     }
-    (build cfg spec ~grain)
+    p.program
+
+(* ------------------------------------------------------------------ *)
+(* Engine front-ends: one-shot, each prepares its own program          *)
+(* ------------------------------------------------------------------ *)
+
+let run_pthreads cfg spec ~grain = pthreads_on (prepare cfg spec ~grain)
+
+let run_gprs ?ordering ?costs ?rate ?recovery ?max_cycles cfg spec ~grain =
+  gprs_on ?ordering ?costs ?rate ?recovery ?max_cycles (prepare cfg spec ~grain)
+
+let run_cpr ?interval ?rate ?max_cycles cfg spec ~grain =
+  cpr_on ?interval ?rate ?max_cycles (prepare cfg spec ~grain)
 
 let costs_order_only =
   {
@@ -136,8 +183,9 @@ let sub_size_class mean_cycles =
 let table2 cfg =
   Pool.map ~jobs:cfg.jobs
     (fun (spec : Workloads.Workload.spec) ->
-      let p = run_pthreads cfg spec ~grain:Workloads.Workload.Default in
-      let g = run_gprs cfg spec ~grain:Workloads.Workload.Default in
+      let d = prepare cfg spec ~grain:Workloads.Workload.Default in
+      let p = pthreads_on d in
+      let g = gprs_on d in
       let subs = Sim.Stats.get g.Exec.State.run_stats "gprs.subthreads" in
       let mean = Sim.Stats.mean g.Exec.State.run_stats "gprs.sub_cycles" in
       [
@@ -165,20 +213,17 @@ let fig8 cfg ~grain ~id ~title =
   let rows =
     Pool.map ~jobs:cfg.jobs
       (fun (spec : Workloads.Workload.spec) ->
-        let base = baseline_cycles cfg spec ~grain:Workloads.Workload.Default in
+        let p = prepare cfg spec ~grain in
+        let base = baseline_cycles p in
         let budget = Some (cfg.dnc_factor * base) in
         let g_r_or =
-          run_gprs ~ordering:Gprs.Order.Round_robin ~costs:costs_order_only
-            ?max_cycles:budget cfg spec ~grain
+          gprs_on ~ordering:Gprs.Order.Round_robin ~costs:costs_order_only
+            ?max_cycles:budget p
         in
-        let g_b_or =
-          run_gprs ~costs:costs_order_only ?max_cycles:budget cfg spec ~grain
-        in
-        let g_b_rol =
-          run_gprs ~costs:costs_order_rol ?max_cycles:budget cfg spec ~grain
-        in
-        let p_ch = run_cpr ?max_cycles:budget cfg spec ~grain in
-        let g_b_ch = run_gprs ?max_cycles:budget cfg spec ~grain in
+        let g_b_or = gprs_on ~costs:costs_order_only ?max_cycles:budget p in
+        let g_b_rol = gprs_on ~costs:costs_order_rol ?max_cycles:budget p in
+        let p_ch = cpr_on ?max_cycles:budget p in
+        let g_b_ch = gprs_on ?max_cycles:budget p in
         {
           Report.row_name = spec.Workloads.Workload.name;
           bars =
@@ -221,20 +266,13 @@ let fig9 cfg =
   let rows =
     Pool.map ~jobs:cfg.jobs
       (fun name ->
-        let spec = Workloads.Suite.find name in
-        let base = baseline_cycles cfg spec ~grain:Workloads.Workload.Default in
-        let budget = Some (cfg.dnc_factor * base) in
-        let p_fine =
-          Exec.Baseline.run
-            {
-              Exec.Baseline.default_config with
-              n_contexts = cfg.n_contexts;
-              seed = cfg.seed;
-              max_cycles = budget;
-            }
-            (build cfg spec ~grain:Workloads.Workload.Fine)
+        let p =
+          prepare cfg (Workloads.Suite.find name) ~grain:Workloads.Workload.Fine
         in
-        let g_fine = run_gprs ?max_cycles:budget cfg spec ~grain:Workloads.Workload.Fine in
+        let base = baseline_cycles p in
+        let budget = Some (cfg.dnc_factor * base) in
+        let p_fine = pthreads_on ?max_cycles:budget p in
+        let g_fine = gprs_on ?max_cycles:budget p in
         {
           Report.row_name = name;
           bars =
@@ -271,7 +309,8 @@ let fig10 cfg =
   let rows =
     Pool.map ~jobs:cfg.jobs
       (fun (spec : Workloads.Workload.spec) ->
-        let base = baseline_cycles cfg spec ~grain:Workloads.Workload.Default in
+        let p = prepare cfg spec ~grain:Workloads.Workload.Default in
+        let base = baseline_cycles p in
         let budget = Some (cfg.dnc_factor * base) in
         let base_s =
           Sim.Time.to_seconds
@@ -279,10 +318,10 @@ let fig10 cfg =
         in
         let k_low, k_high = fig10_exceptions spec.Workloads.Workload.name in
         let rate_low = k_low /. base_s and rate_high = k_high /. base_s in
-        let cpr_l = run_cpr ~rate:rate_low ?max_cycles:budget cfg spec ~grain:Workloads.Workload.Default in
-        let gprs_l = run_gprs ~rate:rate_low ?max_cycles:budget cfg spec ~grain:Workloads.Workload.Default in
-        let cpr_h = run_cpr ~rate:rate_high ?max_cycles:budget cfg spec ~grain:Workloads.Workload.Default in
-        let gprs_h = run_gprs ~rate:rate_high ?max_cycles:budget cfg spec ~grain:Workloads.Workload.Default in
+        let cpr_l = cpr_on ~rate:rate_low ?max_cycles:budget p in
+        let gprs_l = gprs_on ~rate:rate_low ?max_cycles:budget p in
+        let cpr_h = cpr_on ~rate:rate_high ?max_cycles:budget p in
+        let gprs_h = gprs_on ~rate:rate_high ?max_cycles:budget p in
         {
           Report.row_name =
             Printf.sprintf "%s (%.1f/s, %.1f/s)" spec.Workloads.Workload.name rate_low
@@ -318,11 +357,16 @@ type fig11_result = {
 
 let fig11 ?rates ?(contexts = [ 1; 2; 4; 8; 16; 24 ]) cfg =
   let spec = Workloads.Suite.find "pbzip2" in
-  let series engine_run ctxs =
+  (* Both series of one context count share one prepared program, so a
+     task is one row: (n, cpr points, gprs points). *)
+  let rows =
     Pool.map ~jobs:cfg.jobs
       (fun n ->
-        let cfg_n = { cfg with n_contexts = n } in
-        let base = baseline_cycles cfg_n spec ~grain:Workloads.Workload.Default in
+        let p =
+          prepare { cfg with n_contexts = n } spec
+            ~grain:Workloads.Workload.Default
+        in
+        let base = baseline_cycles p in
         let base_s =
           Sim.Time.to_seconds
             ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second base
@@ -334,11 +378,11 @@ let fig11 ?rates ?(contexts = [ 1; 2; 4; 8; 16; 24 ]) cfg =
             (* geometric ladder, in units of exceptions per baseline run *)
             List.map (fun k -> k /. base_s) [ 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ]
         in
-        let budget = Some (cfg.dnc_factor * base) in
-        let points =
+        let max_cycles = cfg.dnc_factor * base in
+        let points engine_run =
           List.map
             (fun rate ->
-              let r : Exec.State.run_result = engine_run cfg_n ~rate ~budget in
+              let r = engine_run rate in
               ( rate,
                 if r.Exec.State.dnc then None
                 else
@@ -346,33 +390,19 @@ let fig11 ?rates ?(contexts = [ 1; 2; 4; 8; 16; 24 ]) cfg =
                     (float_of_int r.Exec.State.sim_cycles /. float_of_int base) ))
             rates
         in
-        (n, points))
-      ctxs
-  in
-  let cpr_times =
-    series
-      (fun cfg_n ~rate ~budget ->
-        run_cpr ~rate ?max_cycles:budget cfg_n spec ~grain:Workloads.Workload.Default)
+        let cpr = points (fun rate -> cpr_on ~rate ~max_cycles p) in
+        let gprs = points (fun rate -> gprs_on ~rate ~max_cycles p) in
+        (n, cpr, gprs))
       contexts
   in
-  let gprs_times =
-    series
-      (fun cfg_n ~rate ~budget ->
-        run_gprs ~rate ?max_cycles:budget cfg_n spec ~grain:Workloads.Workload.Default)
-      contexts
-  in
+  let cpr_times = List.map (fun (n, c, _) -> (n, c)) rows in
+  let gprs_times = List.map (fun (n, _, g) -> (n, g)) rows in
   let tip points =
     List.fold_left
       (fun acc (rate, t) -> match t with Some _ -> Some rate | None -> acc)
       None points
   in
-  let tipping =
-    List.map
-      (fun n ->
-        let c = List.assoc n cpr_times and g = List.assoc n gprs_times in
-        (n, tip c, tip g))
-      contexts
-  in
+  let tipping = List.map (fun (n, c, g) -> (n, tip c, tip g)) rows in
   let rates_used =
     match cpr_times with (_, pts) :: _ -> List.map fst pts | [] -> []
   in
@@ -417,17 +447,16 @@ let ablation_ordering cfg =
     List.concat
     @@ Pool.map ~jobs:cfg.jobs
       (fun name ->
-        let spec = Workloads.Suite.find name in
-        let base = baseline_cycles cfg spec ~grain:Workloads.Workload.Default in
+        let p =
+          prepare cfg (Workloads.Suite.find name) ~grain:Workloads.Workload.Default
+        in
+        let base = baseline_cycles p in
         let budget = Some (cfg.dnc_factor * base) in
         let base_s =
           Sim.Time.to_seconds
             ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second base
         in
-        let run ?rate ordering =
-          run_gprs ~ordering ?rate ?max_cycles:budget cfg spec
-            ~grain:Workloads.Workload.Default
-        in
+        let run ?rate ordering = gprs_on ~ordering ?rate ?max_cycles:budget p in
         let bars ?rate () =
           [
             with_label "RR" (rel ~base (run ?rate Gprs.Order.Round_robin));
@@ -457,8 +486,10 @@ let ablation_ordering cfg =
   }
 
 let ablation_latency cfg =
-  let spec = Workloads.Suite.find "pbzip2" in
-  let base = baseline_cycles cfg spec ~grain:Workloads.Workload.Default in
+  let p =
+    prepare cfg (Workloads.Suite.find "pbzip2") ~grain:Workloads.Workload.Default
+  in
+  let base = baseline_cycles p in
   let base_s =
     Sim.Time.to_seconds
       ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second base
@@ -468,7 +499,7 @@ let ablation_latency cfg =
     (fun latency ->
       let costs = { Vm.Costs.default with Vm.Costs.detection_latency = latency } in
       let r =
-        Gprs.Engine.run
+        gprs_exec p
           {
             Gprs.Engine.default_config with
             n_contexts = cfg.n_contexts;
@@ -478,7 +509,6 @@ let ablation_latency cfg =
               Faults.Injector.config ~seed:cfg.seed ~detection_latency:latency rate;
             max_cycles = Some (cfg.dnc_factor * base);
           }
-          (build cfg spec ~grain:Workloads.Workload.Default)
       in
       [
         string_of_int latency;
@@ -496,20 +526,16 @@ let ablation_recovery cfg =
   let rows =
     Pool.map ~jobs:cfg.jobs
       (fun (spec : Workloads.Workload.spec) ->
-        let base = baseline_cycles cfg spec ~grain:Workloads.Workload.Default in
+        let p = prepare cfg spec ~grain:Workloads.Workload.Default in
+        let base = baseline_cycles p in
         let budget = Some (cfg.dnc_factor * base) in
         let base_s =
           Sim.Time.to_seconds
             ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second base
         in
         let rate = 6.0 /. base_s in
-        let sel =
-          run_gprs ~rate ?max_cycles:budget cfg spec ~grain:Workloads.Workload.Default
-        in
-        let bas =
-          run_gprs ~rate ~recovery:Gprs.Engine.Basic ?max_cycles:budget cfg spec
-            ~grain:Workloads.Workload.Default
-        in
+        let sel = gprs_on ~rate ?max_cycles:budget p in
+        let bas = gprs_on ~rate ~recovery:Gprs.Engine.Basic ?max_cycles:budget p in
         {
           Report.row_name = spec.Workloads.Workload.name;
           bars =
@@ -528,9 +554,9 @@ let ablation_recovery cfg =
   }
 
 let tune_weights cfg (spec : Workloads.Workload.spec) =
-  let base = baseline_cycles cfg spec ~grain:Workloads.Workload.Default in
-  let program = build cfg spec ~grain:Workloads.Workload.Default in
-  let n_groups = program.Vm.Isa.n_groups in
+  let p = prepare cfg spec ~grain:Workloads.Workload.Default in
+  let base = baseline_cycles p in
+  let n_groups = p.program.Vm.Isa.n_groups in
   let candidates =
     (* uniform plus front-loaded pipelines of varying steepness *)
     [ Array.make n_groups 1 ]
@@ -552,9 +578,13 @@ let tune_weights cfg (spec : Workloads.Workload.spec) =
   let timed =
     List.map
       (fun weights ->
-        let p = { program with Vm.Isa.group_weights = weights } in
+        (* Weights change neither the code nor the lint verdict, so the
+           variant reuses [p]'s decode and its one lint. *)
+        let p_w =
+          { p with program = { p.program with Vm.Isa.group_weights = weights } }
+        in
         let r =
-          Gprs.Engine.run
+          gprs_exec p_w
             {
               Gprs.Engine.default_config with
               n_contexts = cfg.n_contexts;
@@ -562,7 +592,6 @@ let tune_weights cfg (spec : Workloads.Workload.spec) =
               ordering = Gprs.Order.Weighted;
               max_cycles = Some (cfg.dnc_factor * base);
             }
-            p
         in
         (weights, float_of_int r.Exec.State.sim_cycles /. float_of_int base))
       candidates
@@ -583,8 +612,10 @@ let render_weights ppf (spec : Workloads.Workload.spec) results =
    penalty but inflates the checkpoint penalty. Swept on one workload
    under a fixed exception rate. *)
 let ablation_interval cfg =
-  let spec = Workloads.Suite.find "re" in
-  let base = baseline_cycles cfg spec ~grain:Workloads.Workload.Default in
+  let p =
+    prepare cfg (Workloads.Suite.find "re") ~grain:Workloads.Workload.Default
+  in
+  let base = baseline_cycles p in
   let base_s =
     Sim.Time.to_seconds
       ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second base
@@ -593,14 +624,9 @@ let ablation_interval cfg =
   List.map
     (fun divisor ->
       let interval = base_s /. float_of_int divisor in
-      let faulty =
-        run_cpr ~interval ~rate ~max_cycles:(cfg.dnc_factor * base) cfg spec
-          ~grain:Workloads.Workload.Default
-      in
-      let clean =
-        run_cpr ~interval ~max_cycles:(cfg.dnc_factor * base) cfg spec
-          ~grain:Workloads.Workload.Default
-      in
+      let max_cycles = cfg.dnc_factor * base in
+      let faulty = cpr_on ~interval ~rate ~max_cycles p in
+      let clean = cpr_on ~interval ~max_cycles p in
       let fmt (r : Exec.State.run_result) =
         if r.Exec.State.dnc then "DNC"
         else

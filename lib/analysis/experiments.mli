@@ -25,7 +25,14 @@ val default_cfg : cfg
 (** 24 contexts (the paper's machine), scale 1.0, seed 1, budget 30x,
     sequential ([jobs = 1]). *)
 
-(** {1 Engine front-ends} (shared by the drivers, the CLI and the tests) *)
+(** {1 Engine front-ends}
+
+    One-shot runs for the CLI, the bench and the tests: each call builds
+    its program, runs [Vm.Block.analyze] and (for GPRS) lints it, then
+    runs once. The drivers below do not call them. They prepare each
+    program once per row (one workload x grain x context count) and run
+    every engine run of that row on it, with GPRS-lint paid once per
+    program rather than once per run. *)
 
 val run_pthreads :
   cfg -> Workloads.Workload.spec -> grain:Workloads.Workload.grain -> Exec.State.run_result

@@ -1642,8 +1642,8 @@ let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
   schedule_next_fault eng;
   fun () -> run_loop eng
 
-let run ?(lint = `Warn) ?wal_out ?blocks ?events cfg program =
-  (match lint with
+let admit lint program =
+  match lint with
   | `Off -> ()
   | (`Warn | `Strict) as mode -> (
     let diags = Lint.Check.program program in
@@ -1659,7 +1659,10 @@ let run ?(lint = `Warn) ?wal_out ?blocks ?events cfg program =
       if visible <> [] then
         Format.eprintf "%a"
           (Lint.Render.pp ~title:"GPRS-lint (pre-execution)")
-          visible));
+          visible)
+
+let run ?(lint = `Warn) ?wal_out ?blocks ?events cfg program =
+  admit lint program;
   let st =
     Exec.State.create ?blocks ~reference:cfg.reference ~program ~costs:cfg.costs
       ~n_contexts:cfg.n_contexts ~seed:cfg.seed ()

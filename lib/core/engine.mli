@@ -132,6 +132,10 @@ val cold_restart :
     the returned thunk only re-enters the event loop, so callers can time
     recovery separately from re-execution. *)
 
+val admit : [ `Off | `Warn | `Strict ] -> Vm.Isa.program -> unit
+(** The pre-execution lint {!run} performs, alone: for a caller that runs
+    one program many times, so it lints once and passes [~lint:`Off]. *)
+
 val run :
   ?lint:[ `Off | `Warn | `Strict ] ->
   ?wal_out:string ref ->

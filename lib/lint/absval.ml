@@ -98,14 +98,20 @@ exception Out_of_fuel
    ~10^6-iteration loops a filler-valued bound produces. *)
 let probe_fuel = 50_000
 
+(* Int-keyed tables for the sandbox and the race probe's access sets:
+   monomorphic hashing and equality, and no boxed (fd, offset) key per
+   file access. *)
+module Itbl = Hashtbl.Make (Int)
+
 (* Sandboxed environment for probe-executing a [Work] body: writes are
    remembered (so read-after-write within one body is consistent), reads
    of untouched addresses and all file contents are salt-dependent, and
    the tid differs between probes so tid-derived values demote to Top.
    Every operation burns fuel; exhaustion raises {!Out_of_fuel}. *)
 let sandbox_env ?(on_read = fun _ -> ()) ?(on_write = fun _ -> ()) ~salt regs =
-  let written : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let files : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
+  let written : int Itbl.t = Itbl.create 16 in
+  (* file contents written so far: fd -> offset -> word *)
+  let files : int Itbl.t Itbl.t = Itbl.create 4 in
   let h x = ((x * 0x9E3779B9) + salt) land 0x3FFF_FFFF in
   let fuel = ref probe_fuel in
   let burn () =
@@ -119,12 +125,12 @@ let sandbox_env ?(on_read = fun _ -> ()) ?(on_write = fun _ -> ()) ~salt regs =
       (fun a ->
         burn ();
         on_read a;
-        match Hashtbl.find_opt written a with Some v -> v | None -> h (a + 1));
+        match Itbl.find_opt written a with Some v -> v | None -> h (a + 1));
     write =
       (fun a v ->
         burn ();
         on_write a;
-        Hashtbl.replace written a v);
+        Itbl.replace written a v);
     file_size =
       (fun fd ->
         burn ();
@@ -132,13 +138,23 @@ let sandbox_env ?(on_read = fun _ -> ()) ?(on_write = fun _ -> ()) ~salt regs =
     file_read =
       (fun fd ~off ->
         burn ();
-        match Hashtbl.find_opt files (fd, off) with
+        match
+          Option.bind (Itbl.find_opt files fd) (fun f -> Itbl.find_opt f off)
+        with
         | Some v -> v
         | None -> h ((fd * 65599) + off));
     file_write =
       (fun fd ~off v ->
         burn ();
-        Hashtbl.replace files (fd, off) v);
+        let f =
+          match Itbl.find_opt files fd with
+          | Some f -> f
+          | None ->
+            let f = Itbl.create 16 in
+            Itbl.replace files fd f;
+            f
+        in
+        Itbl.replace f off v);
   }
 
 let eval_work regs run =

@@ -60,7 +60,7 @@ type probe = {
 (* --- sorted-int-list set algebra -------------------------------------- *)
 
 let sorted_of_tbl tbl =
-  Hashtbl.fold (fun a () acc -> a :: acc) tbl [] |> List.sort_uniq compare
+  Absval.Itbl.fold (fun a () acc -> a :: acc) tbl [] |> List.sort_uniq Int.compare
 
 let rec inter a b =
   match (a, b) with
@@ -102,7 +102,7 @@ let classify ~mem_words ta tb =
   let max_page = (mem_words + (1 lsl page_bits) - 1) lsr page_bits in
   let pages l =
     List.map (fun a -> a lsr page_bits) l
-    |> List.sort_uniq compare
+    |> List.sort_uniq Int.compare
     |> List.filter (fun p -> p >= 0 && p < max_page)
   in
   let shared_pages = inter (pages la) (pages lb) in
@@ -119,11 +119,11 @@ let classify ~mem_words ta tb =
 let probe_work ?(record = true) ~mem_words regs run =
   let ra = Absval.concretize regs Absval.filler_a
   and rb = Absval.concretize regs Absval.filler_b in
-  let reads_a = Hashtbl.create 16
-  and writes_a = Hashtbl.create 16
-  and reads_b = Hashtbl.create 16
-  and writes_b = Hashtbl.create 16 in
-  let note tbl = if record then fun a -> Hashtbl.replace tbl a () else fun _ -> () in
+  let reads_a = Absval.Itbl.create 16
+  and writes_a = Absval.Itbl.create 16
+  and reads_b = Absval.Itbl.create 16
+  and writes_b = Absval.Itbl.create 16 in
+  let note tbl = if record then fun a -> Absval.Itbl.replace tbl a () else fun _ -> () in
   let fuel = ref false in
   let aborted = ref false in
   let go salt cregs ~reads ~writes =
@@ -167,8 +167,8 @@ let probe_work ?(record = true) ~mem_words regs run =
          count what probe A saw as unknown and flag the hole. *)
       {
         empty_summary with
-        unknown_writes = Hashtbl.length writes_a;
-        unknown_reads = Hashtbl.length reads_a;
+        unknown_writes = Absval.Itbl.length writes_a;
+        unknown_reads = Absval.Itbl.length reads_a;
         incomplete = true;
       }
   in

@@ -52,11 +52,15 @@ let send conn j =
    with _ -> conn.alive <- false);
   Mutex.unlock conn.wlock
 
-let close_conn conn =
+(* Stop replying on [conn] and end its reader's read with EOF. Only the
+   reader closes the descriptor, once it has stopped reading: a close
+   under a blocked reader would let a new socket reuse the number, and
+   the stale reader would take that socket's traffic. *)
+let shutdown_conn conn =
   Mutex.lock conn.wlock;
   if conn.alive then begin
     conn.alive <- false;
-    try Unix.close conn.fd with _ -> ()
+    try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ()
   end;
   Mutex.unlock conn.wlock
 
@@ -488,7 +492,8 @@ let reader t conn () =
     | exception _ -> ()
   in
   loop ();
-  close_conn conn;
+  shutdown_conn conn;
+  (try Unix.close conn.fd with _ -> ());
   Mutex.lock t.mutex;
   t.conns <- List.filter (fun c -> c != conn) t.conns;
   Mutex.unlock t.mutex
@@ -586,7 +591,7 @@ let stop t =
     let conns = t.conns in
     t.conns <- [];
     Mutex.unlock t.mutex;
-    List.iter close_conn conns;
+    List.iter shutdown_conn conns;
     Mutex.lock t.mutex;
     Condition.broadcast t.stopped;
     Mutex.unlock t.mutex

@@ -175,7 +175,29 @@ let test_parallel_rows_identical () =
   let seq = Analysis.Experiments.fig9 { tiny_cfg with Analysis.Experiments.jobs = 1 } in
   let par = Analysis.Experiments.fig9 { tiny_cfg with Analysis.Experiments.jobs = 2 } in
   checkb "fig9 rows identical for jobs=1 and jobs=2" true
-    (strip_figure seq = strip_figure par)
+    (strip_figure seq = strip_figure par);
+  (* fig11 regroups its two series into one task per context count. *)
+  let fig11 jobs =
+    Analysis.Experiments.fig11 ~contexts:[ 1; 2; 4 ]
+      { tiny_cfg with Analysis.Experiments.jobs }
+  in
+  checkb "fig11 identical for jobs=1 and jobs=2" true (fig11 1 = fig11 2)
+
+let test_prepared_once_per_row () =
+  (* A seed no other test uses, so every baseline misses the cache. *)
+  let cfg = { tiny_cfg with Analysis.Experiments.seed = 11 } in
+  let analyses f =
+    let before = Vm.Block.analyses () in
+    ignore (f ());
+    Vm.Block.analyses () - before
+  in
+  check "fig11: one program per context count" 2
+    (analyses (fun () ->
+         Analysis.Experiments.fig11 ~contexts:[ 1; 4 ] ~rates:[ 100.0; 400.0 ] cfg));
+  check "fig9: the fine program and the default baseline per row" 8
+    (analyses (fun () -> Analysis.Experiments.fig9 cfg));
+  check "fig9 again: baselines cached" 4
+    (analyses (fun () -> Analysis.Experiments.fig9 cfg))
 
 let test_cost_ablations_ordered () =
   (* With more cost components charged, execution can only get slower. *)
@@ -207,6 +229,8 @@ let suite =
     Alcotest.test_case "pool first error wins" `Quick test_pool_first_error_wins;
     Alcotest.test_case "table2 shape" `Slow test_table2_shape;
     Alcotest.test_case "parallel rows identical" `Slow test_parallel_rows_identical;
+    Alcotest.test_case "drivers prepare each program once per row" `Slow
+      test_prepared_once_per_row;
     Alcotest.test_case "fig9 shape" `Slow test_fig9_shape;
     Alcotest.test_case "cost ablations ordered" `Slow test_cost_ablations_ordered;
   ]

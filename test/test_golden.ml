@@ -124,8 +124,87 @@ let oracle () =
         | None -> Alcotest.failf "no pthreads row for %s" r.workload)
     rows
 
+(* Paper drivers and lint, pinned the same way. [golden_paper.txt] is the
+   rendered table2, fig8a, fig8b, fig9, fig10 and fig11 (contexts 1 and
+   4) at 4 contexts, scale 0.05, seed 1; [golden_lint.txt] is one MD5 of
+   [Lint.Check.program_facts] (diagnostics and facts) per workload x
+   grain x {4, 24} contexts at scale 0.1. Both compare byte for byte; a
+   mismatch writes the whole actual text next to the test binary. *)
+
+let check_text ~fixture ~actual got =
+  let want = In_channel.with_open_text fixture In_channel.input_all in
+  if got <> want then begin
+    Out_channel.with_open_text actual (fun oc -> output_string oc got);
+    let lines s = String.split_on_char '\n' s in
+    let rec first_diff i = function
+      | w :: ws, g :: gs -> if w = g then first_diff (i + 1) (ws, gs) else (i, w, g)
+      | w :: _, [] -> (i, w, "(end)")
+      | [], g :: _ -> (i, "(end)", g)
+      | [], [] -> (i, "", "")
+    in
+    let i, w, g = first_diff 1 (lines want, lines got) in
+    Alcotest.failf "%s differs (whole text in %s); first at line %d:\n  want %s\n  got  %s"
+      fixture actual i w g
+  end
+
+let render_paper () =
+  let buf = Buffer.create 8192 in
+  let ppf = Format.formatter_of_buffer buf in
+  let cfg =
+    {
+      Analysis.Experiments.default_cfg with
+      Analysis.Experiments.n_contexts = 4;
+      scale = 0.05;
+      seed = 1;
+    }
+  in
+  Analysis.Report.render_table ppf ~title:"table2"
+    ~header:[ "Program"; "Comp."; "Sync."; "Crit."; "Exec(s)"; "Sub-size"; "#Subs" ]
+    (Analysis.Experiments.table2 cfg);
+  List.iter
+    (fun driver -> Analysis.Report.render_figure ppf (driver cfg))
+    Analysis.Experiments.[ fig8a; fig8b; fig9; fig10 ];
+  Analysis.Experiments.render_fig11 ppf
+    (Analysis.Experiments.fig11 ~contexts:[ 1; 4 ] cfg);
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+let paper () =
+  check_text ~fixture:"fixtures/golden_paper.txt" ~actual:"golden_paper.actual"
+    (render_paper ())
+
+let lint_digest program =
+  Marshal.to_string (Lint.Check.program_facts program) [ Marshal.No_sharing ]
+  |> Digest.string |> Digest.to_hex
+
+let render_lint () =
+  let line (spec : Workloads.Workload.spec) grain n =
+    let program =
+      spec.Workloads.Workload.build ~n_contexts:n ~grain ~scale:0.1
+    in
+    Printf.sprintf "%s %s %d %s\n" spec.Workloads.Workload.name
+      (match grain with
+      | Workloads.Workload.Default -> "default"
+      | Workloads.Workload.Fine -> "fine")
+      n (lint_digest program)
+  in
+  "# workload grain contexts md5(Lint.Check.program_facts) (scale 0.1)\n"
+  ^ String.concat ""
+      (List.concat_map
+         (fun spec ->
+           List.concat_map
+             (fun grain -> List.map (line spec grain) [ 4; 24 ])
+             Workloads.Workload.[ Default; Fine ])
+         Workloads.Suite.all)
+
+let lint () =
+  check_text ~fixture:"fixtures/golden_lint.txt" ~actual:"golden_lint.actual"
+    (render_lint ())
+
 let suite =
   [
     Alcotest.test_case "runs match the committed table" `Quick golden;
     Alcotest.test_case "completed rows carry the pthreads digest" `Quick oracle;
+    Alcotest.test_case "paper drivers match the committed rendering" `Quick paper;
+    Alcotest.test_case "lint facts match the committed digests" `Quick lint;
   ]

@@ -437,6 +437,49 @@ let test_daemon_idle_quiesce () =
   in
   checks "post-quiesce run done" "done" (jstr "event" j2)
 
+(* --- teardown ------------------------------------------------------------ *)
+
+(* Stopping a daemon with a client still connected must not close the
+   descriptor under that connection's reader: the next daemon's sockets
+   reuse the number, and a stale reader woken by the old client would
+   take their traffic. *)
+let test_stop_with_client_connected () =
+  let cfg = { Server.Daemon.default_config with idle_quiesce_ms = 0 } in
+  let d1 = Server.Daemon.start cfg in
+  let c1 = Server.Client.connect (Server.Daemon.bound_addr d1) in
+  Fun.protect ~finally:(fun () -> Server.Client.close c1) @@ fun () ->
+  Server.Client.ping c1;
+  Server.Daemon.stop d1;
+  with_daemon ~cfg @@ fun _d c2 ->
+  (* wakes d1's reader if it still reads *)
+  (try Server.Client.send c1 (J.Obj [ ("op", J.Str "ping") ]) with _ -> ());
+  List.iter
+    (fun seed ->
+      let scn =
+        scenario ~engine:"pthreads" ~seed ~id:(Printf.sprintf "s%d" seed)
+          ~workload:"histogram" ()
+      in
+      let local =
+        let spec, program = Server.Scenario.build_program scn in
+        Server.Scenario.run ~spec ~program scn
+      in
+      let reply = ref None in
+      ignore
+        (Thread.create
+           (fun () ->
+             reply :=
+               Some (try Ok (Server.Client.run_sync c2 scn) with e -> Error e))
+           ());
+      poll_until ~msg:"the second daemon never replied" (fun () ->
+          !reply <> None);
+      match !reply with
+      | Some (Ok j) ->
+        checks "event" "done" (jstr "event" j);
+        checks "digest" local.Server.Scenario.digest (jstr "digest" j)
+      | Some (Error e) -> Alcotest.failf "request failed: %s" (Printexc.to_string e)
+      | None -> assert false)
+    [ 1; 2; 3 ]
+
 let suite =
   [
     Alcotest.test_case "json codec round-trips" `Quick test_json_roundtrip;
@@ -457,4 +500,6 @@ let suite =
       test_protocol_errors;
     Alcotest.test_case "daemon housekeeper joins the idle pool" `Quick
       test_daemon_idle_quiesce;
+    Alcotest.test_case "stop with a client connected, then serve again" `Quick
+      test_stop_with_client_connected;
   ]
