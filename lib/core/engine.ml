@@ -62,6 +62,12 @@ type counters = {
   sync_parks : Sim.Stats.handle;
   retired : Sim.Stats.handle;
   steals : Sim.Stats.handle;
+  opaque_calls : Sim.Stats.handle;
+  flattened_locks : Sim.Stats.handle;
+  restart_subs : Sim.Stats.handle;
+  barrier_skips : Sim.Stats.handle;
+  nonstd_unprotected : Sim.Stats.handle;
+  stale_frees : Sim.Stats.handle;
   sub_cycles : Sim.Stats.sampler;
 }
 
@@ -73,6 +79,12 @@ let counters stats =
     sync_parks = h "gprs.sync_parks";
     retired = h "gprs.retired";
     steals = h "gprs.steals";
+    opaque_calls = h "gprs.opaque_calls";
+    flattened_locks = h "gprs.flattened_locks";
+    restart_subs = h "gprs.restart_subs";
+    barrier_skips = h "gprs.barrier_skips";
+    nonstd_unprotected = h "gprs.nonstd_unprotected";
+    stale_frees = h "gprs.stale_frees";
     sub_cycles = Sim.Stats.sampler stats "gprs.sub_cycles";
   }
 
@@ -505,7 +517,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
       let sub = new_sub eng tcb in
       st.Exec.State.current_undo <- Some sub.Subthread.undo;
       add_delay eng tid (boundary_cost eng - eng.cfg.costs.Vm.Costs.token_pass);
-      Sim.Stats.incr st.Exec.State.stats "gprs.restart_subs"
+      Sim.Stats.bump eng.ctrs.restart_subs
     end
   in
   (* Interception is suppressed inside critical sections (nested-lock
@@ -525,7 +537,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
     ensure_sub ();
     tcb.Vm.Tcb.barrier_seq.(b) <- tcb.Vm.Tcb.barrier_seq.(b) + 1;
     tcb.Vm.Tcb.pc <- tcb.Vm.Tcb.pc + 1;
-    Sim.Stats.incr st.Exec.State.stats "gprs.barrier_skips";
+    Sim.Stats.bump eng.ctrs.barrier_skips;
     schedule_tick eng ctx
       ~after:(ctrl + eng.cfg.costs.Vm.Costs.barrier_entry + take_delay eng tid)
   end
@@ -577,7 +589,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
         (match cur_sub_opt eng tid with
         | Some sub -> sub.Subthread.global_dep <- not tcb.Vm.Tcb.in_cpr_region
         | None -> ());
-        Sim.Stats.incr st.Exec.State.stats "gprs.opaque_calls";
+        Sim.Stats.bump eng.ctrs.opaque_calls;
         Exec.Sem.exec_work st tcb ~cost ~run
       | Vm.Isa.Nonstd_atomic { var; rmw; dst } ->
         (* Home-spun synchronization is invisible to DEX; outside a CPR
@@ -588,7 +600,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
           Subthread.add_alias sub (Subthread.Atomic_var v);
           if not tcb.Vm.Tcb.in_cpr_region then begin
             sub.Subthread.global_dep <- true;
-            Sim.Stats.incr st.Exec.State.stats "gprs.nonstd_unprotected"
+            Sim.Stats.bump eng.ctrs.nonstd_unprotected
           end
         | None -> ());
         Exec.Sem.atomic_rmw st tcb ~var:v ~rmw ~dst
@@ -622,7 +634,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
           (* A restored pointer can go stale across deeply overlapped
              recoveries; quarantined reuse makes addresses unique until
              retirement, so skipping the free is sound. *)
-          Sim.Stats.incr st.Exec.State.stats "gprs.stale_frees"
+          Sim.Stats.bump eng.ctrs.stale_frees
         | Some size -> (
           match cur_sub_opt eng tid with
           | Some sub ->
@@ -641,7 +653,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
         let acquired, d = Exec.Sem.try_lock st tcb m in
         if acquired then tcb.Vm.Tcb.lock_depth <- tcb.Vm.Tcb.lock_depth + 1
         else Order.set_eligible eng.order tid false;
-        Sim.Stats.incr st.Exec.State.stats "gprs.flattened_locks";
+        Sim.Stats.bump eng.ctrs.flattened_locks;
         d
       | Vm.Isa.Barrier { b } ->
         (* Only reachable inside a CPR region. *)
@@ -717,7 +729,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
           (match i with
           | Vm.Isa.Opaque _ ->
             sub.Subthread.global_dep <- not tcb.Vm.Tcb.in_cpr_region;
-            Sim.Stats.incr st.Exec.State.stats "gprs.opaque_calls"
+            Sim.Stats.bump eng.ctrs.opaque_calls
           | _ -> ())
       in
       (* Per-compiled-entry form of [on_fused]: the latch, the
@@ -730,7 +742,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
           if entered_cpr then sub.Subthread.cpr_region <- true;
           if opaques > 0 then begin
             sub.Subthread.global_dep <- not last_opaque_in_cpr;
-            Sim.Stats.add st.Exec.State.stats "gprs.opaque_calls" opaques
+            Sim.Stats.bump_by eng.ctrs.opaque_calls opaques
           end
       in
       let vend =
@@ -772,9 +784,10 @@ and fill eng ctx =
       end
 
 and fill_all eng =
-  for ctx = 0 to Array.length eng.ctx_of - 1 do
-    if eng.ctx_of.(ctx) = None then fill eng ctx
-  done
+  if not (Sched.Scheduler.is_empty eng.sched) then
+    for ctx = 0 to Array.length eng.ctx_of - 1 do
+      if eng.ctx_of.(ctx) = None then fill eng ctx
+    done
 
 (* ------------------------------------------------------------------ *)
 (* REX: retirement                                                     *)

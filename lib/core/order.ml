@@ -1,6 +1,14 @@
 type scheme = Round_robin | Balance_aware | Weighted | Recorded
 
-type member = { tid : int; mutable dead : bool; mutable eligible : bool }
+(* [slot] is the member's index in its group's [members] array, [gi] the
+   group's index. *)
+type member = {
+  tid : int;
+  gi : int;
+  slot : int;
+  mutable dead : bool;
+  mutable eligible : bool;
+}
 
 type group = {
   weight : int;
@@ -9,13 +17,17 @@ type group = {
   mutable cursor : int;  (* index of the next member to consider *)
 }
 
+(* [holder] is memoized: [memo_ok] is cleared by every mutation that can
+   change the answer (membership, eligibility flips, cursor moves). *)
 type t = {
   sch : scheme;
   groups : group array;
   mutable gcursor : int;
   mutable budget : int;  (* remaining turns for the cursor group *)
-  index : (int, member * int) Hashtbl.t;  (* tid -> (member, group idx) *)
+  mutable index : member option array;  (* tid -> member, if in the table *)
   mutable live : int;
+  mutable memo : int option;
+  mutable memo_ok : bool;
 }
 
 let mk_group weight = { weight; members = [||]; count = 0; cursor = 0 }
@@ -28,9 +40,21 @@ let create sch ~group_weights =
     | Weighted -> Array.map (fun w -> mk_group (Stdlib.max 1 w)) group_weights
   in
   let budget = if Array.length groups = 0 then 1 else groups.(0).weight in
-  { sch; groups; gcursor = 0; budget; index = Hashtbl.create 64; live = 0 }
+  {
+    sch;
+    groups;
+    gcursor = 0;
+    budget;
+    index = Array.make 64 None;
+    live = 0;
+    memo = None;
+    memo_ok = false;
+  }
 
 let scheme t = t.sch
+
+let find t tid =
+  if tid >= 0 && tid < Array.length t.index then t.index.(tid) else None
 
 let group_idx t group =
   match t.sch with
@@ -41,10 +65,11 @@ let group_idx t group =
     else group
 
 let add_thread t ~tid ~group =
-  if Hashtbl.mem t.index tid then invalid_arg "Order.add_thread: duplicate tid";
+  if tid < 0 then invalid_arg "Order.add_thread: negative tid";
+  if find t tid <> None then invalid_arg "Order.add_thread: duplicate tid";
   let gi = group_idx t group in
   let g = t.groups.(gi) in
-  let m = { tid; dead = false; eligible = true } in
+  let m = { tid; gi; slot = g.count; dead = false; eligible = true } in
   if g.count = Array.length g.members then begin
     let members' = Array.make (Stdlib.max 8 (2 * g.count)) m in
     Array.blit g.members 0 members' 0 g.count;
@@ -52,30 +77,41 @@ let add_thread t ~tid ~group =
   end;
   g.members.(g.count) <- m;
   g.count <- g.count + 1;
-  Hashtbl.add t.index tid (m, gi);
-  t.live <- t.live + 1
+  if tid >= Array.length t.index then begin
+    let index = Array.make (Stdlib.max (tid + 1) (2 * Array.length t.index)) None in
+    Array.blit t.index 0 index 0 (Array.length t.index);
+    t.index <- index
+  end;
+  t.index.(tid) <- Some m;
+  t.live <- t.live + 1;
+  t.memo_ok <- false
 
 let remove_thread t tid =
-  match Hashtbl.find_opt t.index tid with
+  match find t tid with
   | None -> ()
-  | Some (m, _) ->
+  | Some m ->
     if not m.dead then begin
       m.dead <- true;
       t.live <- t.live - 1
     end;
-    Hashtbl.remove t.index tid
+    t.index.(tid) <- None;
+    t.memo_ok <- false
 
 let set_eligible t tid e =
-  match Hashtbl.find_opt t.index tid with
+  match find t tid with
   | None -> ()
-  | Some (m, _) -> m.eligible <- e
+  | Some m ->
+    if m.eligible <> e then begin
+      m.eligible <- e;
+      t.memo_ok <- false
+    end
 
 let is_eligible t tid =
-  match Hashtbl.find_opt t.index tid with
+  match find t tid with
   | None -> false
-  | Some (m, _) -> (not m.dead) && m.eligible
+  | Some m -> (not m.dead) && m.eligible
 
-let mem t tid = Hashtbl.mem t.index tid
+let mem t tid = find t tid <> None
 
 let live_count t = t.live
 
@@ -89,7 +125,7 @@ let scan_group g =
   in
   if g.count = 0 then None else go 0
 
-let holder t =
+let scan t =
   if t.sch = Recorded then None
   else
   let n = Array.length t.groups in
@@ -102,19 +138,24 @@ let holder t =
   in
   if n = 0 then None else go 0
 
+let holder t =
+  if not t.memo_ok then begin
+    t.memo <- scan t;
+    t.memo_ok <- true
+  end;
+  t.memo
+
 let advance t ~granted =
-  match Hashtbl.find_opt t.index granted with
+  match find t granted with
   | None -> ()
-  | Some (m, gi) ->
+  | Some m ->
+    let gi = m.gi in
     let g = t.groups.(gi) in
-    (* Move the group's cursor just past the granted member. *)
-    let pos = ref (-1) in
-    for i = 0 to g.count - 1 do
-      if g.members.(i) == m then pos := i
-    done;
-    (* Stored un-reduced; [scan_group] reduces modulo the current member
-       count, so threads appended later slot into the rotation correctly. *)
-    if !pos >= 0 then g.cursor <- !pos + 1;
+    t.memo_ok <- false;
+    (* Move the group's cursor just past the granted member. Stored
+       un-reduced; [scan_group] reduces modulo the current member count,
+       so threads appended later slot into the rotation correctly. *)
+    g.cursor <- m.slot + 1;
     (* Group rotation: if the grant came from a group ahead of the cursor
        (the cursor group had no eligible member), adopt it first. *)
     if gi <> t.gcursor then begin

@@ -41,7 +41,9 @@ val scheme : t -> scheme
 
 val add_thread : t -> tid:int -> group:int -> unit
 (** Threads join their group's rotation in creation order. Under
-    {!Round_robin} the group is ignored (a single rotation). *)
+    {!Round_robin} the group is ignored (a single rotation). Tids index
+    an array, so they must be non-negative; a negative or duplicate tid,
+    or a group out of range, raises [Invalid_argument]. *)
 
 val remove_thread : t -> int -> unit
 (** Thread exited or was destroyed by recovery. *)
@@ -60,7 +62,8 @@ val live_count : t -> int
 val holder : t -> int option
 (** The designated thread: the first eligible live thread at or after the
     cursor, scanning groups in rotation order. [None] if no thread is
-    eligible. Does not mutate the rotation. *)
+    eligible. Does not mutate the rotation. Memoized: the scan reruns
+    only after a call that can change its answer. *)
 
 val advance : t -> granted:int -> unit
 (** Consume the turn just granted to [granted]: the thread's group cursor

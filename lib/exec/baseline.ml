@@ -29,6 +29,8 @@ type 'ev core = {
   mutable queued : bool Tidtab.t;  (* tids currently in the run queue *)
   budget : int;  (* max_cycles, or max_int *)
   instrs : int ref;  (* cached "instrs" counter *)
+  ctx_switches : Sim.Stats.handle;
+  preemptions : Sim.Stats.handle;
   tick_event : int -> 'ev;  (* the engine's tick constructor *)
   bound : unit -> int;  (* the engine's extra fused-chain bound *)
   on_hop : int -> int -> unit;  (* (tid, cycles) after each dispatch *)
@@ -47,6 +49,8 @@ let core ?(bound = fun () -> max_int) ?(on_hop = fun _ _ -> ()) ~tick
     queued = Tidtab.create false;
     budget = Option.value ~default:max_int max_cycles;
     instrs = Sim.Stats.counter st.State.stats "instrs";
+    ctx_switches = Sim.Stats.handle st.State.stats "ctx_switches";
+    preemptions = Sim.Stats.handle st.State.stats "preemptions";
     tick_event = tick;
     bound;
     on_hop;
@@ -202,7 +206,7 @@ let fill c ctx =
     let extra =
       (if stolen then costs.Vm.Costs.steal else 0)
       + if c.last_tid.(ctx) >= 0 && c.last_tid.(ctx) <> tid then begin
-          Sim.Stats.incr st.State.stats "ctx_switches";
+          Sim.Stats.bump c.ctx_switches;
           costs.Vm.Costs.ctx_switch
         end
         else 0
@@ -234,7 +238,7 @@ let tick c ctx =
         (* Quantum expired and others are waiting: preempt. *)
         c.ctx_of.(ctx) <- None;
         make_runnable c ~ctx_hint:ctx tid;
-        Sim.Stats.incr st.State.stats "preemptions";
+        Sim.Stats.bump c.preemptions;
         fill c ctx
       end
       else dispatch c ctx tcb

@@ -14,7 +14,9 @@
 type key =
   | K_mem of int  (** shared-memory address *)
   | K_atomic of int  (** atomic variable *)
-  | K_file of int * int  (** (file, offset) *)
+  | K_file of int * int
+      (** (file, offset); file ids must lie in [0, 2{^20}) and offsets in
+          a signed 41-bit range, or {!note} raises [Invalid_argument] *)
   | K_file_len of int  (** file length *)
 
 type t
@@ -54,10 +56,3 @@ val replay :
 
 val keys : t -> key list
 (** Recorded locations, newest first; for tests. *)
-
-val merge_newer : older:t -> t -> unit
-(** Fold a newer epoch's pre-images into an older log: entries for
-    locations the older log already tracks are dropped (the older
-    pre-image wins). Used when CPR commits a checkpoint that later gets
-    aborted, and when GPRS subsumes nested recovery scopes. Raises
-    [Invalid_argument] on paged logs. *)

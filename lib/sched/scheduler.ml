@@ -33,6 +33,8 @@ let enqueue t ~ctx_hint x =
   | Work_steal -> Deque.push_bottom t.local.(ctx_hint mod t.n) x
 
 let take t ~ctx =
+  if t.count = 0 then None
+  else
   match t.pol with
   | Fifo -> (
     match Deque.steal_top t.global with

@@ -34,7 +34,7 @@ val set_on_enqueue : t -> (int -> unit) option -> unit
 val take : t -> ctx:int -> (int * bool) option
 (** Next item for an idle context. The boolean is [true] when the item was
     stolen from another context's deque (the caller charges the steal
-    cost). *)
+    cost). [None] at once, probing no deque, when nothing is queued. *)
 
 val remove : t -> int -> bool
 (** Remove a specific item wherever it is queued; [true] if found. Used

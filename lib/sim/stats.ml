@@ -33,13 +33,18 @@ type handle = { h_stats : t; h_key : string; mutable h_cell : int ref option }
 
 let handle t k = { h_stats = t; h_key = k; h_cell = Hashtbl.find_opt t.counters k }
 
-let bump h =
+let cell h =
   match h.h_cell with
-  | Some r -> Stdlib.incr r
+  | Some r -> r
   | None ->
     let r = counter h.h_stats h.h_key in
     h.h_cell <- Some r;
-    Stdlib.incr r
+    r
+
+let bump h = Stdlib.incr (cell h)
+let bump_by h v =
+  let r = cell h in
+  r := !r + v
 
 let set_max t k v =
   match Hashtbl.find_opt t.maxima k with

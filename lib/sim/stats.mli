@@ -27,6 +27,9 @@ type handle
 val handle : t -> string -> handle
 val bump : handle -> unit
 
+val bump_by : handle -> int -> unit
+(** {!add} through a handle. *)
+
 type sampler
 (** The {!observe} counterpart of {!handle}: the summary is resolved
     once and created at the first sample. *)

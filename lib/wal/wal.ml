@@ -8,8 +8,24 @@ type op =
 
 type entry = { lsn : int; order : int; op : op }
 
+(* Live entries sit in buckets by order, in an order-indexed growable
+   ring like [Gprs.Rol]: orders are sub-thread ids, dense and increasing,
+   so every live order lies in [lo, hi) (empty when [lo >= hi]) and its
+   bucket is slot [order land mask]; slots outside the span are empty.
+   A bucket lists its entries newest first. Retirement prunes a prefix
+   of orders, so it touches only the buckets it empties.
+
+   [alive] marks live LSNs in a second ring over [oldest, next_lsn): LSNs
+   are dense, and after each prune or drop [oldest] advances past the
+   dead ones, each once, so it is always the oldest live LSN (the redo
+   start) or [next_lsn]. *)
 type t = {
-  mutable entries : entry list;  (* newest first *)
+  mutable buckets : entry list array;  (* length is a power of two *)
+  mutable mask : int;
+  mutable lo : int;
+  mutable hi : int;
+  mutable alive : Bytes.t;  (* length is a power of two *)
+  mutable oldest : int;  (* no live entry has lsn < oldest *)
   mutable next_lsn : int;
   mutable live : int;
   mutable hw : int;
@@ -17,9 +33,16 @@ type t = {
   mutable on_append : (int -> unit) option;  (* fires after each op record *)
 }
 
+let initial_capacity = 256
+
 let create ?(stable = false) () =
   {
-    entries = [];
+    buckets = Array.make initial_capacity [];
+    mask = initial_capacity - 1;
+    lo = 0;
+    hi = 0;
+    alive = Bytes.make initial_capacity '\000';
+    oldest = 0;
     next_lsn = 0;
     live = 0;
     hw = 0;
@@ -94,10 +117,66 @@ let op_fields = function
   | Rol_insert { sub } | Sched_enqueue { sub } -> (sub, 0)
   | Io_op { file; words } -> (file, words)
 
+let pow2_at_least n =
+  let c = ref 1 in
+  while !c < n do
+    c := 2 * !c
+  done;
+  !c
+
+(* Widen the order span to include [order], re-slotting the live buckets
+   when the span outgrows the ring. *)
+let cover t order =
+  let lo, hi =
+    if t.lo >= t.hi then (order, order + 1)
+    else (Stdlib.min t.lo order, Stdlib.max t.hi (order + 1))
+  in
+  if hi - lo > Array.length t.buckets then begin
+    let cap = pow2_at_least (2 * (hi - lo)) in
+    let buckets = Array.make cap [] in
+    for o = t.lo to t.hi - 1 do
+      buckets.(o land (cap - 1)) <- t.buckets.(o land t.mask)
+    done;
+    t.buckets <- buckets;
+    t.mask <- cap - 1
+  end;
+  t.lo <- lo;
+  t.hi <- hi
+
+let is_alive t lsn =
+  Bytes.get t.alive (lsn land (Bytes.length t.alive - 1)) <> '\000'
+
+let set_alive t lsn v =
+  Bytes.set t.alive
+    (lsn land (Bytes.length t.alive - 1))
+    (if v then '\001' else '\000')
+
+let advance_oldest t =
+  while t.oldest < t.next_lsn && not (is_alive t t.oldest) do
+    t.oldest <- t.oldest + 1
+  done
+
+(* Make room for [lsn] in the LSN ring. *)
+let reserve_lsn t lsn =
+  let cap = Bytes.length t.alive in
+  if lsn - t.oldest >= cap then begin
+    let cap' = pow2_at_least (2 * (lsn + 1 - t.oldest)) in
+    let alive = Bytes.make cap' '\000' in
+    for l = t.oldest to lsn - 1 do
+      if Bytes.get t.alive (l land (cap - 1)) <> '\000' then
+        Bytes.set alive (l land (cap' - 1)) '\001'
+    done;
+    t.alive <- alive
+  end
+
 let append t ?(at = 0) ~order op =
   let lsn = t.next_lsn in
+  reserve_lsn t lsn;
   t.next_lsn <- lsn + 1;
-  t.entries <- { lsn; order; op } :: t.entries;
+  cover t order;
+  let i = order land t.mask in
+  t.buckets.(i) <- { lsn; order; op } :: t.buckets.(i);
+  set_alive t lsn true;
   t.live <- t.live + 1;
   if t.live > t.hw then t.hw <- t.live;
   if stable_armed t then begin
@@ -110,40 +189,66 @@ let append t ?(at = 0) ~order op =
 let size t = t.live
 let high_water t = t.hw
 
-let entries_for t ~orders = List.filter (fun e -> orders e.order) t.entries
+(* Empty one bucket; returns its entries (newest first). *)
+let take_bucket t order =
+  let i = order land t.mask in
+  let es = t.buckets.(i) in
+  if es <> [] then begin
+    t.buckets.(i) <- [];
+    List.iter
+      (fun e ->
+        set_alive t e.lsn false;
+        t.live <- t.live - 1)
+      es
+  end;
+  es
+
+let by_lsn_desc a b = compare b.lsn a.lsn
+
+let entries_for t ~orders =
+  let acc = ref [] in
+  for o = t.lo to t.hi - 1 do
+    if orders o then acc := List.rev_append t.buckets.(o land t.mask) !acc
+  done;
+  List.sort by_lsn_desc !acc
 
 let drop_for t ~orders =
-  let kept, dropped = List.partition (fun e -> not (orders e.order)) t.entries in
-  t.entries <- kept;
-  let n = List.length dropped in
-  t.live <- t.live - n;
+  let n = ref 0 and os = ref [] in
+  for o = t.hi - 1 downto t.lo do
+    if orders o then begin
+      let k = List.length (take_bucket t o) in
+      if k > 0 then begin
+        n := !n + k;
+        os := o :: !os
+      end
+    end
+  done;
+  advance_oldest t;
   (* Squash-undo is a durable decision: without a drop marker, cold
      recovery would count the squashed sub-threads' operations a second
      time (their undo already ran in the live engine). *)
-  if n > 0 && t.stable <> None then begin
-    let os =
-      List.sort_uniq compare (List.map (fun e -> e.order) dropped)
-    in
+  if !n > 0 && t.stable <> None then
     emit t
       (Printf.sprintf "D %d %s" t.next_lsn
-         (String.concat "," (List.map string_of_int os)))
-  end;
-  n
+         (String.concat "," (List.map string_of_int !os)));
+  !n
 
 let prune_below t ~order =
-  let kept, dropped = List.partition (fun e -> e.order >= order) t.entries in
-  t.entries <- kept;
-  let n = List.length dropped in
-  t.live <- t.live - n;
-  if n > 0 && stable_armed t then
+  let n = ref 0 in
+  let stop = Stdlib.min order t.hi in
+  for o = t.lo to stop - 1 do
+    n := !n + List.length (take_bucket t o)
+  done;
+  if order > t.lo then t.lo <- order;
+  advance_oldest t;
+  if !n > 0 && stable_armed t then
     emit t (Printf.sprintf "P %d %d" t.next_lsn order);
-  n
+  !n
 
 (* Redo scan start for the next recovery: the oldest LSN still protected
    by a live (volatile) entry. With no live entries nothing older than
    next_lsn can belong to an unretired sub-thread. *)
-let redo_start t =
-  List.fold_left (fun acc e -> min acc e.lsn) t.next_lsn t.entries
+let redo_start t = t.oldest
 
 (* Split begin/end so the engine can expose the B→E window as two fault
    points: a crash landing between them leaves a B without its E, which
@@ -260,7 +365,7 @@ let parse_image image =
   done;
   List.rev !recs
 
-let all t = List.rev t.entries
+let all t = List.rev (entries_for t ~orders:(fun _ -> true))
 
 let pp_op ppf = function
   | Alloc { addr; size } -> Format.fprintf ppf "alloc(%d,%d)" addr size

@@ -61,7 +61,8 @@ val high_water : t -> int
 
 val entries_for : t -> orders:(int -> bool) -> entry list
 (** Entries whose sub-thread order satisfies the predicate, newest first —
-    the order in which recovery must undo them. *)
+    the order in which recovery must undo them. The predicate is applied
+    per order, not per entry. *)
 
 val drop_for : t -> orders:(int -> bool) -> int
 (** Remove those entries (they were undone); returns how many. Writes a
@@ -70,7 +71,8 @@ val drop_for : t -> orders:(int -> bool) -> int
 
 val prune_below : t -> order:int -> int
 (** Retirement: drop all entries with [order < order]; returns how many.
-    Writes a prune marker to the stable image. *)
+    Writes a prune marker to the stable image. Walks only the orders it
+    drops, never the rest of the live log. *)
 
 val log_checkpoint :
   t ->

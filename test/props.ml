@@ -645,6 +645,262 @@ let prop_wal_entries_newest_first =
       in
       strictly_desc (Wal.entries_for w ~orders:(fun o -> o mod 2 = 0)))
 
+(* --- Differential: the flat structures against their reference models *)
+
+(* Runs [f] and reports whether it raised [Invalid_argument]. *)
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+type undo_op =
+  | U_write of int * int * int * int  (* kind, location, aux, value *)
+  | U_bound of int * int  (* a file key near the encoding bound *)
+  | U_replay
+  | U_reset
+
+let undo_op_gen =
+  let max_file = (1 lsl 20) - 1 in
+  Gen.(
+    frequency
+      [
+        ( 12,
+          map
+            (fun (k, (a, (x, v))) -> U_write (k, a, x, v))
+            (pair (int_range 0 3)
+               (pair (int_range 0 15) (pair (int_range 0 11) (int_range 0 99))))
+        );
+        ( 2,
+          map2
+            (fun f off -> U_bound (f, off))
+            (oneofl [ -1; 0; max_file - 1; max_file; max_file + 1; max_int ])
+            (oneofl [ 0; 7; (1 lsl 40) - 1; 1 lsl 40; -(1 lsl 40); -(1 lsl 40) - 1 ]));
+        (1, return U_replay);
+        (1, return U_reset);
+      ])
+
+(* One simulated machine per log, so each replays into its own state. *)
+let undo_machine () =
+  let io = Vm.Io.create () in
+  for f = 0 to 2 do
+    ignore (Vm.Io.add_file io ~name:(string_of_int f) [| f; f + 1 |])
+  done;
+  (Vm.Mem.create ~words:16, Array.make 12 0, io)
+
+let machine_state (mem, atomics, io) =
+  ( Array.init 16 (Vm.Mem.read mem),
+    Array.copy atomics,
+    List.init 3 (Vm.Io.contents io) )
+
+let prop_undo_log_model =
+  case "undo log: flat log equals the Hashtbl reference model"
+    Gen.(list_size (int_range 1 150) undo_op_gen)
+    (fun ops ->
+      let ((mem, atomics, io) as m) = undo_machine () in
+      let ((rmem, ratomics, rio) as rm) = undo_machine () in
+      let log = Exec.Undo_log.create () and rlog = Ref_models.Undo_log.create () in
+      (* Keys the machines cannot replay: file ids past the 3 files, or
+         offsets far outside them. *)
+      let unreplayable = ref false in
+      let same () =
+        Exec.Undo_log.size log = Ref_models.Undo_log.size rlog
+        && Exec.Undo_log.is_empty log = Ref_models.Undo_log.is_empty rlog
+        && Exec.Undo_log.keys log = Ref_models.Undo_log.keys rlog
+      in
+      let note key ~old ~rold =
+        Exec.Undo_log.note log key ~old = Ref_models.Undo_log.note rlog key ~old:rold
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | U_write (0, a, _, v) ->
+              let ok = note (K_mem a) ~old:(Vm.Mem.read mem a) ~rold:(Vm.Mem.read rmem a) in
+              Vm.Mem.write mem a v;
+              Vm.Mem.write rmem a v;
+              ok
+            | U_write (1, a, _, v) ->
+              let a = a mod 12 in
+              let ok = note (K_atomic a) ~old:atomics.(a) ~rold:ratomics.(a) in
+              atomics.(a) <- v;
+              ratomics.(a) <- v;
+              ok
+            | U_write (2, f, off, v) ->
+              let f = f mod 3 in
+              let grow io =
+                let len = Vm.Io.size io f in
+                if off >= len then Some len else None
+              in
+              let ok_len =
+                match (grow io, grow rio) with
+                | Some len, Some rlen -> note (K_file_len f) ~old:len ~rold:rlen
+                | None, None -> true
+                | _ -> false
+              in
+              let ok =
+                note (K_file (f, off)) ~old:(Vm.Io.read io f ~off)
+                  ~rold:(Vm.Io.read rio f ~off)
+              in
+              Vm.Io.write io f ~off v;
+              Vm.Io.write rio f ~off v;
+              ok_len && ok
+            | U_write (_, f, len, _) ->
+              let f = f mod 3 in
+              let ok = note (K_file_len f) ~old:(Vm.Io.size io f) ~rold:(Vm.Io.size rio f) in
+              Vm.Io.truncate io f len;
+              Vm.Io.truncate rio f len;
+              ok
+            | U_bound (f, off) ->
+              let key = Exec.Undo_log.K_file (f, off) in
+              let in_range =
+                f >= 0 && f < 1 lsl 20 && off >= -(1 lsl 40) && off < 1 lsl 40
+              in
+              if in_range then begin
+                unreplayable := !unreplayable || f >= 3 || off < 0 || off > 11;
+                note key ~old:0 ~rold:0
+              end
+              else raises_invalid (fun () -> Exec.Undo_log.note log key ~old:0)
+            | U_replay when !unreplayable ->
+              unreplayable := false;
+              Exec.Undo_log.reset log;
+              Ref_models.Undo_log.reset rlog;
+              true
+            | U_replay ->
+              Exec.Undo_log.replay ~mem ~atomics ~io log
+              = Ref_models.Undo_log.replay ~mem:rmem ~atomics:ratomics ~io:rio rlog
+              && machine_state m = machine_state rm
+            | U_reset ->
+              unreplayable := false;
+              Exec.Undo_log.reset log;
+              Ref_models.Undo_log.reset rlog;
+              true
+          in
+          ok && same ())
+        ops)
+
+type wal_op =
+  | W_append of int * int  (* order, op kind *)
+  | W_prune of int
+  | W_drop of int * int  (* orders o with o mod m = r *)
+  | W_checkpoint of int
+
+let wal_op_gen =
+  Gen.(
+    frequency
+      [
+        (10, map2 (fun o k -> W_append (o, k)) (int_range 0 40) (int_range 0 5));
+        (2, map (fun o -> W_prune o) (int_range 0 45));
+        (2, map2 (fun m r -> W_drop (m, r mod m)) (int_range 1 6) (int_range 0 5));
+        (1, map (fun b -> W_checkpoint b) (int_range 0 100));
+      ])
+
+let wal_op_of k o : Wal.op =
+  match k with
+  | 0 -> Alloc { addr = o; size = k + 1 }
+  | 1 -> Free { addr = o; size = 2 }
+  | 2 -> Thread_create { tid = o }
+  | 3 -> Rol_insert { sub = o }
+  | 4 -> Sched_enqueue { sub = o }
+  | _ -> Io_op { file = 0; words = o }
+
+let prop_wal_model =
+  case "wal: order-bucketed log equals the list reference model"
+    Gen.(pair bool (list_size (int_range 1 200) wal_op_gen))
+    (fun (stable, ops) ->
+      let w = Wal.create ~stable () and r = Ref_models.Wal.create ~stable () in
+      let all _ = true in
+      let at = ref 0 in
+      List.for_all
+        (fun op ->
+          incr at;
+          let counts_agree =
+            match op with
+            | W_append (order, k) ->
+              let op = wal_op_of k order in
+              Wal.append w ~at:!at ~order op = Ref_models.Wal.append r ~at:!at ~order op
+            | W_prune order ->
+              Wal.prune_below w ~order = Ref_models.Wal.prune_below r ~order
+            | W_drop (m, rem) ->
+              let orders o = o mod m = rem in
+              Wal.drop_for w ~orders = Ref_models.Wal.drop_for r ~orders
+            | W_checkpoint brk ->
+              let active = [ brk mod 7; brk ] and free = [ (brk, 4) ] and used = [] in
+              Wal.log_checkpoint w ~min_retired:brk ~active ~brk ~free ~used;
+              Ref_models.Wal.log_checkpoint r ~min_retired:brk ~active ~brk ~free ~used;
+              true
+          in
+          counts_agree
+          && Wal.size w = Ref_models.Wal.size r
+          && Wal.high_water w = Ref_models.Wal.high_water r
+          && Wal.entries_for w ~orders:all = Ref_models.Wal.entries_for r ~orders:all
+          && Wal.entries_for w ~orders:(fun o -> o mod 3 = 1)
+             = Ref_models.Wal.entries_for r ~orders:(fun o -> o mod 3 = 1)
+          && Wal.stable_image w = Ref_models.Wal.stable_image r)
+        ops)
+
+type order_op =
+  | O_add of int * int  (* tid, group *)
+  | O_remove of int
+  | O_eligible of int * bool
+  | O_advance_holder
+  | O_advance of int
+
+let order_op_gen =
+  Gen.(
+    frequency
+      [
+        (4, map2 (fun t g -> O_add (t, g)) (int_range 0 11) (int_range 0 3));
+        (1, map (fun t -> O_remove t) (int_range 0 11));
+        (4, map2 (fun t e -> O_eligible (t, e)) (int_range 0 11) bool);
+        (4, return O_advance_holder);
+        (1, map (fun t -> O_advance t) (int_range 0 11));
+      ])
+
+let prop_order_model =
+  case "order: memoized holder equals an unmemoized scan after every step"
+    Gen.(
+      triple
+        (oneofl Gprs.Order.[ Round_robin; Balance_aware; Weighted; Recorded ])
+        (array_size (int_range 1 3) (int_range 0 4))
+        (list_size (int_range 1 150) order_op_gen))
+    (fun (sch, group_weights, ops) ->
+      let t = Gprs.Order.create sch ~group_weights
+      and r = Ref_models.Order.create sch ~group_weights in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | O_add (tid, group) ->
+              raises_invalid (fun () -> Gprs.Order.add_thread t ~tid ~group)
+              = raises_invalid (fun () -> Ref_models.Order.add_thread r ~tid ~group)
+            | O_remove tid ->
+              Gprs.Order.remove_thread t tid;
+              Ref_models.Order.remove_thread r tid;
+              true
+            | O_eligible (tid, e) ->
+              Gprs.Order.set_eligible t tid e;
+              Ref_models.Order.set_eligible r tid e;
+              true
+            | O_advance_holder -> (
+              match Ref_models.Order.holder r with
+              | Some granted ->
+                Gprs.Order.advance t ~granted;
+                Ref_models.Order.advance r ~granted;
+                true
+              | None -> true)
+            | O_advance granted ->
+              Gprs.Order.advance t ~granted;
+              Ref_models.Order.advance r ~granted;
+              true
+          in
+          agree
+          && Gprs.Order.holder t = Ref_models.Order.holder r
+          && Gprs.Order.live_count t = Ref_models.Order.live_count r
+          && List.for_all
+               (fun tid ->
+                 Gprs.Order.mem t tid = Ref_models.Order.mem r tid
+                 && Gprs.Order.is_eligible t tid = Ref_models.Order.is_eligible r tid)
+               (List.init 12 Fun.id))
+        ops)
+
 (* --- Allocator: squash-undo restores the free list exactly ----------- *)
 
 (* The squashed sub-thread allocated random blocks (its frees were
@@ -774,4 +1030,7 @@ let suite =
     prop_wal_entries_newest_first;
     prop_alloc_undo_exact;
     prop_fetch_model;
+    prop_undo_log_model;
+    prop_wal_model;
+    prop_order_model;
   ]

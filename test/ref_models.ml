@@ -1,0 +1,336 @@
+(* Reference models for the differential properties in [props.ml]: the
+   list-and-Hashtbl implementations of the undo log, the live WAL and
+   the token order that the flat, order-indexed and memoized versions in
+   the library replaced. They define the required behaviour; they are
+   not tuned. *)
+
+module Undo_log = struct
+  type key = Exec.Undo_log.key =
+    | K_mem of int
+    | K_atomic of int
+    | K_file of int * int
+    | K_file_len of int
+
+  type t = {
+    mutable entries : (key * int) list;  (* newest first *)
+    seen : (key, unit) Hashtbl.t;
+    (* When [paged] is set, memory keys are not materialized as entries:
+       first-writes are detected through the memory's per-word dirty epoch
+       and only counted, with the data itself restored page-wise by the
+       owner through [Vm.Mem.restore_image]. Non-memory keys always take
+       the entry path. *)
+    paged : Vm.Mem.t option;
+    mutable mem_touches : int;
+  }
+
+  let create ?paged () =
+    { entries = []; seen = Hashtbl.create 64; paged; mem_touches = 0 }
+
+  let note_entry t key ~old =
+    if Hashtbl.mem t.seen key then false
+    else begin
+      Hashtbl.add t.seen key ();
+      t.entries <- (key, old) :: t.entries;
+      true
+    end
+
+  let note t key ~old =
+    match t.paged, key with
+    | Some mem, K_mem a ->
+      if Vm.Mem.touch mem a then begin
+        t.mem_touches <- t.mem_touches + 1;
+        true
+      end
+      else false
+    | _ -> note_entry t key ~old
+
+  let reset t =
+    t.entries <- [];
+    (* [clear], not [reset]: keep the bucket array so a recycled log does
+       not re-pay the growth allocations of its previous life. *)
+    Hashtbl.clear t.seen;
+    t.mem_touches <- 0
+
+  let size t = t.mem_touches + Hashtbl.length t.seen
+  let is_empty t = t.mem_touches = 0 && t.entries = []
+
+  let apply_one ~mem ~atomics ~io (key, old) =
+    match key with
+    | K_mem a -> Vm.Mem.write mem a old
+    | K_atomic v -> atomics.(v) <- old
+    | K_file (f, off) -> Vm.Io.write io f ~off old
+    | K_file_len f -> Vm.Io.truncate io f old
+
+  let replay ~mem ~atomics ~io t =
+    let n = size t in
+    List.iter (apply_one ~mem ~atomics ~io) t.entries;
+    t.entries <- [];
+    Hashtbl.reset t.seen;
+    t.mem_touches <- 0;
+    n
+
+  let keys t = List.map fst t.entries
+end
+
+module Wal = struct
+  type op = Wal.op =
+    | Alloc of { addr : int; size : int }
+    | Free of { addr : int; size : int }
+    | Thread_create of { tid : int }
+    | Rol_insert of { sub : int }
+    | Sched_enqueue of { sub : int }
+    | Io_op of { file : int; words : int }
+
+  type entry = Wal.entry = { lsn : int; order : int; op : op }
+
+  type t = {
+    mutable entries : entry list;  (* newest first *)
+    mutable next_lsn : int;
+    mutable live : int;
+    mutable hw : int;
+    stable : Buffer.t option;  (* serialized "stable storage" image, or None *)
+  }
+
+  let create ?(stable = false) () =
+    {
+      entries = [];
+      next_lsn = 0;
+      live = 0;
+      hw = 0;
+      stable = (if stable then Some (Buffer.create 4096) else None);
+    }
+
+  let stable_armed t = Option.is_some t.stable
+
+  let fnv1a s =
+    let h = ref 0xcbf29ce484222325L in
+    String.iter
+      (fun c ->
+        h := Int64.logxor !h (Int64.of_int (Char.code c));
+        h := Int64.mul !h 0x100000001b3L)
+      s;
+    !h
+
+  let emit t line =
+    match t.stable with
+    | None -> ()
+    | Some buf ->
+      Buffer.add_string buf line;
+      Buffer.add_string buf (Printf.sprintf " %Lx\n" (fnv1a line))
+
+  let kind_char = function
+    | Alloc _ -> 'A'
+    | Free _ -> 'F'
+    | Thread_create _ -> 'T'
+    | Rol_insert _ -> 'R'
+    | Sched_enqueue _ -> 'S'
+    | Io_op _ -> 'I'
+
+  let op_fields = function
+    | Alloc { addr; size } | Free { addr; size } -> (addr, size)
+    | Thread_create { tid } -> (tid, 0)
+    | Rol_insert { sub } | Sched_enqueue { sub } -> (sub, 0)
+    | Io_op { file; words } -> (file, words)
+
+  let append t ?(at = 0) ~order op =
+    let lsn = t.next_lsn in
+    t.next_lsn <- lsn + 1;
+    t.entries <- { lsn; order; op } :: t.entries;
+    t.live <- t.live + 1;
+    if t.live > t.hw then t.hw <- t.live;
+    if stable_armed t then begin
+      let a, b = op_fields op in
+      emit t (Printf.sprintf "O %d %d %d %c %d %d" lsn at order (kind_char op) a b)
+    end;
+    lsn
+
+  let size t = t.live
+  let high_water t = t.hw
+
+  let entries_for t ~orders = List.filter (fun e -> orders e.order) t.entries
+
+  let drop_for t ~orders =
+    let kept, dropped = List.partition (fun e -> not (orders e.order)) t.entries in
+    t.entries <- kept;
+    let n = List.length dropped in
+    t.live <- t.live - n;
+    (* Squash-undo is a durable decision: without a drop marker, cold
+       recovery would count the squashed sub-threads' operations a second
+       time (their undo already ran in the live engine). *)
+    if n > 0 && t.stable <> None then begin
+      let os =
+        List.sort_uniq compare (List.map (fun e -> e.order) dropped)
+      in
+      emit t
+        (Printf.sprintf "D %d %s" t.next_lsn
+           (String.concat "," (List.map string_of_int os)))
+    end;
+    n
+
+  let prune_below t ~order =
+    let kept, dropped = List.partition (fun e -> e.order >= order) t.entries in
+    t.entries <- kept;
+    let n = List.length dropped in
+    t.live <- t.live - n;
+    if n > 0 && stable_armed t then
+      emit t (Printf.sprintf "P %d %d" t.next_lsn order);
+    n
+
+  (* Redo scan start for the next recovery: the oldest LSN still protected
+     by a live (volatile) entry. With no live entries nothing older than
+     next_lsn can belong to an unretired sub-thread. *)
+  let redo_start t =
+    List.fold_left (fun acc e -> min acc e.lsn) t.next_lsn t.entries
+
+  let log_checkpoint t ~min_retired ~active ~brk ~free ~used =
+    if t.stable <> None then begin
+      emit t (Printf.sprintf "B %d" t.next_lsn);
+      let lsn = t.next_lsn in
+      let ints l = if l = [] then "-" else String.concat "," (List.map string_of_int l) in
+      let blocks l =
+        if l = [] then "-"
+        else String.concat "," (List.map (fun (a, s) -> Printf.sprintf "%d:%d" a s) l)
+      in
+      emit t
+        (Printf.sprintf "E %d %d %d %s %d %s %s" lsn min_retired (redo_start t)
+           (ints active) brk (blocks free) (blocks used))
+    end
+
+  let stable_image t = Option.map Buffer.contents t.stable
+end
+
+module Order = struct
+  type scheme = Gprs.Order.scheme =
+    | Round_robin
+    | Balance_aware
+    | Weighted
+    | Recorded
+
+  type member = { tid : int; mutable dead : bool; mutable eligible : bool }
+
+  type group = {
+    weight : int;
+    mutable members : member array;
+    mutable count : int;
+    mutable cursor : int;  (* index of the next member to consider *)
+  }
+
+  type t = {
+    sch : scheme;
+    groups : group array;
+    mutable gcursor : int;
+    mutable budget : int;  (* remaining turns for the cursor group *)
+    index : (int, member * int) Hashtbl.t;  (* tid -> (member, group idx) *)
+    mutable live : int;
+  }
+
+  let mk_group weight = { weight; members = [||]; count = 0; cursor = 0 }
+
+  let create sch ~group_weights =
+    let groups =
+      match sch with
+      | Round_robin | Recorded -> [| mk_group 1 |]
+      | Balance_aware -> Array.map (fun _ -> mk_group 1) group_weights
+      | Weighted -> Array.map (fun w -> mk_group (Stdlib.max 1 w)) group_weights
+    in
+    let budget = if Array.length groups = 0 then 1 else groups.(0).weight in
+    { sch; groups; gcursor = 0; budget; index = Hashtbl.create 64; live = 0 }
+
+  let scheme t = t.sch
+
+  let group_idx t group =
+    match t.sch with
+    | Round_robin | Recorded -> 0
+    | Balance_aware | Weighted ->
+      if group < 0 || group >= Array.length t.groups then
+        invalid_arg "Order.add_thread: group out of range"
+      else group
+
+  let add_thread t ~tid ~group =
+    if Hashtbl.mem t.index tid then invalid_arg "Order.add_thread: duplicate tid";
+    let gi = group_idx t group in
+    let g = t.groups.(gi) in
+    let m = { tid; dead = false; eligible = true } in
+    if g.count = Array.length g.members then begin
+      let members' = Array.make (Stdlib.max 8 (2 * g.count)) m in
+      Array.blit g.members 0 members' 0 g.count;
+      g.members <- members'
+    end;
+    g.members.(g.count) <- m;
+    g.count <- g.count + 1;
+    Hashtbl.add t.index tid (m, gi);
+    t.live <- t.live + 1
+
+  let remove_thread t tid =
+    match Hashtbl.find_opt t.index tid with
+    | None -> ()
+    | Some (m, _) ->
+      if not m.dead then begin
+        m.dead <- true;
+        t.live <- t.live - 1
+      end;
+      Hashtbl.remove t.index tid
+
+  let set_eligible t tid e =
+    match Hashtbl.find_opt t.index tid with
+    | None -> ()
+    | Some (m, _) -> m.eligible <- e
+
+  let is_eligible t tid =
+    match Hashtbl.find_opt t.index tid with
+    | None -> false
+    | Some (m, _) -> (not m.dead) && m.eligible
+
+  let mem t tid = Hashtbl.mem t.index tid
+
+  let live_count t = t.live
+
+  (* First live eligible member of [g] scanning from its cursor, wrapping. *)
+  let scan_group g =
+    let rec go i =
+      if i >= g.count then None
+      else
+        let m = g.members.((g.cursor + i) mod g.count) in
+        if (not m.dead) && m.eligible then Some m.tid else go (i + 1)
+    in
+    if g.count = 0 then None else go 0
+
+  let holder t =
+    if t.sch = Recorded then None
+    else
+    let n = Array.length t.groups in
+    let rec go i =
+      if i >= n then None
+      else
+        match scan_group t.groups.((t.gcursor + i) mod n) with
+        | Some tid -> Some tid
+        | None -> go (i + 1)
+    in
+    if n = 0 then None else go 0
+
+  let advance t ~granted =
+    match Hashtbl.find_opt t.index granted with
+    | None -> ()
+    | Some (m, gi) ->
+      let g = t.groups.(gi) in
+      (* Move the group's cursor just past the granted member. *)
+      let pos = ref (-1) in
+      for i = 0 to g.count - 1 do
+        if g.members.(i) == m then pos := i
+      done;
+      (* Stored un-reduced; [scan_group] reduces modulo the current member
+         count, so threads appended later slot into the rotation correctly. *)
+      if !pos >= 0 then g.cursor <- !pos + 1;
+      (* Group rotation: if the grant came from a group ahead of the cursor
+         (the cursor group had no eligible member), adopt it first. *)
+      if gi <> t.gcursor then begin
+        t.gcursor <- gi;
+        t.budget <- g.weight
+      end;
+      t.budget <- t.budget - 1;
+      if t.budget <= 0 then begin
+        let n = Array.length t.groups in
+        t.gcursor <- (t.gcursor + 1) mod Stdlib.max 1 n;
+        t.budget <- t.groups.(t.gcursor).weight
+      end
+end

@@ -201,10 +201,87 @@ let lint () =
   check_text ~fixture:"fixtures/golden_lint.txt" ~actual:"golden_lint.actual"
     (render_lint ())
 
+(* Deep-ROL runs. [golden_runs.txt] stays at 4 contexts and scale 0.05,
+   where the ROL, the sub-thread pool and the live WAL stay shallow; at 8
+   contexts and scale 1.0 thousands of sub-threads are live at once
+   (dedup peaks above 8,000). [golden_deep.txt] pins, byte for byte:
+   - GPRS fault-free on every workload x grain at 8 contexts, scale 1.0,
+     seed 1: digest, sim cycles, DNC and the run-stats MD5;
+   - the MD5 of the stable WAL image of every workload at rates 0 and
+     100, 8 contexts, scale 0.2, seed 3. *)
+
+let grain_name = function
+  | Workloads.Workload.Default -> "default"
+  | Workloads.Workload.Fine -> "fine"
+
+let deep_run (spec : Workloads.Workload.spec) grain =
+  let scn =
+    {
+      Server.Scenario.id = "";
+      workload = spec.Workloads.Workload.name;
+      engine = "gprs";
+      ordering = "balance-aware";
+      contexts = 8;
+      scale = 1.0;
+      grain = grain_name grain;
+      seed = 1;
+      rate = 0.0;
+      interval = 0.05;
+      want_stats = true;
+    }
+  in
+  let spec, program = Server.Scenario.build_program scn in
+  let o = Server.Scenario.run ~spec ~program scn in
+  Printf.sprintf "run %s %s %s %d %b %s\n" scn.Server.Scenario.workload
+    scn.Server.Scenario.grain o.Server.Scenario.digest
+    o.Server.Scenario.sim_cycles o.Server.Scenario.dnc
+    (stats_hash o.Server.Scenario.stats)
+
+let deep_wal (spec : Workloads.Workload.spec) rate =
+  let program =
+    spec.Workloads.Workload.build ~n_contexts:8
+      ~grain:Workloads.Workload.Default ~scale:0.2
+  in
+  let image = ref "" in
+  ignore
+    (Gprs.Engine.run ~lint:`Off ~wal_out:image
+       {
+         Gprs.Engine.default_config with
+         n_contexts = 8;
+         seed = 3;
+         wal_stable = true;
+         injector = Faults.Injector.config ~seed:3 rate;
+       }
+       program);
+  Printf.sprintf "wal %s %g %d %s\n" spec.Workloads.Workload.name rate
+    (String.length !image)
+    (Digest.to_hex (Digest.string !image))
+
+let render_deep () =
+  "# run workload grain digest sim_cycles dnc stats_md5 (gprs, 8 contexts, \
+   scale 1.0, seed 1)\n"
+  ^ String.concat ""
+      (List.concat_map
+         (fun spec ->
+           List.map (deep_run spec) Workloads.Workload.[ Default; Fine ])
+         Workloads.Suite.all)
+  ^ "# wal workload rate image_bytes image_md5 (gprs, 8 contexts, scale 0.2, \
+     seed 3)\n"
+  ^ String.concat ""
+      (List.concat_map
+         (fun spec -> List.map (deep_wal spec) [ 0.0; 100.0 ])
+         Workloads.Suite.all)
+
+let deep () =
+  check_text ~fixture:"fixtures/golden_deep.txt" ~actual:"golden_deep.actual"
+    (render_deep ())
+
 let suite =
   [
     Alcotest.test_case "runs match the committed table" `Quick golden;
     Alcotest.test_case "completed rows carry the pthreads digest" `Quick oracle;
     Alcotest.test_case "paper drivers match the committed rendering" `Quick paper;
     Alcotest.test_case "lint facts match the committed digests" `Quick lint;
+    Alcotest.test_case "deep-ROL runs and WAL images match the committed digests"
+      `Quick deep;
   ]

@@ -125,21 +125,6 @@ let test_undo_replay_restores () =
   check "file len back" 2 (Vm.Io.size io f);
   checkb "log reusable" true (Exec.Undo_log.is_empty log)
 
-let test_undo_reverse_order () =
-  (* Two writes to the same location across two logs: merging keeps the
-     older pre-image. *)
-  let mem, atomics, io, _ = mk_state () in
-  Vm.Mem.write mem 0 1;
-  let older = Exec.Undo_log.create () in
-  ignore (Exec.Undo_log.note older (Exec.Undo_log.K_mem 0) ~old:1);
-  Vm.Mem.write mem 0 2;
-  let newer = Exec.Undo_log.create () in
-  ignore (Exec.Undo_log.note newer (Exec.Undo_log.K_mem 0) ~old:2);
-  Vm.Mem.write mem 0 3;
-  Exec.Undo_log.merge_newer ~older newer;
-  ignore (Exec.Undo_log.replay ~mem ~atomics ~io older);
-  check "older pre-image wins" 1 (Vm.Mem.read mem 0)
-
 let test_undo_keys () =
   let log = Exec.Undo_log.create () in
   ignore (Exec.Undo_log.note log (Exec.Undo_log.K_mem 1) ~old:0);
@@ -156,6 +141,5 @@ let suite =
     Alcotest.test_case "armed image matches unarmed" `Quick test_armed_matches_unarmed;
     Alcotest.test_case "undo: first write only" `Quick test_undo_first_write_only;
     Alcotest.test_case "undo: replay restores" `Quick test_undo_replay_restores;
-    Alcotest.test_case "undo: merge keeps older" `Quick test_undo_reverse_order;
     Alcotest.test_case "undo: keys" `Quick test_undo_keys;
   ]
