@@ -273,24 +273,12 @@ let leg_json (r : Recovery.leg_report) =
 let crashsweep_run workload contexts scale seed sample schemes no_pcpr json =
   let spec, program = build_workload workload contexts scale "default" in
   let digest = spec.Workloads.Workload.digest in
-  let scheme_of = function
-    | "rr" | "round-robin" -> Gprs.Order.Round_robin
-    | "bal" | "balance-aware" -> Gprs.Order.Balance_aware
-    | "wt" | "weighted" -> Gprs.Order.Weighted
-    | other -> failwith (Printf.sprintf "unknown scheme %S" other)
-  in
-  let schemes = String.split_on_char ',' schemes in
   let sample = if sample <= 0 then None else Some sample in
   let reports =
     List.map
-      (fun name ->
+      (fun (name, ordering) ->
         let cfg =
-          {
-            Gprs.Engine.default_config with
-            n_contexts = contexts;
-            seed;
-            ordering = scheme_of name;
-          }
+          { Gprs.Engine.default_config with n_contexts = contexts; seed; ordering }
         in
         Recovery.sweep_gprs ?sample ~sample_seed:seed ~leg:("gprs/" ^ name)
           ~cfg ~digest program)
@@ -306,7 +294,7 @@ let crashsweep_run workload contexts scale seed sample schemes no_pcpr json =
           Gprs.Engine.default_config with
           n_contexts = contexts;
           seed;
-          ordering = scheme_of (List.hd schemes);
+          ordering = snd (List.hd schemes);
         }
       in
       let image, _ = Recovery.pilot ~cfg program in
@@ -694,10 +682,38 @@ let crash_sample =
              "Exercise only N seeded-sampled crash points per leg instead \
               of every WAL-record boundary (0 = exhaustive).")
 
+(* Comma-separated ordering legs, each a deterministic ordering under its
+   full name or short alias; a leg is named after the name given. Any
+   other name, or none, is a usage error. *)
 let sweep_schemes =
-  Arg.(value & opt string "rr,bal,wt"
+  let short =
+    Gprs.Order.[ ("rr", Round_robin); ("bal", Balance_aware); ("wt", Weighted) ]
+  in
+  let named =
+    List.filter (fun (_, o) -> o <> Gprs.Order.Recorded) Server.Scenario.orderings
+    @ short
+  in
+  let parse s =
+    let names = String.split_on_char ',' s in
+    match List.find_opt (fun n -> not (List.mem_assoc n named)) names with
+    | Some n ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown ordering %S, expected %s" n
+             (String.concat ", " (List.map fst named))))
+    | None -> Ok (List.map (fun n -> (n, List.assoc n named)) names)
+  in
+  let print ppf legs =
+    Format.pp_print_string ppf (String.concat "," (List.map fst legs))
+  in
+  Arg.(value & opt (conv (parse, print)) short
        & info [ "schemes" ]
-           ~doc:"Comma-separated GPRS ordering legs: rr, bal, wt.")
+           ~doc:
+             "Comma-separated GPRS ordering legs: rr, bal, wt, or their full \
+              names round-robin, balance-aware, weighted. recorded is not \
+              offered: it enforces no order, so a restarted run may \
+              legitimately diverge from the pilot, and the sweep's \
+              bit-identical oracle does not apply to it.")
 
 let no_pcpr =
   Arg.(value & flag

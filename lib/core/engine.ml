@@ -865,8 +865,6 @@ let retire eng =
 (* REX: recovery                                                       *)
 (* ------------------------------------------------------------------ *)
 
-module Int_set = Set.Make (Int)
-
 (* The dependent walk of §3.4: younger sub-threads are squashed when they
    share an alias with, follow in program order, or were forked by, an
    already-squashed sub-thread. A single ascending pass reaches the
@@ -928,9 +926,213 @@ let cancel_ctx_of_thread eng tid =
       end)
     eng.ctx_of
 
+(* Restart points: the oldest lost sub-thread of each affected thread, in
+   the table's iteration order. *)
+let restart_points (subs : Subthread.t list) =
+  let oldest : (int, Subthread.t) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun (s : Subthread.t) ->
+      match Hashtbl.find_opt oldest s.Subthread.tid with
+      | Some o when o.Subthread.id <= s.Subthread.id -> ()
+      | Some _ | None -> Hashtbl.replace oldest s.Subthread.tid s)
+    subs;
+  List.rev (Hashtbl.fold (fun _ s acc -> s :: acc) oldest [])
+
+(* The REX rollback (§3.4), shared by live recovery and cold restart.
+   [losers] are the sub-threads whose work is lost, [ops] their WAL
+   records newest first, and [restores] the restart point of each
+   affected thread ({!restart_points}), in the order the caller resets
+   them. Undoes the losers' writes and runtime operations, scrubs the
+   rolled-back threads out of every synchronization object, restores
+   each thread from its checkpoint and hands freed mutexes to stranded
+   waiters. Returns the words restored, the WAL records undone and the
+   restarted tids. *)
+let rollback eng ~losers ~ops ~restores =
+  let st = eng.st in
+  (* Undo architectural state newest-sub first. For conflicting memory
+     accesses in a race-free program, sub-thread order agrees with
+     chronology, so per-sub copy-on-write replay is sound. *)
+  let words = ref 0 in
+  List.iter
+    (fun (s : Subthread.t) ->
+      s.Subthread.status <- Subthread.Squashed;
+      words :=
+        !words
+        + Exec.Undo_log.replay ~mem:st.Exec.State.mem
+            ~atomics:st.Exec.State.atomics ~io:st.Exec.State.io
+            s.Subthread.undo)
+    (List.sort
+       (fun (a : Subthread.t) b -> compare b.Subthread.id a.Subthread.id)
+       losers);
+  (* Runtime (WAL) operations are NOT ordered by sub-thread id — the
+     allocator serves concurrent sub-threads in real time — so their undo
+     walks the log in reverse LSN order (ARIES-style), across all losers
+     at once. *)
+  List.iter
+    (fun (e : Wal.entry) ->
+      match e.Wal.op with
+      | Wal.Alloc { addr; size = _ } -> (
+        match Vm.Mem.block_size st.Exec.State.mem addr with
+        | Some _ -> Vm.Mem.undo_alloc st.Exec.State.mem addr
+        | None -> ())
+      | Wal.Free _ ->
+        (* The free was quarantined: the block never left the allocator,
+           so dropping the loser's freed_blocks list is the whole undo. *)
+        ()
+      | Wal.Thread_create { tid } -> destroy_thread eng tid
+      | Wal.Rol_insert _ | Wal.Sched_enqueue _ | Wal.Io_op _ -> ())
+    ops;
+  (* Synchronization objects are architectural state. Scrub only the
+     threads being rolled back (or destroyed) out of their queues; the
+     per-thread restores below re-establish holders from the
+     checkpoints. Other threads keep their registrations: a sleeper
+     whose wait-sub retired must still be on the condvar when the signal
+     arrives. *)
+  let rolled = Tidtab.create false in
+  List.iter (fun (s : Subthread.t) -> Tidtab.set rolled s.Subthread.tid true) losers;
+  let rolled_back tid = Tidtab.get rolled tid || Tidtab.get eng.destroyed tid in
+  Array.iteri
+    (fun mi (mu : Exec.State.mutex) ->
+      (* A holder loses the mutex only if lost work touched it. Otherwise
+         the thread took it in committed work, its restore checkpoint
+         still holds it, and releasing it here would let another
+         thread's re-grant claim it first. *)
+      (match mu.Exec.State.holder with
+      | Some h
+        when rolled_back h
+             && List.exists
+                  (fun (s : Subthread.t) ->
+                    s.Subthread.tid = h
+                    && Subthread.mem_alias s (Subthread.Mutex mi))
+                  losers ->
+        Exec.State.set_holder st mi None
+      | Some _ | None -> ());
+      mu.Exec.State.mwaiters <-
+        Exec.Fifo.filter (fun w -> not (rolled_back w)) mu.Exec.State.mwaiters)
+    st.Exec.State.mutexes;
+  Array.iter
+    (fun (c : Exec.State.cond) ->
+      c.Exec.State.sleepers <-
+        Exec.Fifo.filter (fun w -> not (rolled_back w)) c.Exec.State.sleepers)
+    st.Exec.State.conds;
+  Array.iter
+    (fun (b : Exec.State.barrier) ->
+      b.Exec.State.arrived <-
+        List.filter (fun w -> not (rolled_back w)) b.Exec.State.arrived)
+    st.Exec.State.barriers;
+  (* Join registrations made by a rolled-back thread are stale — it
+     restarts from a checkpoint at or before the join and re-registers —
+     and left in place the target's exit would wake it spuriously (even
+     out of a later [Done] state). Registrations pointing AT a reset
+     thread are kept: surviving joiners must still be woken when it
+     re-exits, and duplicates from re-executed joins are harmless (wakes
+     are idempotent). *)
+  for tid = 0 to st.Exec.State.n_threads - 1 do
+    let tcb = Exec.State.thread st tid in
+    tcb.Vm.Tcb.joiners <-
+      List.filter (fun j -> not (rolled_back j)) tcb.Vm.Tcb.joiners
+  done;
+  (* Precise restart: each affected thread resumes from its restart
+     point's history-buffer checkpoint. A loser Thread_create undo above
+     may have destroyed the thread instead. *)
+  let restarts = ref [] in
+  List.iter
+    (fun (o : Subthread.t) ->
+      let tid = o.Subthread.tid in
+      if not (Tidtab.get eng.destroyed tid) then begin
+        let tcb = Exec.State.thread st tid in
+        if tcb.Vm.Tcb.wait = Vm.Tcb.Done then begin
+          (* The thread exited inside lost work: revive it. A crash can
+             strike between the [Done] transition and the order-table
+             removal (a joiner-wake append mid-[Exit]), so membership is
+             checked rather than assumed. *)
+          st.Exec.State.live_threads <- st.Exec.State.live_threads + 1;
+          if not (Order.mem eng.order tid) then
+            Order.add_thread eng.order ~tid ~group:tcb.Vm.Tcb.group
+        end;
+        (* Rolls the thread's barrier arrival counters back with it;
+           [barrier_done] stays monotonic, so dispatch skips re-arrivals
+           for episodes that already released. *)
+        Vm.Tcb.restore_state tcb o.Subthread.saved;
+        tcb.Vm.Tcb.wait <- Vm.Tcb.Runnable;
+        (* Re-grant the mutexes held at the restore point (the checkpoint
+           may sit inside a critical section). A conflicting holder can
+           remain when the hand-off left the lost work through an
+           alias-free unlock sub-thread, or when an earlier restore
+           claimed the mutex first; the reset thread then queues at the
+           head and resumes when the mutex is handed back. *)
+        List.iter
+          (fun m ->
+            let mu = st.Exec.State.mutexes.(m) in
+            match mu.Exec.State.holder with
+            | None -> Exec.State.set_holder st m (Some tid)
+            | Some h when h = tid -> ()
+            | Some _ ->
+              Sim.Stats.incr st.Exec.State.stats "gprs.regrant_waits";
+              mu.Exec.State.mwaiters <-
+                Exec.Fifo.push_front mu.Exec.State.mwaiters tid;
+              tcb.Vm.Tcb.wait <- Vm.Tcb.On_mutex m)
+          o.Subthread.held_locks;
+        (* A wake-sub checkpoint taken while queued for the mutex re-joins
+           the queue (or takes the mutex if free). *)
+        (match o.Subthread.pending_mutex with
+        | None -> ()
+        | Some m -> (
+          let mu = st.Exec.State.mutexes.(m) in
+          match mu.Exec.State.holder with
+          | None -> Exec.State.set_holder st m (Some tid)
+          | Some h when h = tid -> ()
+          | Some _ ->
+            mu.Exec.State.mwaiters <- Exec.Fifo.push mu.Exec.State.mwaiters tid;
+            tcb.Vm.Tcb.wait <- Vm.Tcb.On_mutex m));
+        Tidtab.set eng.cur_sub tid None;
+        ignore (Sched.Scheduler.remove eng.sched tid);
+        Tidtab.set eng.queued tid false;
+        Tidtab.set eng.pending_delay tid 0;
+        (* The replacement sub-thread is created lazily at the thread's
+           next dispatch (non-sync restart points) or at its next token
+           grant (sync restart points). A thread reset into a mutex queue
+           passes its turns until the hand-off, like any blocked
+           acquirer. *)
+        Order.set_eligible eng.order tid (tcb.Vm.Tcb.wait = Vm.Tcb.Runnable);
+        restarts := tid :: !restarts
+      end)
+    restores;
+  (* Stranded waiters: a rollback can release a mutex whose queue still
+     holds threads it did not reset (reset by an earlier recovery, or
+     never rolled back) — hand it to the head. *)
+  Array.iteri
+    (fun mi (mu : Exec.State.mutex) ->
+      match (mu.Exec.State.holder, Exec.Fifo.pop mu.Exec.State.mwaiters) with
+      | None, Some (w, rest) ->
+        Exec.State.set_holder st mi (Some w);
+        mu.Exec.State.mwaiters <- rest;
+        (Exec.State.thread st w).Vm.Tcb.wait <- Vm.Tcb.Runnable;
+        Order.set_eligible eng.order w true;
+        if not (List.mem w !restarts) then make_runnable eng ~ctx_hint:w w
+      | (Some _ | None), _ -> ())
+    st.Exec.State.mutexes;
+  (!words, List.length ops, !restarts)
+
+(* The modeled repair pause, charged per restored word and per undone
+   WAL record: the machine stays in recovery until [Recovery_done]
+   re-queues [restarts]. *)
+let pause_for_repair eng ~from ~words ~undone restarts =
+  let costs = eng.cfg.costs in
+  let duration =
+    costs.Vm.Costs.pause_resume
+    + (costs.Vm.Costs.restore_per_word * words)
+    + (costs.Vm.Costs.wal_undo * undone)
+  in
+  eng.recovering <- true;
+  eng.restart_pending <- List.sort compare restarts;
+  ignore
+    (Sim.Event_queue.schedule eng.st.Exec.State.evq
+       ~time:(from + Stdlib.max 1 duration)
+       Recovery_done)
+
 let recover eng (victim : Subthread.t) =
   let st = eng.st in
-  let costs = eng.cfg.costs in
   (* Raised before any structure is touched: a crash point firing off a
      WAL append made from inside this function (the stranded-waiter
      sweep enqueues) must not capture a half-undone machine, so the
@@ -961,190 +1163,29 @@ let recover eng (victim : Subthread.t) =
         | Some _ | None -> ())
       eng.ctx_of
   end;
-  (* Oldest squashed sub-thread per affected thread: the restart point. *)
-  let oldest : (int, Subthread.t) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Subthread.t) ->
-      match Hashtbl.find_opt oldest s.Subthread.tid with
-      | Some o when o.Subthread.id <= s.Subthread.id -> ()
-      | Some _ | None -> Hashtbl.replace oldest s.Subthread.tid s)
-    squash;
-  (* Undo architectural state newest-sub first. For conflicting memory
-     accesses in a race-free program, sub-thread order agrees with
-     chronology, so per-sub copy-on-write replay is sound. *)
-  let words = ref 0 and wal_undone = ref 0 in
-  let squash_desc =
-    List.sort (fun (a : Subthread.t) b -> compare b.Subthread.id a.Subthread.id) squash
-  in
+  (* Take the squashed sub-threads off their contexts and out of the ROL,
+     and their records out of the live WAL. *)
   let squashed_ids : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (s : Subthread.t) ->
       Hashtbl.replace squashed_ids s.Subthread.id ();
       cancel_ctx_of_thread eng s.Subthread.tid;
-      words :=
-        !words
-        + Exec.Undo_log.replay ~mem:st.Exec.State.mem ~atomics:st.Exec.State.atomics
-            ~io:st.Exec.State.io s.Subthread.undo;
-      s.Subthread.status <- Subthread.Squashed;
       Rol.remove eng.rol s.Subthread.id)
-    squash_desc;
-  (* Runtime (WAL) operations are NOT ordered by sub-thread id — the
-     allocator serves concurrent sub-threads in real time — so their undo
-     must walk the log in reverse LSN order (ARIES-style), across all
-     squashed sub-threads at once. *)
+    squash;
   let in_squash o = Hashtbl.mem squashed_ids o in
-  List.iter
-    (fun (e : Wal.entry) ->
-      incr wal_undone;
-      match e.Wal.op with
-      | Wal.Alloc { addr; size = _ } -> (
-        match Vm.Mem.block_size st.Exec.State.mem addr with
-        | Some _ -> Vm.Mem.undo_alloc st.Exec.State.mem addr
-        | None -> ())
-      | Wal.Free _ ->
-        (* The free was quarantined: the block never left the allocator,
-           so dropping the squashed sub-thread's freed_blocks list is the
-           whole undo. *)
-        ()
-      | Wal.Thread_create { tid } -> destroy_thread eng tid
-      | Wal.Rol_insert _ | Wal.Sched_enqueue _ | Wal.Io_op _ -> ())
-    (Wal.entries_for eng.wal ~orders:in_squash);
+  let ops = Wal.entries_for eng.wal ~orders:in_squash in
   ignore (Wal.drop_for eng.wal ~orders:in_squash);
-  (* Clean synchronization-object state touched by squashed work. *)
-  let affected tid = Hashtbl.mem oldest tid && not (Tidtab.get eng.destroyed tid) in
-  let squashed_or_destroyed tid =
-    Hashtbl.mem oldest tid || Tidtab.get eng.destroyed tid
+  (* Threads reset in restart-table order (ascending sub-thread order
+     would move results; see DESIGN.md). *)
+  let words, wal_undone, restarts =
+    rollback eng ~losers:squash ~ops ~restores:(restart_points squash)
   in
-  Array.iteri
-    (fun mi (mu : Exec.State.mutex) ->
-      (match mu.Exec.State.holder with
-      | Some h
-        when squashed_or_destroyed h
-             && List.exists
-                  (fun (s : Subthread.t) ->
-                    s.Subthread.tid = h
-                    && Subthread.mem_alias s (Subthread.Mutex mi))
-                  squash ->
-        Exec.State.set_holder st mi None
-      | Some _ | None -> ());
-      mu.Exec.State.mwaiters <-
-        Exec.Fifo.filter (fun w -> not (squashed_or_destroyed w)) mu.Exec.State.mwaiters)
-    st.Exec.State.mutexes;
-  Array.iter
-    (fun (c : Exec.State.cond) ->
-      c.Exec.State.sleepers <-
-        Exec.Fifo.filter (fun w -> not (squashed_or_destroyed w)) c.Exec.State.sleepers)
-    st.Exec.State.conds;
-  Array.iter
-    (fun (b : Exec.State.barrier) ->
-      b.Exec.State.arrived <-
-        List.filter (fun w -> not (squashed_or_destroyed w)) b.Exec.State.arrived)
-    st.Exec.State.barriers;
-  (* Join registrations made by a squashed thread are stale — it restarts
-     from a checkpoint at or before the join and re-registers — and left
-     in place the target's exit would wake it spuriously (even out of a
-     later [Done] state). Registrations pointing AT a reset thread are
-     kept: surviving joiners must still be woken when it re-exits. *)
-  for tid = 0 to st.Exec.State.n_threads - 1 do
-    let tcb = Exec.State.thread st tid in
-    tcb.Vm.Tcb.joiners <-
-      List.filter (fun j -> not (squashed_or_destroyed j)) tcb.Vm.Tcb.joiners
-  done;
-  (* Reset affected threads to their oldest squashed checkpoint. *)
-  let restarts = ref [] in
-  Hashtbl.iter
-    (fun tid (o : Subthread.t) ->
-      if affected tid then begin
-        let tcb = Exec.State.thread st tid in
-        if tcb.Vm.Tcb.wait = Vm.Tcb.Done then begin
-          (* The thread had exited inside squashed work: revive it. *)
-          st.Exec.State.live_threads <- st.Exec.State.live_threads + 1;
-          Order.add_thread eng.order ~tid ~group:tcb.Vm.Tcb.group
-        end;
-        (* Rolls the thread's barrier arrival counters back with it;
-           [barrier_done] stays monotonic, so dispatch skips re-arrivals
-           for episodes that already released. *)
-        Vm.Tcb.restore_state tcb o.Subthread.saved;
-        tcb.Vm.Tcb.wait <- Vm.Tcb.Runnable;
-        (* Re-grant the mutexes held at the restore point (the checkpoint
-           may sit inside a critical section). A conflicting unsquashed
-           holder can remain when the hand-off left the squash set through
-           an alias-free unlock sub-thread; the reset thread then queues
-           at the head and resumes when the mutex is handed back. *)
-        List.iter
-          (fun m ->
-            let mu = st.Exec.State.mutexes.(m) in
-            match mu.Exec.State.holder with
-            | None -> Exec.State.set_holder st m (Some tid)
-            | Some h when h = tid -> ()
-            | Some _ ->
-              Sim.Stats.incr st.Exec.State.stats "gprs.regrant_waits";
-              mu.Exec.State.mwaiters <- Exec.Fifo.push_front mu.Exec.State.mwaiters tid;
-              tcb.Vm.Tcb.wait <- Vm.Tcb.On_mutex m)
-          o.Subthread.held_locks;
-        (* A wake-sub checkpoint taken while queued for the mutex re-joins
-           the queue (or takes the mutex if free). *)
-        (match o.Subthread.pending_mutex with
-        | None -> ()
-        | Some m ->
-          let mu = st.Exec.State.mutexes.(m) in
-          (match mu.Exec.State.holder with
-          | None -> Exec.State.set_holder st m (Some tid)
-          | Some h when h = tid -> ()
-          | Some _ ->
-            mu.Exec.State.mwaiters <- Exec.Fifo.push mu.Exec.State.mwaiters tid;
-            tcb.Vm.Tcb.wait <- Vm.Tcb.On_mutex m));
-        (* Joiners registered by surviving threads must outlive the reset:
-           clearing them would lose their wakeup when this thread
-           re-exits. Duplicate registrations from re-executed joins are
-           harmless (wakes are idempotent). *)
-        Order.set_eligible eng.order tid true;
-        Tidtab.set eng.cur_sub tid None;
-        ignore (Sched.Scheduler.remove eng.sched tid);
-        Tidtab.set eng.queued tid false;
-        Tidtab.set eng.pending_delay tid 0;
-        (* The replacement sub-thread is created lazily at the thread's
-           next dispatch (non-sync restart points) or at its next token
-           grant (sync restart points). *)
-        (* A thread reset into a mutex queue passes its turns until the
-           hand-off, like any blocked acquirer. *)
-        (match tcb.Vm.Tcb.wait with
-        | Vm.Tcb.On_mutex _ -> Order.set_eligible eng.order tid false
-        | _ -> ());
-        restarts := tid :: !restarts
-      end)
-    oldest;
-  (* Stranded waiters: a second recovery can release a mutex whose queue
-     still holds threads reset by an earlier one — hand it to the head. *)
-  Array.iteri
-    (fun mi (mu : Exec.State.mutex) ->
-      match (mu.Exec.State.holder, Exec.Fifo.pop mu.Exec.State.mwaiters) with
-      | None, Some (w, rest) ->
-        Exec.State.set_holder st mi (Some w);
-        mu.Exec.State.mwaiters <- rest;
-        let wt = Exec.State.thread st w in
-        wt.Vm.Tcb.wait <- Vm.Tcb.Runnable;
-        Order.set_eligible eng.order w true;
-        (match List.find_opt (fun t -> t = w) !restarts with
-        | Some _ -> ()
-        | None -> make_runnable eng ~ctx_hint:w w)
-      | (Some _ | None), _ -> ())
-    st.Exec.State.mutexes;
-  let duration =
-    costs.Vm.Costs.pause_resume
-    + (costs.Vm.Costs.restore_per_word * !words)
-    + (costs.Vm.Costs.wal_undo * !wal_undone)
-  in
-  Sim.Stats.add st.Exec.State.stats "gprs.restored_words" !words;
-  Sim.Stats.add st.Exec.State.stats "gprs.wal_undone" !wal_undone;
+  Sim.Stats.add st.Exec.State.stats "gprs.restored_words" words;
+  Sim.Stats.add st.Exec.State.stats "gprs.wal_undone" wal_undone;
   (* Every squashed record is now unreachable (out of the ROL, current-sub
      table entries cleared, checkpoints consumed): recycle them. *)
   List.iter (fun s -> release_sub eng s) squash;
-  eng.restart_pending <- List.sort compare !restarts;
-  ignore
-    (Sim.Event_queue.schedule st.Exec.State.evq
-       ~time:(now eng + Stdlib.max 1 duration)
-       Recovery_done)
+  pause_for_repair eng ~from:(now eng) ~words ~undone:wal_undone restarts
 
 let recovery_done eng =
   eng.recovering <- false;
@@ -1177,15 +1218,8 @@ let handle_report eng victim =
       (* The exception corrupted GPRS's own structures: repair them by
          walking the WAL; no user work is lost (§3.4). *)
       Sim.Stats.incr st.Exec.State.stats "gprs.runtime_exceptions";
-      let duration =
-        eng.cfg.costs.Vm.Costs.pause_resume
-        + (eng.cfg.costs.Vm.Costs.wal_undo * Wal.size eng.wal)
-      in
-      eng.recovering <- true;
-      ignore
-        (Sim.Event_queue.schedule st.Exec.State.evq
-           ~time:(now eng + Stdlib.max 1 duration)
-           Recovery_done)
+      pause_for_repair eng ~from:(now eng) ~words:0
+        ~undone:(Wal.size eng.wal) []
     | V_sub id -> (
       match Rol.find eng.rol id with
       | None ->
@@ -1469,167 +1503,35 @@ let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
   Wal.set_on_append eng.wal
     (Some (fun _lsn -> fire_point eng Faults.Points.Wal_append));
   let stats = st.Exec.State.stats in
-  (* Restart points: the oldest in-flight sub-thread per thread. Threads
-     with no in-flight sub-thread lost nothing — their last sub-thread
-     retired, so their TCB state is committed; they stay exactly as they
-     were (parked on their sync object, or awaiting the ordering token). *)
-  let oldest : (int, Subthread.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Subthread.t) ->
-      match Hashtbl.find_opt oldest s.Subthread.tid with
-      | Some o when o.Subthread.id <= s.Subthread.id -> ()
-      | Some _ | None -> Hashtbl.replace oldest s.Subthread.tid s)
-    d.d_subs;
   (* Redo: rebuild the allocator lists from the last checkpoint plus the
      retired-prefix records. *)
   let redone = redo st.Exec.State.mem in
-  (* Undo, architectural half: replay the in-flight sub-threads'
-     copy-on-write logs, newest sub-thread first (order agrees with
-     chronology for conflicting accesses in race-free programs). *)
   Faults.Points.strike Faults.Points.Recovery_undo;
-  let words = ref 0 in
-  let losers_desc =
-    List.sort
-      (fun (a : Subthread.t) b -> compare b.Subthread.id a.Subthread.id)
-      d.d_subs
-  in
-  List.iter
-    (fun (s : Subthread.t) ->
-      s.Subthread.status <- Subthread.Squashed;
-      words :=
-        !words
-        + Exec.Undo_log.replay ~mem:st.Exec.State.mem
-            ~atomics:st.Exec.State.atomics ~io:st.Exec.State.io
-            s.Subthread.undo)
-    losers_desc;
-  (* Undo, runtime half: walk the losers' log records in reverse LSN
-     order, exactly as live recovery does. *)
-  let undone = ref 0 in
-  List.iter
-    (fun (e : Wal.entry) ->
-      incr undone;
-      match e.Wal.op with
-      | Wal.Alloc { addr; size = _ } -> (
-        match Vm.Mem.block_size st.Exec.State.mem addr with
-        | Some _ -> Vm.Mem.undo_alloc st.Exec.State.mem addr
-        | None -> ())
-      | Wal.Thread_create { tid } -> destroy_thread eng tid
-      | Wal.Free _ (* quarantined: the block never left the allocator *)
-      | Wal.Rol_insert _ | Wal.Sched_enqueue _ | Wal.Io_op _ -> ())
-    loser_ops;
-  (* Synchronization objects are architectural state and survive the
-     crash. Like live recovery, scrub only the threads being rolled back
-     (or destroyed) out of their queues — the per-thread restores
-     re-establish holders from the checkpoints. Threads that are NOT
-     rolled back keep their registrations: a sleeper whose wait-sub
-     retired must still be on the condvar when the signal arrives. *)
-  let rolled_back tid =
-    Hashtbl.mem oldest tid || Tidtab.get eng.destroyed tid
-  in
-  Array.iteri
-    (fun mi (mu : Exec.State.mutex) ->
-      (match mu.Exec.State.holder with
-      | Some h when rolled_back h -> Exec.State.set_holder st mi None
-      | Some _ | None -> ());
-      mu.Exec.State.mwaiters <-
-        Exec.Fifo.filter (fun w -> not (rolled_back w)) mu.Exec.State.mwaiters)
-    st.Exec.State.mutexes;
-  Array.iter
-    (fun (c : Exec.State.cond) ->
-      c.Exec.State.sleepers <-
-        Exec.Fifo.filter (fun w -> not (rolled_back w)) c.Exec.State.sleepers)
-    st.Exec.State.conds;
-  Array.iter
-    (fun (b : Exec.State.barrier) ->
-      b.Exec.State.arrived <-
-        List.filter (fun w -> not (rolled_back w)) b.Exec.State.arrived)
-    st.Exec.State.barriers;
-  (* Join registrations made by a rolled-back thread are stale: its
-     restore checkpoint precedes the blocking join (the sub opened at the
-     join boundary is the one being squashed), so it re-registers on
-     re-execution. Left in place, the target's exit would fire a spurious
-     wake — resurrecting the joiner even after it has itself exited. *)
-  for tid = 0 to st.Exec.State.n_threads - 1 do
-    let tcb = Exec.State.thread st tid in
-    tcb.Vm.Tcb.joiners <-
-      List.filter (fun j -> not (rolled_back j)) tcb.Vm.Tcb.joiners
-  done;
-  (* Precise restart: each affected thread resumes from its oldest
-     in-flight sub-thread's history-buffer checkpoint. Restores run in
-     ascending checkpoint order: when two checkpoints both record a held
-     mutex (an older checkpoint predating a handover), the chronologically
-     earlier hold wins and the later claimant queues until the re-executed
+  (* Undo: the losers are the in-flight sub-threads. Threads with none
+     lost nothing — their last sub-thread retired, so their TCB state is
+     committed; they stay exactly as they were (parked on their sync
+     object, or awaiting the ordering token). Restores run in ascending
+     checkpoint order: when two checkpoints both record a held mutex (an
+     older checkpoint predating a handover), the chronologically earlier
+     hold wins and the later claimant queues until the re-executed
      unlock hands it over. *)
   let restores =
-    Hashtbl.fold (fun _ (s : Subthread.t) acc -> s :: acc) oldest []
+    restart_points d.d_subs
     |> List.sort (fun (a : Subthread.t) b -> compare a.Subthread.id b.Subthread.id)
   in
-  let restarts = ref [] in
-  List.iter
-    (fun (o : Subthread.t) ->
-      let tid = o.Subthread.tid in
-      (* A loser Thread_create undo above may have destroyed this tid. *)
-      if not (Tidtab.get eng.destroyed tid) then begin
-        let tcb = Exec.State.thread st tid in
-        if tcb.Vm.Tcb.wait = Vm.Tcb.Done then begin
-          (* The thread exited inside lost work: revive it. The crash can
-             strike between the [Done] transition and the order-table
-             removal (a joiner-wake append mid-[Exit]), so membership is
-             checked rather than assumed. *)
-          st.Exec.State.live_threads <- st.Exec.State.live_threads + 1;
-          if not (Order.mem eng.order tid) then
-            Order.add_thread eng.order ~tid ~group:tcb.Vm.Tcb.group
-        end;
-        Vm.Tcb.restore_state tcb o.Subthread.saved;
-        tcb.Vm.Tcb.wait <- Vm.Tcb.Runnable;
-        List.iter
-          (fun m ->
-            let mu = st.Exec.State.mutexes.(m) in
-            match mu.Exec.State.holder with
-            | None -> Exec.State.set_holder st m (Some tid)
-            | Some h when h = tid -> ()
-            | Some _ ->
-              Sim.Stats.incr stats "gprs.regrant_waits";
-              mu.Exec.State.mwaiters <-
-                Exec.Fifo.push_front mu.Exec.State.mwaiters tid;
-              tcb.Vm.Tcb.wait <- Vm.Tcb.On_mutex m)
-          o.Subthread.held_locks;
-        (match o.Subthread.pending_mutex with
-        | None -> ()
-        | Some m -> (
-          let mu = st.Exec.State.mutexes.(m) in
-          match mu.Exec.State.holder with
-          | None -> Exec.State.set_holder st m (Some tid)
-          | Some h when h = tid -> ()
-          | Some _ ->
-            mu.Exec.State.mwaiters <- Exec.Fifo.push mu.Exec.State.mwaiters tid;
-            tcb.Vm.Tcb.wait <- Vm.Tcb.On_mutex m));
-        Order.set_eligible eng.order tid (tcb.Vm.Tcb.wait = Vm.Tcb.Runnable);
-        restarts := tid :: !restarts
-      end)
-    restores;
-  (* Stranded waiters: the rollbacks can leave a mutex free while its
-     queue still holds un-rolled-back threads — hand it to the head. *)
-  Array.iteri
-    (fun mi (mu : Exec.State.mutex) ->
-      match (mu.Exec.State.holder, Exec.Fifo.pop mu.Exec.State.mwaiters) with
-      | None, Some (w, rest) ->
-        Exec.State.set_holder st mi (Some w);
-        mu.Exec.State.mwaiters <- rest;
-        let wt = Exec.State.thread st w in
-        wt.Vm.Tcb.wait <- Vm.Tcb.Runnable;
-        Order.set_eligible eng.order w true;
-        if not (List.mem w !restarts) then make_runnable eng ~ctx_hint:w w
-      | (Some _ | None), _ -> ())
-    st.Exec.State.mutexes;
+  let words, undone, restarts =
+    rollback eng ~losers:d.d_subs ~ops:loser_ops ~restores
+  in
   (* Runnable threads with no in-flight sub-thread lost only their seat
      in the (volatile) work queues — e.g. threads a pre-crash live
      recovery had reset and re-queued. Their TCBs are current; they just
-     need re-enqueueing when recovery completes. *)
+     need re-enqueueing when recovery completes. Every loser thread the
+     rollback did not destroy is already in [restarts]. *)
+  let restarts = ref restarts in
   for tid = 0 to st.Exec.State.n_threads - 1 do
     if
       (Exec.State.thread st tid).Vm.Tcb.wait = Vm.Tcb.Runnable
-      && (not (rolled_back tid))
+      && (not (Tidtab.get eng.destroyed tid))
       && not (List.mem tid !restarts)
     then restarts := tid :: !restarts
   done;
@@ -1637,20 +1539,10 @@ let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
   Sim.Stats.add stats "recovery.replayed_lsns" replayed;
   Sim.Stats.add stats "recovery.redone_ops" redone;
   Sim.Stats.add stats "recovery.squashed_subs" (List.length d.d_subs);
-  Sim.Stats.add stats "recovery.restored_words" !words;
-  Sim.Stats.add stats "recovery.wal_undone" !undone;
-  let costs = cfg.costs in
-  let duration =
-    costs.Vm.Costs.pause_resume
-    + (costs.Vm.Costs.restore_per_word * !words)
-    + (costs.Vm.Costs.wal_undo * (replayed + !undone))
-  in
-  eng.recovering <- true;
-  eng.restart_pending <- List.sort compare !restarts;
-  ignore
-    (Sim.Event_queue.schedule st.Exec.State.evq
-       ~time:(d.d_cycle + Stdlib.max 1 duration)
-       Recovery_done);
+  Sim.Stats.add stats "recovery.restored_words" words;
+  Sim.Stats.add stats "recovery.wal_undone" undone;
+  pause_for_repair eng ~from:d.d_cycle ~words ~undone:(replayed + undone)
+    !restarts;
   boot_checkpoint eng;
   schedule_next_fault eng;
   fun () -> run_loop eng

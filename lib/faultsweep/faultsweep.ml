@@ -185,49 +185,34 @@ let total_fires () =
     (fun acc st -> acc + st.Points.s_fires)
     0 (Points.status_all ())
 
+(* A finished run under armed points: not triggered if no point fired,
+   else judged against the pilot's digest [want]. *)
+let classify_finished ~want ~dnc got =
+  if total_fires () = 0 then
+    (Recovery.Signature.not_triggered, "armed fault never fired")
+  else Recovery.classify_run ~want ~dnc got
+
 (* Classify a one-shot gprs run under armed points. [want]/[budget] come
    from the fault-free pilot; [dg] is the workload digest. *)
 let classify_gprs ~dg ~want ~budget cfg program =
-  let module S = Recovery.Signature in
-  let finish (r : Exec.State.run_result) =
-    if total_fires () = 0 then (S.not_triggered, "armed fault never fired")
-    else if r.Exec.State.dnc then (S.hung, "run exceeded cycle budget")
-    else
-      let got = dg r in
-      if String.equal got want then (S.ok, "")
-      else (S.wrong_digest, Printf.sprintf "digest %s, want %s" got want)
-  in
-  match Gprs.Engine.run ~lint:`Off { cfg with Gprs.Engine.max_cycles = budget } program with
-  | r -> finish r
-  | exception Points.Fault_error msg -> (S.refused_error, msg)
-  | exception Gprs.Engine.Crashed dump -> (
-    disarm_run_points ();
-    match Recovery.recover dump with
-    | exception Wal.Corrupt msg -> (S.refused_corrupt, "corrupt WAL image: " ^ msg)
-    | exception Points.Fault_error msg -> (S.refused_error, msg)
-    | a, _secs, resume -> (
-      if a.Recovery.losers <> Gprs.Engine.dump_active_ids dump then
-        (S.analysis_mismatch, "WAL analysis loser set <> live ROL at crash")
-      else
-        match resume () with
-        | exception Points.Fault_error msg -> (S.refused_error, msg)
-        | r ->
-          if r.Exec.State.dnc then
-            (S.hung, "recovered run did not complete in budget")
-          else
-            let got = dg r in
-            if String.equal got want then (S.ok, "")
-            else (S.wrong_digest, Printf.sprintf "digest %s, want %s" got want)))
+  Recovery.classify_crash ~want ~digest:dg
+    ~finished:(fun r -> classify_finished ~want ~dnc:r.Exec.State.dnc (fun () -> dg r))
+    (fun () ->
+      match
+        Gprs.Engine.run ~lint:`Off
+          { cfg with Gprs.Engine.max_cycles = budget }
+          program
+      with
+      | r -> r
+      | exception (Gprs.Engine.Crashed _ as crash) ->
+        disarm_run_points ();
+        raise crash)
 
 let classify_other ~spec ~program ~want scen =
-  let module S = Recovery.Signature in
   match Scenario.run ~spec ~program scen with
-  | exception Points.Fault_error msg -> (S.refused_error, msg)
+  | exception Points.Fault_error msg -> (Recovery.Signature.refused_error, msg)
   | (o : Scenario.outcome) ->
-    if total_fires () = 0 then (S.not_triggered, "armed fault never fired")
-    else if o.dnc then (S.hung, "run did not complete")
-    else if String.equal o.digest want then (S.ok, "")
-    else (S.wrong_digest, Printf.sprintf "digest %s, want %s" o.digest want)
+    classify_finished ~want ~dnc:o.dnc (fun () -> o.digest)
 
 (* --- the private fault-enabled daemon ------------------------------------ *)
 
@@ -274,11 +259,7 @@ let classify_service ~want svc scen =
   match Json.str ~default:"" "event" reply with
   | Ok "done" -> (
     match (Json.str "digest" reply, Json.bool ~default:false "dnc" reply) with
-    | Ok _, Ok true -> (S.hung, "run did not complete")
-    | Ok got, Ok false ->
-      if total_fires () = 0 then (S.not_triggered, "armed fault never fired")
-      else if String.equal got want then (S.ok, "")
-      else (S.wrong_digest, Printf.sprintf "digest %s, want %s" got want)
+    | Ok got, Ok dnc -> classify_finished ~want ~dnc (fun () -> got)
     | Error msg, _ | _, Error msg -> (S.refused_error, "bad done reply: " ^ msg))
   | Ok "error" ->
     let code = Result.value ~default:0 (Json.int ~default:0 "code" reply) in
@@ -342,9 +323,7 @@ let run_matrix ?(only = []) ?(seed = 0) ?(iters = 1) ?(log = fun _ -> ()) j =
     let programs = Hashtbl.create 8 in
     let pilots = Hashtbl.create 8 in
     let program_of (s : Scenario.t) =
-      let key =
-        Printf.sprintf "%s/n%d/s%.17g/%s" s.workload s.contexts s.scale s.grain
-      in
+      let key = Scenario.program_key s in
       match Hashtbl.find_opt programs key with
       | Some v -> v
       | None ->

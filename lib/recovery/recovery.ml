@@ -159,6 +159,38 @@ module Signature = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Outcome classifiers                                                 *)
+
+let classify_run ~want ~dnc got =
+  if dnc then (Signature.hung, "run did not complete")
+  else
+    let got = got () in
+    if String.equal got want then (Signature.ok, "")
+    else (Signature.wrong_digest, Printf.sprintf "digest %s, want %s" got want)
+
+let classify_crash ?(recovered = fun _ _ -> ()) ?(resumed = ignore) ~want
+    ~digest ~finished run =
+  try
+    match run () with
+    | r -> finished r
+    | exception Gprs.Engine.Crashed dump -> (
+      match recover dump with
+      | exception Wal.Corrupt msg ->
+        (Signature.refused_corrupt, "corrupt WAL image: " ^ msg)
+      | a, secs, resume ->
+        recovered a secs;
+        if a.losers <> Gprs.Engine.dump_active_ids dump then
+          ( Signature.analysis_mismatch,
+            "WAL analysis loser set <> live ROL at crash" )
+        else
+          let r = resume () in
+          resumed r;
+          classify_run ~want ~dnc:r.Exec.State.dnc (fun () -> digest r))
+  with
+  | Exec.State.Deadlock msg -> (Signature.hung, msg)
+  | Faults.Points.Fault_error msg -> (Signature.refused_error, msg)
+
+(* ------------------------------------------------------------------ *)
 (* Crash-consistency sweep                                             *)
 
 type leg_report = {
@@ -195,6 +227,27 @@ let sample_points prng n pts =
     Array.to_list (Array.map (fun i -> arr.(i)) keep)
   end
 
+(* A leg over [points], each classified by [classify]: every point's
+   signature in sweep order, and the detail of each one that failed. *)
+let leg_of ~leg ~points_total classify points =
+  let results = List.map (fun p -> (p, classify p)) points in
+  {
+    leg;
+    points_total;
+    points_run = List.length points;
+    mismatches =
+      List.filter_map
+        (fun (p, (sg, detail)) ->
+          if String.equal sg Signature.ok then None else Some (p, detail))
+        results;
+    outcomes = List.map (fun (p, (sg, _)) -> (p, sg)) results;
+    mean_recovery_s = 0.0;
+    max_recovery_s = 0.0;
+    replayed_lsns = 0;
+    redone_ops = 0;
+    squashed_subs = 0;
+  }
+
 let sweep_gprs ?sample ?(sample_seed = 7) ~leg ~cfg ~digest program =
   let image, pr = pilot ~cfg program in
   let want = digest pr in
@@ -206,56 +259,31 @@ let sweep_gprs ?sample ?(sample_seed = 7) ~leg ~cfg ~digest program =
       sample_points (Sim.Prng.create sample_seed) n a0.points
     | Some _ | None -> a0.points
   in
-  let mismatches = ref [] in
-  let outcomes = ref [] in
-  let fail lsn sg msg =
-    mismatches := (lsn, msg) :: !mismatches;
-    outcomes := (lsn, sg) :: !outcomes
-  in
-  let pass lsn = outcomes := (lsn, Signature.ok) :: !outcomes in
   let sum_s = ref 0.0 and max_s = ref 0.0 in
   let replayed = ref 0 and redone = ref 0 and squashed = ref 0 in
-  List.iter
-    (fun (lsn, _at) ->
-      let cfg_c = { cfg with Gprs.Engine.crash_lsn = Some lsn } in
-      match Gprs.Engine.run ~lint:`Off cfg_c program with
-      | _ -> fail lsn Signature.not_triggered "crash point never fired"
-      | exception Gprs.Engine.Crashed dump -> (
-        match recover dump with
-        | exception Wal.Corrupt msg ->
-          fail lsn Signature.refused_corrupt ("corrupt WAL image: " ^ msg)
-        | a, secs, resume ->
-          sum_s := !sum_s +. secs;
-          if secs > !max_s then max_s := secs;
-          replayed := !replayed + a.replayed;
-          if a.losers <> Gprs.Engine.dump_active_ids dump then
-            fail lsn Signature.analysis_mismatch
-              "WAL analysis loser set <> live ROL at crash"
-          else begin
-            let r = resume () in
-            redone :=
-              !redone + Sim.Stats.get r.Exec.State.run_stats "recovery.redone_ops";
-            squashed :=
-              !squashed
-              + Sim.Stats.get r.Exec.State.run_stats "recovery.squashed_subs";
-            if r.Exec.State.dnc then
-              fail lsn Signature.hung "recovered run did not complete"
-            else begin
-              let got = digest r in
-              if not (String.equal got want) then
-                fail lsn Signature.wrong_digest
-                  (Printf.sprintf "digest %s, want %s" got want)
-              else pass lsn
-            end
-          end))
-    chosen;
-  let n = List.length chosen in
+  let recovered a secs =
+    sum_s := !sum_s +. secs;
+    if secs > !max_s then max_s := secs;
+    replayed := !replayed + a.replayed
+  in
+  let resumed (r : Exec.State.run_result) =
+    redone :=
+      !redone + Sim.Stats.get r.Exec.State.run_stats "recovery.redone_ops";
+    squashed :=
+      !squashed + Sim.Stats.get r.Exec.State.run_stats "recovery.squashed_subs"
+  in
+  let classify lsn =
+    classify_crash ~recovered ~resumed ~want ~digest
+      ~finished:(fun _ -> (Signature.not_triggered, "crash point never fired"))
+      (fun () ->
+        Gprs.Engine.run ~lint:`Off
+          { cfg with Gprs.Engine.crash_lsn = Some lsn }
+          program)
+  in
+  let r = leg_of ~leg ~points_total classify (List.map fst chosen) in
+  let n = r.points_run in
   {
-    leg;
-    points_total;
-    points_run = n;
-    mismatches = List.rev !mismatches;
-    outcomes = List.rev !outcomes;
+    r with
     mean_recovery_s = (if n = 0 then 0.0 else !sum_s /. float_of_int n);
     max_recovery_s = !max_s;
     replayed_lsns = !replayed;
@@ -265,36 +293,11 @@ let sweep_gprs ?sample ?(sample_seed = 7) ~leg ~cfg ~digest program =
 
 let sweep_pcpr ~leg ~cfg ~digest ~crash_cycles program =
   let want = digest (Cpr.run { cfg with Cpr.crash_at = None } program) in
-  let mismatches = ref [] in
-  let outcomes = ref [] in
-  List.iter
+  leg_of ~leg ~points_total:(List.length crash_cycles)
     (fun c ->
       let r = Cpr.run { cfg with Cpr.crash_at = Some c } program in
-      if r.Exec.State.dnc then begin
-        mismatches := (c, "crashed run did not complete") :: !mismatches;
-        outcomes := (c, Signature.hung) :: !outcomes
-      end
-      else begin
-        let got = digest r in
-        if not (String.equal got want) then begin
-          mismatches := (c, Printf.sprintf "digest %s, want %s" got want) :: !mismatches;
-          outcomes := (c, Signature.wrong_digest) :: !outcomes
-        end
-        else outcomes := (c, Signature.ok) :: !outcomes
-      end)
-    crash_cycles;
-  {
-    leg;
-    points_total = List.length crash_cycles;
-    points_run = List.length crash_cycles;
-    mismatches = List.rev !mismatches;
-    outcomes = List.rev !outcomes;
-    mean_recovery_s = 0.0;
-    max_recovery_s = 0.0;
-    replayed_lsns = 0;
-    redone_ops = 0;
-    squashed_subs = 0;
-  }
+      classify_run ~want ~dnc:r.Exec.State.dnc (fun () -> digest r))
+    crash_cycles
 
 let pp_report ppf r =
   Format.fprintf ppf "%-14s %4d/%-4d points" r.leg r.points_run r.points_total;

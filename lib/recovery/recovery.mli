@@ -95,6 +95,35 @@ module Signature : sig
   (** WAL analysis disagreed with live crash state *)
 end
 
+(** {2 Outcome classifiers}
+
+    The one place a run becomes a [(signature, detail)] pair, shared by
+    both crash sweeps and the [faultsweep] driver. *)
+
+val classify_run : want:string -> dnc:bool -> (unit -> string) -> string * string
+(** A finished run against the reference digest [want]:
+    {!Signature.hung} if it did not complete, else {!Signature.ok} or
+    {!Signature.wrong_digest} by the digest the thunk computes. *)
+
+val classify_crash :
+  ?recovered:(analysis -> float -> unit) ->
+  ?resumed:(Exec.State.run_result -> unit) ->
+  want:string ->
+  digest:(Exec.State.run_result -> string) ->
+  finished:(Exec.State.run_result -> string * string) ->
+  (unit -> Exec.State.run_result) ->
+  string * string
+(** An armed GPRS run. If it finishes, [finished] classifies it. If it
+    crashes, the dump is cold-recovered ({!recover}; {!Signature.refused_corrupt}
+    on a damaged image), the analysis' losers are checked against the
+    ROL captured at the crash ({!Signature.analysis_mismatch}), and the
+    resumed run is classified by {!classify_run}. [recovered] sees the
+    analysis and recovery seconds, [resumed] the resumed run. An
+    [Exec.State.Deadlock] from the armed run or the resumed one is
+    {!Signature.hung} and an injected [Faults.Points.Fault_error] is
+    {!Signature.refused_error}, each with the exception's message as
+    detail. *)
+
 (** {2 Crash-consistency sweep} *)
 
 type leg_report = {
@@ -134,10 +163,10 @@ val sweep_gprs :
   leg_report
 (** Crash the run at every WAL op-record boundary ([sample] seeded
     points on large logs; default exhaustive), cold-recover, resume, and
-    compare digests against the pilot. A point fails if the crash never
-    fires, the image is corrupt, the analysis' losers disagree with the
-    ROL captured at the crash, the resumed run does not complete, or
-    the digest differs. *)
+    compare digests against the pilot ({!classify_crash}). A point fails
+    if the crash never fires, the image is corrupt, the analysis' losers
+    disagree with the ROL captured at the crash, the resumed run does
+    not complete or wedges, or the digest differs. *)
 
 val sweep_pcpr :
   leg:string ->

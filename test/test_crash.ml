@@ -195,6 +195,31 @@ let test_sweep_pcpr_leg () =
   in
   checkb (Format.asprintf "%a" Recovery.pp_report r) true (Recovery.leg_ok r)
 
+(* A cold restart that wedges is an outcome, not a crash of the sweep:
+   at this configuration some resumed barnes-hut runs raise
+   [Exec.State.Deadlock], which the sweep reports as hung-timeout with
+   the deadlock message as detail. *)
+let test_sweep_wedged_restart_classified () =
+  let spec, program = workload "barnes-hut" 0.05 in
+  let r =
+    Recovery.sweep_gprs ~leg:"barnes-hut"
+      ~cfg:(gprs_cfg ~ordering:Gprs.Order.Round_robin ())
+      ~digest:spec.Workloads.Workload.digest program
+  in
+  let hung =
+    List.filter
+      (fun (_, sg) -> sg = Recovery.Signature.hung)
+      r.Recovery.outcomes
+  in
+  checkb "hung-timeout outcomes" true (hung <> []);
+  List.iter
+    (fun (p, _) ->
+      checkb "detail names the deadlock" true
+        (match List.assoc_opt p r.Recovery.mismatches with
+        | Some d -> String.starts_with ~prefix:"gprs:" d
+        | None -> false))
+    hung
+
 let suite =
   [
     Alcotest.test_case "wal: stable image round-trips" `Quick
@@ -221,4 +246,6 @@ let suite =
     Alcotest.test_case "sweep seeded sample" `Quick test_sweep_sampled;
     Alcotest.test_case "sweep p-cpr comparison leg" `Quick
       test_sweep_pcpr_leg;
+    Alcotest.test_case "sweep classifies a wedged restart" `Quick
+      test_sweep_wedged_restart_classified;
   ]

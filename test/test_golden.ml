@@ -276,6 +276,78 @@ let deep () =
   check_text ~fixture:"fixtures/golden_deep.txt" ~actual:"golden_deep.actual"
     (render_deep ())
 
+(* Cold restart. The crash sweeps only tell a recovered run from a
+   failed one; [golden_crash.txt] pins what each resumed run produces.
+   Per workload, contexts and scale (seed 3) and per ordering scheme, it
+   crashes the run at the middle LSN of each of 8 equal strata of the
+   pilot's WAL records, cold-recovers and resumes, and records the
+   digest, sim cycles, DNC and run-stats MD5 — or [corrupt] if recovery
+   refuses the image, [deadlock] if the resumed run wedges. The table
+   pins today's output, wrong rows included: it is not the oracle. *)
+
+let crash_schemes =
+  Gprs.Order.[ ("rr", Round_robin); ("bal", Balance_aware); ("wt", Weighted) ]
+
+let crash_configs =
+  List.map (fun w -> (w, 4, 0.05)) Workloads.Suite.names
+  @ List.map
+      (fun w -> (w, 8, 0.2))
+      [ "barnes-hut"; "canneal"; "dedup"; "pbzip2" ]
+
+let crash_rows (name, contexts, scale) =
+  let spec = Workloads.Suite.find name in
+  let program =
+    spec.Workloads.Workload.build ~n_contexts:contexts
+      ~grain:Workloads.Workload.Default ~scale
+  in
+  let resumed lsn cfg =
+    match
+      Gprs.Engine.run ~lint:`Off
+        { cfg with Gprs.Engine.crash_lsn = Some lsn }
+        program
+    with
+    | _ -> "no-crash"
+    | exception Gprs.Engine.Crashed dump -> (
+      match Recovery.recover dump with
+      | exception Wal.Corrupt _ -> "corrupt"
+      | _, _, resume -> (
+        match resume () with
+        | exception Exec.State.Deadlock _ -> "deadlock"
+        | r ->
+          Printf.sprintf "%s %d %b %s"
+            (spec.Workloads.Workload.digest r)
+            r.Exec.State.sim_cycles r.Exec.State.dnc
+            (stats_hash (Sim.Stats.to_assoc r.Exec.State.run_stats))))
+  in
+  List.concat_map
+    (fun (scheme, ordering) ->
+      let cfg =
+        {
+          Gprs.Engine.default_config with
+          n_contexts = contexts;
+          seed = 3;
+          ordering;
+        }
+      in
+      let image, _ = Recovery.pilot ~cfg program in
+      let points = Array.of_list (Recovery.analyze image).Recovery.points in
+      let n = Array.length points in
+      List.init 8 (fun i -> fst points.(((2 * i) + 1) * n / 16))
+      |> List.sort_uniq compare
+      |> List.map (fun lsn ->
+             Printf.sprintf "crash %s %d %g %s %d %s\n" name contexts scale
+               scheme lsn (resumed lsn cfg)))
+    crash_schemes
+
+let render_crash () =
+  "# crash workload contexts scale scheme lsn then digest sim_cycles dnc \
+   stats_md5 after resume, or corrupt/deadlock (gprs, seed 3)\n"
+  ^ String.concat "" (List.concat_map crash_rows crash_configs)
+
+let crash () =
+  check_text ~fixture:"fixtures/golden_crash.txt" ~actual:"golden_crash.actual"
+    (render_crash ())
+
 let suite =
   [
     Alcotest.test_case "runs match the committed table" `Quick golden;
@@ -284,4 +356,5 @@ let suite =
     Alcotest.test_case "lint facts match the committed digests" `Quick lint;
     Alcotest.test_case "deep-ROL runs and WAL images match the committed digests"
       `Quick deep;
+    Alcotest.test_case "cold restarts match the committed digests" `Quick crash;
   ]
