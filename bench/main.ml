@@ -220,7 +220,7 @@ let recovery_profile ~quick =
     in
     let r =
       Recovery.sweep_gprs ?sample ~sample_seed:3 ~leg:name ~cfg
-        ~digest:spec.Workloads.Workload.digest program
+        { Run.spec; program; blocks = Vm.Block.analyze program }
     in
     if not (Recovery.leg_ok r) then
       failwith (Format.asprintf "recovery leg failed: %a" Recovery.pp_report r);

@@ -1,0 +1,21 @@
+(* Argument converters shared by [gprs_run] and [paper]: a bad value is
+   a usage error (exit 124), never an uncaught exception. *)
+
+open Cmdliner
+
+(* An int of at least 1: a machine with no context never progresses. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* An input scale, held to [Run.check_scale]. *)
+let scale =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.float s) (fun f ->
+        Result.map_error (fun m -> `Msg m) (Run.check_scale f))
+  in
+  Arg.conv ~docv:(Arg.conv_docv Arg.float) (parse, Arg.conv_printer Arg.float)

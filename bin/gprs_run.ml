@@ -11,7 +11,7 @@ let scenario ?(rate = 0.0) ?(ordering = "balance-aware")
     ?(interval = Cpr.default_config.Cpr.checkpoint_interval) ~engine workload
     contexts scale seed grain =
   {
-    Server.Scenario.id = "";
+    Run.id = "";
     workload;
     engine;
     ordering;
@@ -24,27 +24,14 @@ let scenario ?(rate = 0.0) ?(ordering = "balance-aware")
     want_stats = false;
   }
 
-let build_workload workload contexts scale grain =
-  let spec = Workloads.Suite.find workload in
-  ( spec,
-    spec.Workloads.Workload.build ~n_contexts:contexts
-      ~grain:(List.assoc grain Server.Scenario.grains) ~scale )
-
 (* Lint at the CLI level (all engines, not just GPRS), then hand the
    program to the engine with its own hook off so findings print once. *)
 let cli_lint ~strict_lint ~no_lint program =
   if no_lint then `Run
-  else begin
-    let diags = Lint.Check.program program in
-    let visible =
-      List.filter
-        (fun d -> d.Lint.Diagnostic.severity <> Lint.Diagnostic.Info)
-        diags
-    in
-    if visible <> [] then
-      Format.eprintf "%a" (Lint.Render.pp ~title:"GPRS-lint") visible;
-    if strict_lint && Lint.Check.has_errors diags then `Refuse else `Run
-  end
+  else
+    match Lint.Check.admit `Warn ~title:"GPRS-lint" program with
+    | _ :: _ when strict_lint -> `Refuse
+    | _ -> `Run
 
 (* Dispatch-mix report (--profile): per-instruction-kind dispatch counts
    and the fused-hop-length histogram. *)
@@ -93,7 +80,7 @@ let run workload engine contexts scale seed rate grain ordering interval
   let scn =
     scenario ~rate ~ordering ~interval ~engine workload contexts scale seed grain
   in
-  let spec, program = Server.Scenario.build_program scn in
+  let spec, program = Run.build_program scn in
   match cli_lint ~strict_lint ~no_lint program with
   | `Refuse ->
     Format.eprintf
@@ -103,7 +90,7 @@ let run workload engine contexts scale seed rate grain ordering interval
     Stdlib.exit 2
   | `Run ->
     let result =
-      try Server.Scenario.exec scn program with
+      try Run.exec scn program with
       | Faults.Points.Fault_error msg ->
         Format.eprintf "gprs_run: injected fault surfaced: %s@." msg;
         Stdlib.exit 1
@@ -129,7 +116,9 @@ let run workload engine contexts scale seed rate grain ordering interval
 (* --- lint subcommand -------------------------------------------------- *)
 
 let lint_one ~verbose ~json workload contexts scale grain =
-  let _, program = build_workload workload contexts scale grain in
+  let _, program =
+    Run.build_program (scenario ~engine:"gprs" workload contexts scale 1 grain)
+  in
   let diags = Lint.Race.program program in
   let shown =
     if verbose then diags
@@ -182,7 +171,7 @@ let report_json r =
 
 let racecheck_one ~json ~engine workload contexts scale grain seed =
   let scn = scenario ~engine workload contexts scale seed grain in
-  let _, program = Server.Scenario.build_program scn in
+  let _, program = Run.build_program scn in
   let static_races =
     List.filter
       (fun d -> d.Lint.Diagnostic.kind = Lint.Diagnostic.Race_unprotected)
@@ -193,7 +182,7 @@ let racecheck_one ~json ~engine workload contexts scale grain seed =
   let result =
     Fun.protect
       ~finally:(fun () -> Exec.Tsan.set_enabled was)
-      (fun () -> Server.Scenario.exec scn program)
+      (fun () -> Run.exec scn program)
   in
   let dynamic = result.Exec.State.races in
   if json then
@@ -271,35 +260,24 @@ let leg_json (r : Recovery.leg_report) =
     ]
 
 let crashsweep_run workload contexts scale seed sample schemes no_pcpr json =
-  let spec, program = build_workload workload contexts scale "default" in
-  let digest = spec.Workloads.Workload.digest in
+  let scn = scenario ~engine:"gprs" workload contexts scale seed "default" in
+  let p = Run.prepare scn in
   let sample = if sample <= 0 then None else Some sample in
   let reports =
     List.map
       (fun (name, ordering) ->
-        let cfg =
-          { Gprs.Engine.default_config with n_contexts = contexts; seed; ordering }
-        in
         Recovery.sweep_gprs ?sample ~sample_seed:seed ~leg:("gprs/" ^ name)
-          ~cfg ~digest program)
+          ~cfg:(Run.gprs_config { scn with ordering }) p)
       schemes
   in
   let reports =
     if no_pcpr then reports
     else begin
       (* The comparison leg crashes P-CPR at the simulated cycles of the
-         first GPRS leg's WAL records — the same crash schedule. *)
-      let cfg =
-        {
-          Gprs.Engine.default_config with
-          n_contexts = contexts;
-          seed;
-          ordering = snd (List.hd schemes);
-        }
+         first GPRS leg's pilot WAL records — the same crash schedule. *)
+      let cycles =
+        List.sort_uniq compare (List.hd reports).Recovery.crash_cycles
       in
-      let image, _ = Recovery.pilot ~cfg program in
-      let a = Recovery.analyze image in
-      let cycles = List.map snd a.Recovery.points |> List.sort_uniq compare in
       let cycles =
         match sample with
         | Some n when n < List.length cycles ->
@@ -308,10 +286,9 @@ let crashsweep_run workload contexts scale seed sample schemes no_pcpr json =
           |> List.map fst
         | Some _ | None -> cycles
       in
-      let ccfg = { Cpr.default_config with Cpr.n_contexts = contexts; seed } in
       reports
-      @ [ Recovery.sweep_pcpr ~leg:"pcpr" ~cfg:ccfg ~digest
-            ~crash_cycles:cycles program ]
+      @ [ Recovery.sweep_pcpr ~leg:"pcpr" ~cfg:(Run.cpr_config scn)
+            ~crash_cycles:cycles p ]
     end
   in
   let all_ok = List.for_all Recovery.leg_ok reports in
@@ -367,8 +344,8 @@ let serve_run port sock jobs depth cache_cap idle_ms () allow_fault =
 (* Local one-shot ground truth for --verify: same scenario, fresh decode,
    no daemon. Digest, cycles and DNC must match bit for bit. *)
 let verify_against_local scn reply =
-  let spec, program = Server.Scenario.build_program scn in
-  let local = Server.Scenario.run ~spec ~program scn in
+  let spec, program = Run.build_program scn in
+  let local = Run.run ~spec ~program scn in
   let got what = Result.value ~default:"?" what in
   match
     ( Server.Json.str "digest" reply,
@@ -376,9 +353,8 @@ let verify_against_local scn reply =
       Server.Json.bool "dnc" reply )
   with
   | Ok d, Ok cyc, Ok dnc
-    when d = local.Server.Scenario.digest
-         && cyc = local.Server.Scenario.sim_cycles
-         && dnc = local.Server.Scenario.dnc ->
+    when d = local.Run.digest && cyc = local.Run.sim_cycles
+         && dnc = local.Run.dnc ->
     None
   | _ ->
     Some
@@ -388,7 +364,7 @@ let verify_against_local scn reply =
          (got
             (Result.map string_of_int
                (Server.Json.int ~default:(-1) "sim_cycles" reply)))
-         local.Server.Scenario.digest local.Server.Scenario.sim_cycles)
+         local.Run.digest local.Run.sim_cycles)
 
 let client_run port sock retries workload engine contexts scale seed rate
     grain ordering interval count mix open_rps verify show_stats do_shutdown =
@@ -423,18 +399,17 @@ let client_run port sock retries workload engine contexts scale seed rate
             List.concat_map
               (fun e ->
                 List.map
-                  (fun r -> { base with Server.Scenario.workload = w;
-                              engine = e; rate = r })
+                  (fun r -> { base with Run.workload = w; engine = e; rate = r })
                   (List.sort_uniq compare [ 0.0; rate ]))
               [ "pthreads"; "cpr"; "gprs" ])
           Workloads.Suite.names
       else
         List.init count (fun i ->
-            { base with Server.Scenario.seed = seed + i })
+            { base with Run.seed = seed + i })
     in
     let scenarios =
       List.mapi
-        (fun i scn -> { scn with Server.Scenario.id = Printf.sprintf "c%d" i })
+        (fun i scn -> { scn with Run.id = Printf.sprintf "c%d" i })
         scenarios
     in
     let t0 = Unix.gettimeofday () in
@@ -449,20 +424,18 @@ let client_run port sock retries workload engine contexts scale seed rate
           (if ev <> "done" then begin
              incr failures;
              Format.printf "%-14s %-8s rate %-4g FAILED: %s@."
-               scn.Server.Scenario.workload scn.Server.Scenario.engine
-               scn.Server.Scenario.rate (Server.Json.to_string reply)
+               scn.Run.workload scn.Run.engine scn.Run.rate
+               (Server.Json.to_string reply)
            end
            else
              match if verify then verify_against_local scn reply else None with
              | Some msg ->
                incr failures;
                Format.printf "%-14s %-8s rate %-4g MISMATCH: %s@."
-                 scn.Server.Scenario.workload scn.Server.Scenario.engine
-                 scn.Server.Scenario.rate msg
+                 scn.Run.workload scn.Run.engine scn.Run.rate msg
              | None ->
                Format.printf "%-14s %-8s rate %-4g ok  %7.2f ms  %s@."
-                 scn.Server.Scenario.workload scn.Server.Scenario.engine
-                 scn.Server.Scenario.rate ms
+                 scn.Run.workload scn.Run.engine scn.Run.rate ms
                  (Result.value ~default:"?"
                     (Server.Json.str ~default:"?" "digest" reply)));
           ms)
@@ -472,19 +445,12 @@ let client_run port sock retries workload engine contexts scale seed rate
     let n = List.length lats in
     let sorted = Array.of_list lats in
     Array.sort compare sorted;
-    let pick p =
-      if n = 0 then 0.
-      else
-        sorted.(Stdlib.max 0
-                  (Stdlib.min (n - 1)
-                     (int_of_float (Float.ceil (p /. 100. *. float_of_int n))
-                      - 1)))
-    in
     Format.printf
-      "summary   : %d requests, %d failed, %.1f req/s, p50 %.2f ms, p99 %.2f        ms%s@."
+      "summary   : %d requests, %d failed, %.1f req/s, p50 %.2f ms, p99 %.2f ms%s@."
       n !failures
       (if wall > 0. then float_of_int n /. wall else 0.)
-      (pick 50.) (pick 99.)
+      (Server.Client.percentile sorted 50.)
+      (Server.Client.percentile sorted 99.)
       (if verify then " (verified against one-shot)" else ""));
   if show_stats then
     Format.printf "stats     : %s@."
@@ -553,29 +519,21 @@ let workload =
 
 let engine =
   let doc = "Engine: pthreads, cpr, or gprs." in
-  Arg.(value & opt (one_of Server.Scenario.engines) "gprs"
-       & info [ "e"; "engine" ] ~doc)
-
-(* An int of at least 1: a machine with no context never progresses. *)
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.(value & opt (one_of Run.engines) "gprs" & info [ "e"; "engine" ] ~doc)
 
 let contexts =
-  Arg.(value & opt positive_int 24 & info [ "contexts"; "n" ] ~doc:"Hardware contexts (at least 1).")
-let scale = Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Input scale.")
+  Arg.(value & opt Cli.positive_int 24 & info [ "contexts"; "n" ] ~doc:"Hardware contexts (at least 1).")
+let scale =
+  Arg.(value & opt Cli.scale 1.0
+       & info [ "scale" ] ~doc:"Input scale (finite, at least 0).")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.")
 let rate = Arg.(value & opt float 0.0 & info [ "rate" ] ~doc:"Exceptions per second.")
 let grain =
-  Arg.(value & opt (one_of (List.map fst Server.Scenario.grains)) "default"
+  Arg.(value & opt (one_of (List.map fst Run.grains)) "default"
        & info [ "grain" ] ~doc:"default or fine.")
 
 let ordering =
-  Arg.(value & opt (one_of (List.map fst Server.Scenario.orderings)) "balance-aware"
+  Arg.(value & opt (one_of (List.map fst Run.orderings)) "balance-aware"
        & info [ "ordering" ]
            ~doc:
              "GPRS ordering: round-robin, balance-aware, weighted, or recorded \
@@ -683,14 +641,17 @@ let crash_sample =
               of every WAL-record boundary (0 = exhaustive).")
 
 (* Comma-separated ordering legs, each a deterministic ordering under its
-   full name or short alias; a leg is named after the name given. Any
-   other name, or none, is a usage error. *)
+   full name or short alias; a leg is named after the name given and
+   carries the ordering's full name. Any other name, or none, is a usage
+   error. *)
 let sweep_schemes =
   let short =
-    Gprs.Order.[ ("rr", Round_robin); ("bal", Balance_aware); ("wt", Weighted) ]
+    [ ("rr", "round-robin"); ("bal", "balance-aware"); ("wt", "weighted") ]
   in
   let named =
-    List.filter (fun (_, o) -> o <> Gprs.Order.Recorded) Server.Scenario.orderings
+    List.filter_map
+      (fun (n, o) -> if o = Gprs.Order.Recorded then None else Some (n, n))
+      Run.orderings
     @ short
   in
   let parse s =

@@ -48,7 +48,7 @@ let run_one cfg charts = function
     let spec = Workloads.Suite.find "pbzip2" in
     Analysis.Experiments.render_weights ppf spec
       (Analysis.Experiments.tune_weights cfg spec)
-  | other -> Format.fprintf ppf "unknown experiment %S@." other
+  | other -> invalid_arg other (* [which] admits only the names above *)
 
 let experiments =
   [ "table1"; "table2"; "fig8a"; "fig8b"; "fig9"; "fig10"; "fig11" ]
@@ -56,7 +56,7 @@ let experiments =
 let ablations =
   [ "ablate-order"; "ablate-latency"; "ablate-recovery"; "ablate-interval"; "tune-weights" ]
 
-let main which contexts scale seed charts jobs =
+let main targets contexts scale seed charts jobs =
   let jobs =
     if jobs = 0 then Analysis.Pool.available_jobs () else Stdlib.max 1 jobs
   in
@@ -69,12 +69,6 @@ let main which contexts scale seed charts jobs =
       jobs;
     }
   in
-  let targets =
-    match which with
-    | "all" -> experiments
-    | "ablations" -> ablations
-    | w -> [ w ]
-  in
   List.iter
     (fun t ->
       run_one cfg charts t;
@@ -85,17 +79,21 @@ let which =
   let doc =
     "Experiment to regenerate: table1, table2, fig8a, fig8b, fig9, fig10, \
      fig11, all; or ablate-order, ablate-latency, ablate-recovery, \
-     tune-weights, ablations."
+     ablate-interval, tune-weights, ablations."
   in
-  Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
+  let targets =
+    ("all", experiments) :: ("ablations", ablations)
+    :: List.map (fun n -> (n, [ n ])) (experiments @ ablations)
+  in
+  Arg.(value & pos 0 (enum targets) experiments & info [] ~docv:"EXPERIMENT" ~doc)
 
 let contexts =
   let doc = "Number of simulated hardware contexts." in
-  Arg.(value & opt int 24 & info [ "contexts"; "n" ] ~doc)
+  Arg.(value & opt Cli.positive_int 24 & info [ "contexts"; "n" ] ~doc)
 
 let scale =
   let doc = "Input-size scale (1.0 = the paper-style large inputs)." in
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~doc)
+  Arg.(value & opt Cli.scale 1.0 & info [ "scale" ] ~doc)
 
 let seed =
   let doc = "Simulation seed." in

@@ -13,58 +13,58 @@ let default_cfg =
 (* Prepared programs and engine runners                                *)
 (* ------------------------------------------------------------------ *)
 
-(* One workload x grain x context count, built and analyzed once. The
-   engine's [`Warn] lint runs at most once, before the first GPRS run:
-   the drivers hold a prepared value for one row, inside one [Pool.map]
-   task, so the lazy is never forced from two domains. *)
+(* One workload x grain x context count: the row's scenario and its
+   program, built and analyzed once. The engine's [`Warn] lint runs at
+   most once, before the first GPRS run: the drivers hold a prepared
+   value for one row, inside one [Pool.map] task, so the lazy is never
+   forced from two domains. *)
 type prepared = {
   cfg : cfg;
-  spec : Workloads.Workload.spec;
-  grain : Workloads.Workload.grain;
-  program : Vm.Isa.program;
-  blocks : Vm.Block.t;
+  scn : Run.t;
+  run : Run.prepared;
   linted : unit Lazy.t;
 }
 
 let prepare cfg (spec : Workloads.Workload.spec) ~grain =
-  let program =
-    spec.Workloads.Workload.build ~n_contexts:cfg.n_contexts ~grain
-      ~scale:cfg.scale
+  let scn =
+    {
+      Run.id = "";
+      workload = spec.Workloads.Workload.name;
+      engine = "gprs";
+      ordering = "balance-aware";
+      contexts = cfg.n_contexts;
+      scale = cfg.scale;
+      grain = fst (List.find (fun (_, g) -> g = grain) Run.grains);
+      seed = cfg.seed;
+      rate = 0.0;
+      interval = 0.0;
+      want_stats = false;
+    }
   in
+  let run = Run.prepare scn in
   {
     cfg;
-    spec;
-    grain;
-    program;
-    blocks = Vm.Block.analyze program;
-    linted = lazy (Gprs.Engine.admit `Warn program);
+    scn;
+    run;
+    linted = lazy (Gprs.Engine.admit `Warn run.Run.program);
   }
 
 let pthreads_on ?max_cycles p =
-  Exec.Baseline.run ~blocks:p.blocks
-    {
-      Exec.Baseline.default_config with
-      n_contexts = p.cfg.n_contexts;
-      seed = p.cfg.seed;
-      max_cycles;
-    }
-    p.program
+  Exec.Baseline.run ~blocks:p.run.Run.blocks
+    { (Run.pthreads_config p.scn) with max_cycles }
+    p.run.Run.program
 
 let gprs_exec p config =
   Lazy.force p.linted;
-  Gprs.Engine.run ~lint:`Off ~blocks:p.blocks config p.program
+  Gprs.Engine.run ~lint:`Off ~blocks:p.run.Run.blocks config p.run.Run.program
 
-let gprs_on ?(ordering = Gprs.Order.Balance_aware) ?(costs = Vm.Costs.default)
+let gprs_on ?(ordering = "balance-aware") ?(costs = Vm.Costs.default)
     ?(rate = 0.0) ?(recovery = Gprs.Engine.Selective) ?max_cycles p =
   gprs_exec p
     {
-      Gprs.Engine.default_config with
-      n_contexts = p.cfg.n_contexts;
-      seed = p.cfg.seed;
-      ordering;
+      (Run.gprs_config { p.scn with ordering; rate }) with
       recovery;
       costs;
-      injector = Faults.Injector.config ~seed:p.cfg.seed rate;
       max_cycles;
     }
 
@@ -77,8 +77,8 @@ let baseline_cache_lock = Mutex.create ()
 let baseline_cycles p =
   let cfg = p.cfg in
   let key =
-    Printf.sprintf "%s/%d/%f/%d" p.spec.Workloads.Workload.name cfg.n_contexts
-      cfg.scale cfg.seed
+    Printf.sprintf "%s/%d/%f/%d" p.scn.Run.workload cfg.n_contexts cfg.scale
+      cfg.seed
   in
   let cached =
     Mutex.protect baseline_cache_lock (fun () ->
@@ -88,10 +88,10 @@ let baseline_cycles p =
   | Some c -> c
   | None ->
     let d =
-      match p.grain with
+      match Run.grain p.scn with
       | Workloads.Workload.Default -> p
       | Workloads.Workload.Fine ->
-        prepare cfg p.spec ~grain:Workloads.Workload.Default
+        prepare cfg p.run.Run.spec ~grain:Workloads.Workload.Default
     in
     let c = (pthreads_on d).Exec.State.sim_cycles in
     Mutex.protect baseline_cache_lock (fun () ->
@@ -107,16 +107,9 @@ let cpr_on ?interval ?(rate = 0.0) ?max_cycles p =
         ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second
         (Stdlib.max 1 (baseline_cycles p / 25))
   in
-  Cpr.run ~blocks:p.blocks
-    {
-      Cpr.default_config with
-      n_contexts = p.cfg.n_contexts;
-      seed = p.cfg.seed;
-      checkpoint_interval = interval;
-      injector = Faults.Injector.config ~seed:p.cfg.seed rate;
-      max_cycles;
-    }
-    p.program
+  Cpr.run ~blocks:p.run.Run.blocks
+    { (Run.cpr_config { p.scn with interval; rate }) with max_cycles }
+    p.run.Run.program
 
 (* ------------------------------------------------------------------ *)
 (* Engine front-ends: one-shot, each prepares its own program          *)
@@ -124,11 +117,10 @@ let cpr_on ?interval ?(rate = 0.0) ?max_cycles p =
 
 let run_pthreads cfg spec ~grain = pthreads_on (prepare cfg spec ~grain)
 
-let run_gprs ?ordering ?costs ?rate ?recovery ?max_cycles cfg spec ~grain =
-  gprs_on ?ordering ?costs ?rate ?recovery ?max_cycles (prepare cfg spec ~grain)
+let run_gprs ?costs ?rate cfg spec ~grain =
+  gprs_on ?costs ?rate (prepare cfg spec ~grain)
 
-let run_cpr ?interval ?rate ?max_cycles cfg spec ~grain =
-  cpr_on ?interval ?rate ?max_cycles (prepare cfg spec ~grain)
+let run_cpr ?rate cfg spec ~grain = cpr_on ?rate (prepare cfg spec ~grain)
 
 let costs_order_only =
   {
@@ -217,7 +209,7 @@ let fig8 cfg ~grain ~id ~title =
         let base = baseline_cycles p in
         let budget = Some (cfg.dnc_factor * base) in
         let g_r_or =
-          gprs_on ~ordering:Gprs.Order.Round_robin ~costs:costs_order_only
+          gprs_on ~ordering:"round-robin" ~costs:costs_order_only
             ?max_cycles:budget p
         in
         let g_b_or = gprs_on ~costs:costs_order_only ?max_cycles:budget p in
@@ -459,10 +451,10 @@ let ablation_ordering cfg =
         let run ?rate ordering = gprs_on ~ordering ?rate ?max_cycles:budget p in
         let bars ?rate () =
           [
-            with_label "RR" (rel ~base (run ?rate Gprs.Order.Round_robin));
-            with_label "BA" (rel ~base (run ?rate Gprs.Order.Balance_aware));
-            with_label "WT" (rel ~base (run ?rate Gprs.Order.Weighted));
-            with_label "REC" (rel ~base (run ?rate Gprs.Order.Recorded));
+            with_label "RR" (rel ~base (run ?rate "round-robin"));
+            with_label "BA" (rel ~base (run ?rate "balance-aware"));
+            with_label "WT" (rel ~base (run ?rate "weighted"));
+            with_label "REC" (rel ~base (run ?rate "recorded"));
           ]
         in
         [
@@ -497,16 +489,13 @@ let ablation_latency cfg =
   let rate = 6.0 /. base_s in
   List.map
     (fun latency ->
-      let costs = { Vm.Costs.default with Vm.Costs.detection_latency = latency } in
+      let c = Run.gprs_config { p.scn with rate } in
       let r =
         gprs_exec p
           {
-            Gprs.Engine.default_config with
-            n_contexts = cfg.n_contexts;
-            seed = cfg.seed;
-            costs;
-            injector =
-              Faults.Injector.config ~seed:cfg.seed ~detection_latency:latency rate;
+            c with
+            costs = { Vm.Costs.default with Vm.Costs.detection_latency = latency };
+            injector = { c.injector with Faults.Injector.detection_latency = latency };
             max_cycles = Some (cfg.dnc_factor * base);
           }
       in
@@ -556,7 +545,7 @@ let ablation_recovery cfg =
 let tune_weights cfg (spec : Workloads.Workload.spec) =
   let p = prepare cfg spec ~grain:Workloads.Workload.Default in
   let base = baseline_cycles p in
-  let n_groups = p.program.Vm.Isa.n_groups in
+  let n_groups = p.run.Run.program.Vm.Isa.n_groups in
   let candidates =
     (* uniform plus front-loaded pipelines of varying steepness *)
     [ Array.make n_groups 1 ]
@@ -580,16 +569,11 @@ let tune_weights cfg (spec : Workloads.Workload.spec) =
       (fun weights ->
         (* Weights change neither the code nor the lint verdict, so the
            variant reuses [p]'s decode and its one lint. *)
-        let p_w =
-          { p with program = { p.program with Vm.Isa.group_weights = weights } }
-        in
+        let program = { p.run.Run.program with Vm.Isa.group_weights = weights } in
         let r =
-          gprs_exec p_w
+          gprs_exec { p with run = { p.run with Run.program } }
             {
-              Gprs.Engine.default_config with
-              n_contexts = cfg.n_contexts;
-              seed = cfg.seed;
-              ordering = Gprs.Order.Weighted;
+              (Run.gprs_config { p.scn with ordering = "weighted" }) with
               max_cycles = Some (cfg.dnc_factor * base);
             }
         in

@@ -27,38 +27,33 @@ val default_cfg : cfg
 
 (** {1 Engine front-ends}
 
-    One-shot runs for the CLI, the bench and the tests: each call builds
-    its program, runs [Vm.Block.analyze] and (for GPRS) lints it, then
-    runs once. The drivers below do not call them. They prepare each
-    program once per row (one workload x grain x context count) and run
-    every engine run of that row on it, with GPRS-lint paid once per
-    program rather than once per run. *)
+    One-shot runs for the bench and the tests: each call prepares its
+    program ({!Run.prepare}) and (for GPRS) lints it, then runs once.
+    The drivers below do not call them. They prepare each program once
+    per row (one workload x grain x context count) and run every engine
+    run of that row on it, with GPRS-lint paid once per program rather
+    than once per run. Engine configs come from {!Run}'s scenario map. *)
 
 val run_pthreads :
   cfg -> Workloads.Workload.spec -> grain:Workloads.Workload.grain -> Exec.State.run_result
 
 val run_gprs :
-  ?ordering:Gprs.Order.scheme ->
   ?costs:Vm.Costs.t ->
   ?rate:float ->
-  ?recovery:Gprs.Engine.recovery ->
-  ?max_cycles:int ->
   cfg ->
   Workloads.Workload.spec ->
   grain:Workloads.Workload.grain ->
   Exec.State.run_result
-(** Defaults: balance-aware (with the workload's weights applied under
-    [Weighted]), full cost model, no faults, selective restart. *)
+(** Balance-aware ordering, selective restart. Defaults: full cost
+    model, no faults. *)
 
 val run_cpr :
-  ?interval:float ->
   ?rate:float ->
-  ?max_cycles:int ->
   cfg ->
   Workloads.Workload.spec ->
   grain:Workloads.Workload.grain ->
   Exec.State.run_result
-(** Default interval: 1/25 of the workload's fault-free duration. *)
+(** Checkpoint interval: 1/25 of the workload's fault-free duration. *)
 
 val costs_order_only : Vm.Costs.t
 (** Cost-accounting ablation: ROL management and checkpointing charges

@@ -1,14 +1,10 @@
 let cpr_checkpoint_penalty ~t ~n ~tc ~ts = 1.0 /. t *. float_of_int n *. (tc +. ts)
 
-let hw_checkpoint_penalty ~t ~n ~nc ~tc ~ts =
-  1.0 /. t *. float_of_int nc *. (tc +. (float_of_int n /. float_of_int nc *. ts))
-
 let gprs_checkpoint_penalty ~t ~n ~ts = 1.0 /. t *. float_of_int n *. ts
 
 let restart_delay ~t ~tw = t +. tw
 
 let cpr_restart_penalty ~n ~e ~tr = float_of_int n *. e *. tr
-let hw_restart_penalty ~nc ~e ~tr = float_of_int nc *. e *. tr
 let gprs_restart_penalty ~e ~tr = e *. tr
 
 let gprs_ordering_penalty ~t ~n ~tg = 1.0 /. t *. float_of_int n *. tg

@@ -13,11 +13,6 @@
 val cpr_checkpoint_penalty : t:float -> n:int -> tc:float -> ts:float -> float
 (** [Pc = 1/t · n · (tc + ts)] — penalty in context-seconds per second. *)
 
-val hw_checkpoint_penalty :
-  t:float -> n:int -> nc:int -> tc:float -> ts:float -> float
-(** Hardware proposals involve only communicating threads:
-    [Pc = 1/t · nc · (tc + n/nc·ts)]. *)
-
 val gprs_checkpoint_penalty : t:float -> n:int -> ts:float -> float
 (** Ordering eliminates coordination: [Pc = 1/t · n · ts]. *)
 
@@ -26,9 +21,6 @@ val restart_delay : t:float -> tw:float -> float
 
 val cpr_restart_penalty : n:int -> e:float -> tr:float -> float
 (** [Pr = n · e · tr]. *)
-
-val hw_restart_penalty : nc:int -> e:float -> tr:float -> float
-(** [Pr = nc · e · tr]. *)
 
 val gprs_restart_penalty : e:float -> tr:float -> float
 (** Selective restart: [Pr = e · tr]. *)

@@ -43,9 +43,6 @@ let hm_row fig =
       in
       Some { row_name = "HM"; bars }
 
-let fmt_rel v =
-  if Float.is_nan v || v = infinity then "DNC" else Printf.sprintf "%.2f" v
-
 let fmt_bar b = if b.dnc then "DNC" else Printf.sprintf "%.2f" b.value
 
 let render_table ppf ~title ~header rows =

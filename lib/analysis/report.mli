@@ -30,9 +30,6 @@ val render_table :
   Format.formatter -> title:string -> header:string list -> string list list -> unit
 (** Generic aligned table with a header rule. *)
 
-val fmt_rel : float -> string
-(** Two-decimal relative time, or ["DNC"] when infinite/NaN. *)
-
 val render_bar_chart : Format.formatter -> figure -> unit
 (** Horizontal ASCII bars, one per (row, bar), like the paper's grouped
     bar charts. Bars are clipped at 4.0x with a [">"] marker; DNC renders

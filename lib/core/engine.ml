@@ -200,7 +200,6 @@ let capture eng =
     d_ring = eng.ring;
   }
 
-let dump_cycle d = d.d_cycle
 let dump_wal_image d = d.d_image
 let dump_active_ids d = List.map (fun (s : Subthread.t) -> s.Subthread.id) d.d_subs
 
@@ -1550,21 +1549,8 @@ let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
 let admit lint program =
   match lint with
   | `Off -> ()
-  | (`Warn | `Strict) as mode -> (
-    let diags = Lint.Check.program program in
-    let visible =
-      List.filter
-        (fun d -> d.Lint.Diagnostic.severity <> Lint.Diagnostic.Info)
-        diags
-    in
-    match mode with
-    | `Strict when Lint.Check.has_errors diags ->
-      raise (Lint.Check.Rejected (Lint.Check.errors diags))
-    | `Strict | `Warn ->
-      if visible <> [] then
-        Format.eprintf "%a"
-          (Lint.Render.pp ~title:"GPRS-lint (pre-execution)")
-          visible)
+  | (`Warn | `Strict) as mode ->
+    ignore (Lint.Check.admit mode ~title:"GPRS-lint (pre-execution)" program)
 
 let run ?(lint = `Warn) ?wal_out ?blocks ?events cfg program =
   admit lint program;

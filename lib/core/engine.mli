@@ -104,9 +104,6 @@ type crash_dump
 exception Crashed of crash_dump
 (** Raised by {!run} when a configured crash trigger fires. *)
 
-val dump_cycle : crash_dump -> int
-(** Simulated cycle at which the crash struck. *)
-
 val dump_wal_image : crash_dump -> string
 (** The WAL's stable-storage image as of the crash. *)
 

@@ -151,11 +151,6 @@ let aset_shares set sub =
 
 (* --- status ----------------------------------------------------------- *)
 
-let is_complete t = match t.status with Complete _ -> true | Running | Squashed -> false
-
-let completion_time t =
-  match t.status with Complete c -> Some c | Running | Squashed -> None
-
 (* --- pooling ---------------------------------------------------------- *)
 
 type pool = {

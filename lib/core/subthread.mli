@@ -88,10 +88,6 @@ val aliases : t -> alias list
 
 val clear_aliases : t -> unit
 
-val is_complete : t -> bool
-
-val completion_time : t -> int option
-
 (** {1 Accumulated alias sets}
 
     The selective-squash walk tests each younger sub-thread against the

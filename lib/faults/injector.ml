@@ -87,14 +87,3 @@ let next t =
     in
     ({ t with prng; last = at_s; seq = t.seq + 1 }, Some ev)
   end
-
-let peek t = snd (next t)
-
-let pp_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with
-    | Transient_fault -> "transient_fault"
-    | Voltage_emergency -> "voltage_emergency"
-    | Approx_recompute -> "approx_recompute"
-    | Resource_revocation -> "resource_revocation"
-    | Crash -> "crash")

@@ -62,10 +62,4 @@ val next : t -> t * event option
     [None] when injection is disabled. Pure-functional interface so
     engines can't accidentally share streams. *)
 
-val peek : t -> event option
-(** The next exception without advancing the stream (the fused-dispatch
-    horizon check: engines must not fuse past the next occurrence). *)
-
 val rate : t -> float
-
-val pp_kind : Format.formatter -> kind -> unit

@@ -158,16 +158,7 @@ let parse_matrix j =
 
 (* --- execution ----------------------------------------------------------- *)
 
-let gprs_cfg ?max_cycles (s : Scenario.t) =
-  {
-    Gprs.Engine.default_config with
-    n_contexts = s.contexts;
-    seed = s.seed;
-    ordering = Scenario.ordering s;
-    injector = Faults.Injector.config ~seed:s.seed s.rate;
-    wal_stable = true;
-    max_cycles;
-  }
+let gprs_cfg s = { (Run.gprs_config s) with Gprs.Engine.wal_stable = true }
 
 (* Recovery-side points must survive the crash to exercise their seams;
    everything else is disarmed before recovery so an unbounded-window
@@ -194,22 +185,23 @@ let classify_finished ~want ~dnc got =
 
 (* Classify a one-shot gprs run under armed points. [want]/[budget] come
    from the fault-free pilot; [dg] is the workload digest. *)
-let classify_gprs ~dg ~want ~budget cfg program =
+let classify_gprs ~want ~budget cfg (p : Run.prepared) =
+  let dg = p.Run.spec.Workloads.Workload.digest in
   Recovery.classify_crash ~want ~digest:dg
     ~finished:(fun r -> classify_finished ~want ~dnc:r.Exec.State.dnc (fun () -> dg r))
     (fun () ->
       match
-        Gprs.Engine.run ~lint:`Off
+        Gprs.Engine.run ~lint:`Off ~blocks:p.Run.blocks
           { cfg with Gprs.Engine.max_cycles = budget }
-          program
+          p.Run.program
       with
       | r -> r
       | exception (Gprs.Engine.Crashed _ as crash) ->
         disarm_run_points ();
         raise crash)
 
-let classify_other ~spec ~program ~want scen =
-  match Scenario.run ~spec ~program scen with
+let classify_other ~want { Run.spec; program; blocks } scen =
+  match Run.run ~spec ~program ~blocks scen with
   | exception Points.Fault_error msg -> (Recovery.Signature.refused_error, msg)
   | (o : Scenario.outcome) ->
     classify_finished ~want ~dnc:o.dnc (fun () -> o.digest)
@@ -318,32 +310,33 @@ let run_matrix ?(only = []) ?(seed = 0) ?(iters = 1) ?(log = fun _ -> ()) j =
   if rows = [] then Error "no scenarios selected"
   else begin
     let iters = Stdlib.max 1 iters in
-    (* Decoded programs keyed on build knobs; pilots on full run
+    (* Prepared programs keyed on build knobs; pilots on full run
        identity (seed included). Both caches are per-sweep. *)
     let programs = Hashtbl.create 8 in
     let pilots = Hashtbl.create 8 in
-    let program_of (s : Scenario.t) =
-      let key = Scenario.program_key s in
+    let prepared_of s =
+      let key = Run.program_key s in
       match Hashtbl.find_opt programs key with
-      | Some v -> v
+      | Some p -> p
       | None ->
-        let v = Scenario.build_program s in
-        Hashtbl.add programs key v;
-        v
+        let p = Run.prepare s in
+        Hashtbl.add programs key p;
+        p
     in
-    let pilot_of ~spec ~program (s : Scenario.t) =
-      let key = Scenario.coalesce_key s in
+    let pilot_of (p : Run.prepared) s =
+      let key = Run.coalesce_key s in
       match Hashtbl.find_opt pilots key with
       | Some v -> v
       | None ->
         let v =
-          if s.engine = "gprs" then begin
-            let _image, r = Recovery.pilot ~cfg:(gprs_cfg s) program in
-            (spec.Workloads.Workload.digest r, r.Exec.State.sim_cycles)
+          if s.Run.engine = "gprs" then begin
+            let _image, r = Recovery.pilot ~cfg:(gprs_cfg s) p in
+            (p.Run.spec.Workloads.Workload.digest r, r.Exec.State.sim_cycles)
           end
           else
-            let o = Scenario.run ~spec ~program s in
-            (o.Scenario.digest, o.Scenario.sim_cycles)
+            let { Run.spec; program; blocks } = p in
+            let o = Run.run ~spec ~program ~blocks s in
+            (o.Run.digest, o.Run.sim_cycles)
         in
         Hashtbl.add pilots key v;
         v
@@ -358,8 +351,8 @@ let run_matrix ?(only = []) ?(seed = 0) ?(iters = 1) ?(log = fun _ -> ()) j =
         { row.r_scen with Scenario.seed = eff_seed; id = "fs-" ^ row.r_name }
       in
       Points.reset_all ();
-      let spec, program = program_of scen in
-      let want, pilot_cycles = pilot_of ~spec ~program scen in
+      let p = prepared_of scen in
+      let want, pilot_cycles = pilot_of p scen in
       (* Arm. One-shot rows arm the registry directly; service rows go
          through the daemon's fault verb (same registry — the daemon is
          in-process — but the protocol path is part of what the sweep
@@ -392,12 +385,10 @@ let run_matrix ?(only = []) ?(seed = 0) ?(iters = 1) ?(log = fun _ -> ()) j =
             classify_service ~want s scen
           end
           else if scen.engine = "gprs" then
-            classify_gprs
-              ~dg:spec.Workloads.Workload.digest
-              ~want
+            classify_gprs ~want
               ~budget:(Some ((4 * pilot_cycles) + 10000))
-              (gprs_cfg scen) program
-          else classify_other ~spec ~program ~want scen
+              (gprs_cfg scen) p
+          else classify_other ~want p scen
       in
       let fires = total_fires () in
       let pts = points_json () in

@@ -659,5 +659,16 @@ let errors diags =
 
 let has_errors diags = errors diags <> []
 
+let admit mode ~title prog =
+  let diags = program prog in
+  let errs = errors diags in
+  if mode = `Strict && errs <> [] then raise (Rejected errs);
+  (match
+     List.filter (fun d -> d.Diagnostic.severity <> Diagnostic.Info) diags
+   with
+  | [] -> ()
+  | visible -> Format.eprintf "%a" (Render.pp ~title) visible);
+  errs
+
 let has_kind kind diags =
   List.exists (fun d -> d.Diagnostic.kind = kind) diags

@@ -51,6 +51,14 @@ val program_facts : Vm.Isa.program -> Diagnostic.t list * facts
 (** As {!program}, additionally collecting per-site access summaries and
     fork sites for the Eraser-style race pass ({!Race.program}). *)
 
+val admit :
+  [ `Warn | `Strict ] -> title:string -> Vm.Isa.program -> Diagnostic.t list
+(** The one lint admission ({!Gprs.Engine.run}'s hook, [gprs_run]'s
+    pre-run pass and the daemon's cache fill): analyze the program,
+    print its visible (non-info) findings to stderr under [title], and
+    return the error-severity ones. [`Strict] instead raises {!Rejected},
+    printing nothing, when there are errors. *)
+
 val errors : Diagnostic.t list -> Diagnostic.t list
 (** Just the [Error]-severity findings. *)
 

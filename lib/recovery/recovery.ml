@@ -204,14 +204,18 @@ type leg_report = {
   replayed_lsns : int;
   redone_ops : int;
   squashed_subs : int;
+  crash_cycles : int list;
 }
 
 let leg_ok r = r.mismatches = []
 
-let pilot ~cfg program =
+(* Every run of a sweep reuses the prepared program's analyzed blocks. *)
+let gprs_run ?wal_out cfg (p : Run.prepared) =
+  Gprs.Engine.run ~lint:`Off ?wal_out ~blocks:p.Run.blocks cfg p.Run.program
+
+let pilot ~cfg p =
   let out = ref "" in
-  let cfg = { cfg with Gprs.Engine.wal_stable = true } in
-  let r = Gprs.Engine.run ~lint:`Off ~wal_out:out cfg program in
+  let r = gprs_run ~wal_out:out { cfg with Gprs.Engine.wal_stable = true } p in
   (!out, r)
 
 (* [n] distinct elements of [pts], chosen by a seeded shuffle so large
@@ -229,11 +233,11 @@ let sample_points prng n pts =
 
 (* A leg over [points], each classified by [classify]: every point's
    signature in sweep order, and the detail of each one that failed. *)
-let leg_of ~leg ~points_total classify points =
+let leg_of ~leg ~crash_cycles classify points =
   let results = List.map (fun p -> (p, classify p)) points in
   {
     leg;
-    points_total;
+    points_total = List.length crash_cycles;
     points_run = List.length points;
     mismatches =
       List.filter_map
@@ -246,16 +250,17 @@ let leg_of ~leg ~points_total classify points =
     replayed_lsns = 0;
     redone_ops = 0;
     squashed_subs = 0;
+    crash_cycles;
   }
 
-let sweep_gprs ?sample ?(sample_seed = 7) ~leg ~cfg ~digest program =
-  let image, pr = pilot ~cfg program in
+let sweep_gprs ?sample ?(sample_seed = 7) ~leg ~cfg (p : Run.prepared) =
+  let digest = p.Run.spec.Workloads.Workload.digest in
+  let image, pr = pilot ~cfg p in
   let want = digest pr in
   let a0 = analyze image in
-  let points_total = List.length a0.points in
   let chosen =
     match sample with
-    | Some n when n < points_total ->
+    | Some n when n < List.length a0.points ->
       sample_points (Sim.Prng.create sample_seed) n a0.points
     | Some _ | None -> a0.points
   in
@@ -275,12 +280,12 @@ let sweep_gprs ?sample ?(sample_seed = 7) ~leg ~cfg ~digest program =
   let classify lsn =
     classify_crash ~recovered ~resumed ~want ~digest
       ~finished:(fun _ -> (Signature.not_triggered, "crash point never fired"))
-      (fun () ->
-        Gprs.Engine.run ~lint:`Off
-          { cfg with Gprs.Engine.crash_lsn = Some lsn }
-          program)
+      (fun () -> gprs_run { cfg with Gprs.Engine.crash_lsn = Some lsn } p)
   in
-  let r = leg_of ~leg ~points_total classify (List.map fst chosen) in
+  let r =
+    leg_of ~leg ~crash_cycles:(List.map snd a0.points) classify
+      (List.map fst chosen)
+  in
   let n = r.points_run in
   {
     r with
@@ -291,11 +296,15 @@ let sweep_gprs ?sample ?(sample_seed = 7) ~leg ~cfg ~digest program =
     squashed_subs = !squashed;
   }
 
-let sweep_pcpr ~leg ~cfg ~digest ~crash_cycles program =
-  let want = digest (Cpr.run { cfg with Cpr.crash_at = None } program) in
-  leg_of ~leg ~points_total:(List.length crash_cycles)
+let sweep_pcpr ~leg ~cfg ~crash_cycles (p : Run.prepared) =
+  let digest = p.Run.spec.Workloads.Workload.digest in
+  let run crash_at =
+    Cpr.run ~blocks:p.Run.blocks { cfg with Cpr.crash_at } p.Run.program
+  in
+  let want = digest (run None) in
+  leg_of ~leg ~crash_cycles
     (fun c ->
-      let r = Cpr.run { cfg with Cpr.crash_at = Some c } program in
+      let r = run (Some c) in
       classify_run ~want ~dnc:r.Exec.State.dnc (fun () -> digest r))
     crash_cycles
 

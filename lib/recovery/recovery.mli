@@ -140,6 +140,10 @@ type leg_report = {
   replayed_lsns : int;  (** summed over points *)
   redone_ops : int;
   squashed_subs : int;
+  crash_cycles : int list;
+      (** the simulated cycle of every enumerable crash point, in point
+          order: a GPRS leg's pilot WAL records (the schedule a P-CPR
+          leg replays), or the cycles a P-CPR leg was given *)
 }
 
 val leg_ok : leg_report -> bool
@@ -148,18 +152,20 @@ val sample_points : Sim.Prng.t -> int -> 'a list -> 'a list
 (** [n] distinct elements chosen by a seeded shuffle, original order
     preserved — how large sweeps subsample their crash points. *)
 
+(** A sweep runs one {!Run.prepared} program, analyzed once, at every
+    crash point, and judges each run by the workload's digest. *)
+
 val pilot :
-  cfg:Gprs.Engine.config -> Vm.Isa.program -> string * Exec.State.run_result
-(** Fault-free stable-armed run: the reference digest and the WAL image
-    whose record boundaries the sweep enumerates. *)
+  cfg:Gprs.Engine.config -> Run.prepared -> string * Exec.State.run_result
+(** Fault-free stable-armed run: the WAL image whose record boundaries
+    the sweep enumerates, and the run whose digest is the reference. *)
 
 val sweep_gprs :
   ?sample:int ->
   ?sample_seed:int ->
   leg:string ->
   cfg:Gprs.Engine.config ->
-  digest:(Exec.State.run_result -> string) ->
-  Vm.Isa.program ->
+  Run.prepared ->
   leg_report
 (** Crash the run at every WAL op-record boundary ([sample] seeded
     points on large logs; default exhaustive), cold-recover, resume, and
@@ -171,9 +177,8 @@ val sweep_gprs :
 val sweep_pcpr :
   leg:string ->
   cfg:Cpr.config ->
-  digest:(Exec.State.run_result -> string) ->
   crash_cycles:int list ->
-  Vm.Isa.program ->
+  Run.prepared ->
   leg_report
 (** The comparison leg: P-CPR crashed at the given simulated cycles
     (the GPRS sweep's record cycles), restarting from its last committed

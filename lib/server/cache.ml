@@ -16,10 +16,8 @@
    the same program twice. *)
 
 type entry = {
-  e_spec : Workloads.Workload.spec;
-  e_program : Vm.Isa.program;
-  e_blocks : Vm.Block.t;
-  e_lint_errors : int;  (* error-severity findings; > 0 refuses runs *)
+  prepared : Run.prepared;
+  lint_errors : int;  (* error-severity findings; > 0 refuses runs *)
 }
 
 type slot = Built of entry | Building

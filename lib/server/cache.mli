@@ -1,18 +1,16 @@
 (** LRU program cache with in-flight build deduplication.
 
     An entry bundles everything the cold path computes once per
-    (workload, build knobs): the decoded program, its
-    fused/compiled {!Vm.Block.t} superblocks, and the lint admission
-    verdict. Sharing entries across concurrent runs is sound because
-    programs and analyzed blocks are immutable after construction and
-    every run copies its inputs into private machine state — see
-    DESIGN.md §7 for the determinism argument. *)
+    (workload, build knobs): the {!Run.prepared} program (decode plus
+    fused/compiled superblocks) and the lint admission verdict. Sharing
+    entries across concurrent runs is sound because programs and
+    analyzed blocks are immutable after construction and every run
+    copies its inputs into private machine state — see DESIGN.md §7 for
+    the determinism argument. *)
 
 type entry = {
-  e_spec : Workloads.Workload.spec;
-  e_program : Vm.Isa.program;
-  e_blocks : Vm.Block.t;
-  e_lint_errors : int;
+  prepared : Run.prepared;
+  lint_errors : int;
       (** error-severity GPRS-lint findings; a positive count makes the
           daemon refuse runs against this program (the CLI's
           [--strict-lint] behaviour, applied once at admission) *)

@@ -62,6 +62,10 @@ type load = {
   p99_ms : float;
 }
 
+val percentile : float array -> float -> float
+(** [percentile sorted p]: the nearest-rank [p]th percentile of an
+    ascending array, 0 when it is empty. *)
+
 val open_loop : t -> base:Scenario.t -> n:int -> rps:float -> load
 (** Open-loop load: [n] arrivals at fixed rate [rps], sent on schedule
     regardless of completions, each with a distinct seed (distinct work

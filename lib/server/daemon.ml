@@ -147,19 +147,18 @@ let err_reply ~id code msg =
       ("error", Json.Str msg);
     ]
 
+(* Admission: the lint pass runs once per cached program, so its
+   (deterministic) verdict is part of the entry and warm requests skip
+   it. Error-severity findings refuse execution, the CLI's --strict-lint
+   stance. *)
 let build_entry scn () =
-  let spec, program = Scenario.build_program scn in
-  let blocks = Vm.Block.analyze program in
-  (* Admission validation: the static lint pass runs once per cached
-     program, so its (deterministic) verdict is part of the entry, and
-     warm requests skip it entirely. Error-severity findings refuse
-     execution, the CLI's --strict-lint stance. *)
-  let diags = Lint.Check.program program in
+  let prepared = Run.prepare scn in
   {
-    Cache.e_spec = spec;
-    e_program = program;
-    e_blocks = blocks;
-    e_lint_errors = List.length (Lint.Check.errors diags);
+    Cache.prepared;
+    lint_errors =
+      List.length
+        (Lint.Check.admit `Warn ~title:"GPRS-lint (admission)"
+           prepared.Run.program);
   }
 
 let group_finished t key reply =
@@ -207,17 +206,15 @@ let exec_group t key (g : group) () =
                ("cached", Json.Bool cached);
              ]))
       attached;
-    if entry.Cache.e_lint_errors > 0 then
+    if entry.Cache.lint_errors > 0 then
       group_finished t key (fun ~id ->
           err_reply ~id 422
             (Printf.sprintf
                "lint found %d error-severity finding(s); refusing to run"
-               entry.Cache.e_lint_errors))
+               entry.Cache.lint_errors))
     else begin
-      match
-        Scenario.run ~spec:entry.Cache.e_spec ~program:entry.Cache.e_program
-          ~blocks:entry.Cache.e_blocks scn
-      with
+      let { Run.spec; program; blocks } = entry.Cache.prepared in
+      match Run.run ~spec ~program ~blocks scn with
       | outcome ->
         group_finished t key (fun ~id ->
             match Scenario.outcome_to_json outcome with

@@ -290,18 +290,6 @@ let proc_info (t : t) (p : Isa.proc) =
   | Some info -> info
   | None -> invalid_arg ("Block.proc_info: unknown proc " ^ p.Isa.pname)
 
-let static_histogram (t : t) =
-  let hist = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun _ info ->
-      List.iter
-        (fun (l, c) ->
-          let cur = Option.value ~default:0 (Hashtbl.find_opt hist l) in
-          Hashtbl.replace hist l (cur + c))
-        info.lengths)
-    t;
-  List.sort compare (Hashtbl.fold (fun l c acc -> (l, c) :: acc) hist [])
-
 let n_compiled (t : t) =
   Hashtbl.fold (fun _ info acc -> acc + info.n_compiled) t 0
 

@@ -130,9 +130,6 @@ val analyses : unit -> int
 val proc_info : t -> Isa.proc -> proc_blocks
 (** Raises [Invalid_argument] for a proc not in the analyzed program. *)
 
-val static_histogram : t -> (int * int) list
-(** Program-wide static block-length histogram (length -> count). *)
-
 val n_compiled : t -> int
 (** Program-wide count of compiled superblock cells (the
     ["compile.superblocks"] profile counter). *)

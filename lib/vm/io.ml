@@ -65,8 +65,6 @@ let contents t f =
 
 let name t f = (entry t f).fname
 
-let n_files t = t.count
-
 let snapshot t =
   let files' =
     Array.init t.count (fun i ->

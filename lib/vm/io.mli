@@ -39,8 +39,6 @@ val contents : t -> file -> int array
 
 val name : t -> file -> string
 
-val n_files : t -> int
-
 val snapshot : t -> t
 
 val restore : t -> from:t -> unit

@@ -97,11 +97,6 @@ let restore_state t s =
   Array.blit s regs_off t.regs 0 r;
   Array.blit s (regs_off + r) t.barrier_seq 0 (Array.length t.barrier_seq)
 
-(* pc + regs + barrier_seq + one word for the packed flags — the same
-   2 + R + B the boxed snapshot charged, so checkpoint-cost stats are
-   unchanged. *)
-let saved_words s = Array.length s - 1
-
 let pp_wait ppf = function
   | Runnable -> Format.pp_print_string ppf "runnable"
   | On_mutex m -> Format.fprintf ppf "on_mutex(%d)" m

@@ -71,7 +71,4 @@ val hold : t -> int -> unit
 val unhold : t -> int -> unit
 (** Record that this thread released mutex [m]. *)
 
-val saved_words : saved -> int
-(** Size of the snapshot in words, for checkpoint-cost accounting. *)
-
 val pp_wait : Format.formatter -> wait -> unit

@@ -52,7 +52,6 @@ let create ?(stable = false) () =
 
 let stable_armed t = Option.is_some t.stable
 let set_on_append t f = t.on_append <- f
-let appended t = t.next_lsn
 
 (* --- stable-image record format ---------------------------------------
 
@@ -366,11 +365,3 @@ let parse_image image =
   List.rev !recs
 
 let all t = List.rev (entries_for t ~orders:(fun _ -> true))
-
-let pp_op ppf = function
-  | Alloc { addr; size } -> Format.fprintf ppf "alloc(%d,%d)" addr size
-  | Free { addr; size } -> Format.fprintf ppf "free(%d,%d)" addr size
-  | Thread_create { tid } -> Format.fprintf ppf "thread_create(%d)" tid
-  | Rol_insert { sub } -> Format.fprintf ppf "rol_insert(%d)" sub
-  | Sched_enqueue { sub } -> Format.fprintf ppf "sched_enqueue(%d)" sub
-  | Io_op { file; words } -> Format.fprintf ppf "io(%d,%d)" file words

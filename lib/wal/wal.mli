@@ -49,9 +49,6 @@ val set_on_append : t -> (int -> unit) option -> unit
     crash injector's trigger point ("crash at every WAL-record
     boundary"). *)
 
-val appended : t -> int
-(** Total op records ever appended (= next LSN). *)
-
 val size : t -> int
 (** Live (unpruned) entries — the bounded quantity the paper keeps in
     check by pruning at retirement. *)
@@ -138,5 +135,3 @@ val parse_image : string -> srec list
 
 val all : t -> entry list
 (** Oldest first; for tests. *)
-
-val pp_op : Format.formatter -> op -> unit

@@ -17,6 +17,10 @@ let workload name scale =
   in
   (spec, program)
 
+let prepared name scale =
+  let spec, program = workload name scale in
+  { Run.spec; program; blocks = Vm.Block.analyze program }
+
 let gprs_cfg ?(ordering = Gprs.Order.Balance_aware) () =
   { Gprs.Engine.default_config with n_contexts = 4; seed = 3; ordering }
 
@@ -153,11 +157,10 @@ let test_mangled_wal_refused () =
 (* --- Sweeps ------------------------------------------------------------ *)
 
 let sweep_leg name scale scheme =
-  let spec, program = workload name scale in
   let r =
     Recovery.sweep_gprs ~leg:name
       ~cfg:(gprs_cfg ~ordering:scheme ())
-      ~digest:spec.Workloads.Workload.digest program
+      (prepared name scale)
   in
   checkb
     (Format.asprintf "%a" Recovery.pp_report r)
@@ -172,18 +175,17 @@ let test_sweep_pbzip2_bal () = sweep_leg "pbzip2" 0.02 Gprs.Order.Balance_aware
 let test_sweep_pbzip2_wt () = sweep_leg "pbzip2" 0.02 Gprs.Order.Weighted
 
 let test_sweep_sampled () =
-  let spec, program = workload "pbzip2" 0.05 in
   let r =
     Recovery.sweep_gprs ~sample:12 ~sample_seed:9 ~leg:"sampled"
-      ~cfg:(gprs_cfg ()) ~digest:spec.Workloads.Workload.digest program
+      ~cfg:(gprs_cfg ()) (prepared "pbzip2" 0.05)
   in
   checkb "ok" true (Recovery.leg_ok r);
   Alcotest.(check int) "ran the sample" 12 r.Recovery.points_run;
   checkb "sampled strictly" true (r.Recovery.points_total > 12)
 
 let test_sweep_pcpr_leg () =
-  let spec, program = workload "pbzip2" 0.02 in
-  let image, _ = Recovery.pilot ~cfg:(gprs_cfg ()) program in
+  let p = prepared "pbzip2" 0.02 in
+  let image, _ = Recovery.pilot ~cfg:(gprs_cfg ()) p in
   let a = Recovery.analyze image in
   let cycles =
     List.map snd a.Recovery.points |> List.sort_uniq compare
@@ -191,7 +193,7 @@ let test_sweep_pcpr_leg () =
   let r =
     Recovery.sweep_pcpr ~leg:"pcpr"
       ~cfg:{ Cpr.default_config with Cpr.n_contexts = 4; seed = 3 }
-      ~digest:spec.Workloads.Workload.digest ~crash_cycles:cycles program
+      ~crash_cycles:cycles p
   in
   checkb (Format.asprintf "%a" Recovery.pp_report r) true (Recovery.leg_ok r)
 
@@ -200,11 +202,10 @@ let test_sweep_pcpr_leg () =
    [Exec.State.Deadlock], which the sweep reports as hung-timeout with
    the deadlock message as detail. *)
 let test_sweep_wedged_restart_classified () =
-  let spec, program = workload "barnes-hut" 0.05 in
   let r =
     Recovery.sweep_gprs ~leg:"barnes-hut"
       ~cfg:(gprs_cfg ~ordering:Gprs.Order.Round_robin ())
-      ~digest:spec.Workloads.Workload.digest program
+      (prepared "barnes-hut" 0.05)
   in
   let hung =
     List.filter

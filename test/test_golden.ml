@@ -329,7 +329,10 @@ let crash_rows (name, contexts, scale) =
           ordering;
         }
       in
-      let image, _ = Recovery.pilot ~cfg program in
+      let image, _ =
+        Recovery.pilot ~cfg
+          { Run.spec; program; blocks = Vm.Block.analyze program }
+      in
       let points = Array.of_list (Recovery.analyze image).Recovery.points in
       let n = Array.length points in
       List.init 8 (fun i -> fst points.(((2 * i) + 1) * n / 16))

@@ -297,16 +297,19 @@ let test_cpr_restart_resumes_into_block () =
    observable). *)
 let test_crash_sweep_both_legs () =
   let spec = Workloads.Suite.find "histogram" in
-  let program () =
-    spec.Workloads.Workload.build ~n_contexts ~grain:Workloads.Workload.Default
-      ~scale:0.05
+  let prepared () =
+    let program =
+      spec.Workloads.Workload.build ~n_contexts
+        ~grain:Workloads.Workload.Default ~scale:0.05
+    in
+    { Run.spec; program; blocks = Vm.Block.analyze program }
   in
   let production, reference =
     both_legs (fun ~reference ->
         Recovery.sweep_gprs
           ~leg:(if reference then "reference" else "production")
           ~cfg:{ Gprs.Engine.default_config with n_contexts; seed = 3; reference }
-          ~digest:spec.Workloads.Workload.digest (program ()))
+          (prepared ()))
   in
   List.iter
     (fun r ->

@@ -72,17 +72,24 @@ let test_json_roundtrip () =
 
 let dummy_entry =
   lazy
-    (let spec = Workloads.Suite.find "histogram" in
-     let program =
-       spec.Workloads.Workload.build ~n_contexts:2
-         ~grain:Workloads.Workload.Default ~scale:0.01
-     in
-     {
-       Server.Cache.e_spec = spec;
-       e_program = program;
-       e_blocks = Vm.Block.analyze program;
-       e_lint_errors = 0;
-     })
+    {
+      Server.Cache.prepared =
+        Run.prepare
+          {
+            Run.id = "";
+            workload = "histogram";
+            engine = "gprs";
+            ordering = "balance-aware";
+            contexts = 2;
+            scale = 0.01;
+            grain = "default";
+            seed = 1;
+            rate = 0.0;
+            interval = 0.05;
+            want_stats = false;
+          };
+      lint_errors = 0;
+    }
 
 let test_cache_lru () =
   let t = Server.Cache.create ~capacity:2 in
@@ -390,6 +397,17 @@ let test_protocol_errors () =
   in
   checks "unknown grain refused" "error" (jstr "event" bad_grain);
   checki "with 400" 400 (jint "code" bad_grain);
+  (* A negative scale is refused with a message that names it, not
+     passed to the workload builder. *)
+  let bad_scale =
+    Server.Client.run_sync c
+      { (scenario ~id:"e5" ~workload:"histogram" ()) with
+        Server.Scenario.scale = -1.0 }
+  in
+  checks "negative scale refused" "error" (jstr "event" bad_scale);
+  checki "with 400" 400 (jint "code" bad_scale);
+  checkb "error names scale" true
+    (String.starts_with ~prefix:"scale" (jstr "error" bad_scale));
   (* Zero contexts is refused on every engine before it reaches a
      worker, and the daemon keeps serving. *)
   List.iter
