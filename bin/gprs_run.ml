@@ -115,6 +115,19 @@ let run workload engine contexts scale seed rate grain ordering interval
 
 (* --- lint subcommand -------------------------------------------------- *)
 
+let diag_json d =
+  let module J = Server.Json in
+  J.Obj
+    [
+      ("severity", J.Str (Lint.Diagnostic.severity_label d.Lint.Diagnostic.severity));
+      ("kind", J.Str (Lint.Diagnostic.kind_label d.Lint.Diagnostic.kind));
+      ("proc", J.Str d.Lint.Diagnostic.proc);
+      ("pc", J.Int d.Lint.Diagnostic.pc);
+      ("site", J.Str (Lint.Diagnostic.site d));
+      ("instr", J.Str d.Lint.Diagnostic.instr);
+      ("message", J.Str d.Lint.Diagnostic.message);
+    ]
+
 let lint_one ~verbose ~json workload contexts scale grain =
   let _, program =
     Run.build_program (scenario ~engine:"gprs" workload contexts scale 1 grain)
@@ -127,10 +140,13 @@ let lint_one ~verbose ~json workload contexts scale grain =
         (fun d -> d.Lint.Diagnostic.severity <> Lint.Diagnostic.Info)
         diags
   in
-  if json then
-    Format.printf "{\"workload\":\"%s\",\"diagnostics\":%a}"
-      (Lint.Render.json_escape workload)
-      Lint.Render.pp_json shown
+  if json then begin
+    let module J = Server.Json in
+    Format.printf "%s"
+      (J.to_string
+         (J.Obj
+            [ ("workload", J.Str workload); ("diagnostics", J.List (List.map diag_json shown)) ]))
+  end
   else
     Format.printf "%a"
       (Lint.Render.pp ~title:(Printf.sprintf "gprs_run lint %s" workload))
@@ -162,12 +178,17 @@ let lint_cmd_run workload contexts scale grain verbose json =
    dependences are mediated by tracked sync; either detector finding a
    race voids that assumption, so any report exits 1. *)
 let report_json r =
-  Printf.sprintf
-    "{\"addr\":%d,\"kind\":\"%s\",\"tid1\":%d,\"pc1\":%d,\"tid2\":%d,\"pc2\":%d,\"proc2\":\"%s\"}"
-    r.Exec.Tsan.addr
-    (Exec.Tsan.kind_label r.Exec.Tsan.kind)
-    r.Exec.Tsan.tid1 r.Exec.Tsan.pc1 r.Exec.Tsan.tid2 r.Exec.Tsan.pc2
-    (Lint.Render.json_escape r.Exec.Tsan.proc2)
+  let module J = Server.Json in
+  J.Obj
+    [
+      ("addr", J.Int r.Exec.Tsan.addr);
+      ("kind", J.Str (Exec.Tsan.kind_label r.Exec.Tsan.kind));
+      ("tid1", J.Int r.Exec.Tsan.tid1);
+      ("pc1", J.Int r.Exec.Tsan.pc1);
+      ("tid2", J.Int r.Exec.Tsan.tid2);
+      ("pc2", J.Int r.Exec.Tsan.pc2);
+      ("proc2", J.Str r.Exec.Tsan.proc2);
+    ]
 
 let racecheck_one ~json ~engine workload contexts scale grain seed =
   let scn = scenario ~engine workload contexts scale seed grain in
@@ -185,12 +206,18 @@ let racecheck_one ~json ~engine workload contexts scale grain seed =
       (fun () -> Run.exec scn program)
   in
   let dynamic = result.Exec.State.races in
-  if json then
-    Format.printf
-      "{\"workload\":\"%s\",\"engine\":\"%s\",\"static\":%a,\"dynamic\":[%s]}"
-      (Lint.Render.json_escape workload)
-      engine Lint.Render.pp_json static_races
-      (String.concat "," (List.map report_json dynamic))
+  if json then begin
+    let module J = Server.Json in
+    Format.printf "%s"
+      (J.to_string
+         (J.Obj
+            [
+              ("workload", J.Str workload);
+              ("engine", J.Str engine);
+              ("static", J.List (List.map diag_json static_races));
+              ("dynamic", J.List (List.map report_json dynamic));
+            ]))
+  end
   else begin
     Format.printf "racecheck %s (engine %s, %d contexts, seed %d, scale %g)@."
       workload engine contexts seed scale;

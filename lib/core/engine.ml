@@ -161,6 +161,17 @@ let fire_point eng p =
       Wal.tear_stable eng.wal;
       raise Crash_signal
 
+(* Every WAL op record the engine writes goes through here: the record
+   boundary is where the armed crash LSN ("crash at every WAL-record
+   boundary") and the [Wal_append] point trigger. A cold-restarted
+   engine's config has no crash LSN: it already fired. *)
+let append eng ~order op =
+  let lsn = Wal.append eng.wal ~at:(now eng) ~order op in
+  (match eng.cfg.crash_lsn with
+  | Some k when lsn = k && not eng.recovering -> raise Crash_signal
+  | Some _ | None -> ());
+  fire_point eng Faults.Points.Wal_append
+
 (* What survives a crash of the runtime. Volatile and gone: the scheduler
    queues, the ROL ring structure, the engine-side per-tid tables, every
    pending event, per-context assignments. Durable: the serialized WAL,
@@ -252,7 +263,7 @@ let new_sub eng (tcb : Vm.Tcb.t) =
   | Vm.Tcb.On_join _ | Vm.Tcb.On_token | Vm.Tcb.Done ->
     ());
   Rol.insert eng.rol sub;
-  ignore (Wal.append eng.wal ~at:(now eng) ~order:id (Wal.Rol_insert { sub = id }));
+  append eng ~order:id (Wal.Rol_insert { sub = id });
   Tidtab.set eng.cur_sub tcb.Vm.Tcb.tid (Some sub);
   Sim.Stats.bump eng.ctrs.subthreads;
   sub
@@ -291,6 +302,13 @@ let make_runnable eng ~ctx_hint tid =
     (* A flag, not a Hashtbl.add: a re-add after a missed remove cannot
        shadow-stack bindings. *)
     Tidtab.set eng.queued tid true;
+    (* §3.2: the work queues are reconstructible from the log. A thread
+       without a current sub (a restart release) needs no record: the
+       restart logic re-enqueues it, nothing replays it. *)
+    (match cur_sub_opt eng tid with
+    | Some sub ->
+      append eng ~order:sub.Subthread.id (Wal.Sched_enqueue { sub = sub.Subthread.id })
+    | None -> ());
     Sched.Scheduler.enqueue eng.sched ~ctx_hint tid
   end
 
@@ -420,9 +438,8 @@ let grant eng tid =
     let ctid = child.Vm.Tcb.tid in
     (cur_sub eng tid).Subthread.forked <-
       ctid :: (cur_sub eng tid).Subthread.forked;
-    ignore
-      (Wal.append eng.wal ~at:(now eng) ~order:(cur_sub eng tid).Subthread.id
-         (Wal.Thread_create { tid = ctid }));
+    append eng ~order:(cur_sub eng tid).Subthread.id
+      (Wal.Thread_create { tid = ctid });
     Order.add_thread eng.order ~tid:ctid ~group;
     (* Under DEX a fork creates a sub-thread, not an OS thread. *)
     let csub = new_sub eng child in
@@ -617,9 +634,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
         let size = Option.get (Vm.Mem.block_size st.Exec.State.mem a) in
         (match cur_sub_opt eng tid with
         | Some sub ->
-          ignore
-            (Wal.append eng.wal ~at:(now eng) ~order:sub.Subthread.id
-               (Wal.Alloc { addr = a; size }))
+          append eng ~order:sub.Subthread.id (Wal.Alloc { addr = a; size })
         | None -> ());
         d + eng.cfg.costs.Vm.Costs.wal_append
       | Vm.Isa.Free { addr } ->
@@ -638,9 +653,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
           match cur_sub_opt eng tid with
           | Some sub ->
             sub.Subthread.freed_blocks <- (a, size) :: sub.Subthread.freed_blocks;
-            ignore
-              (Wal.append eng.wal ~at:(now eng) ~order:sub.Subthread.id
-                 (Wal.Free { addr = a; size }))
+            append eng ~order:sub.Subthread.id (Wal.Free { addr = a; size })
           | None -> Vm.Mem.free st.Exec.State.mem a));
         eng.cfg.costs.Vm.Costs.free + eng.cfg.costs.Vm.Costs.wal_append
       | Vm.Isa.Lock { m } ->
@@ -688,9 +701,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
         (match cur_sub_opt eng tid with
         | Some sub ->
           sub.Subthread.forked <- ctid :: sub.Subthread.forked;
-          ignore
-            (Wal.append eng.wal ~at:(now eng) ~order:sub.Subthread.id
-               (Wal.Thread_create { tid = ctid }))
+          append eng ~order:sub.Subthread.id (Wal.Thread_create { tid = ctid })
         | None -> ());
         Order.add_thread eng.order ~tid:ctid ~group;
         ignore (new_sub eng child);
@@ -719,22 +730,11 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
          targets a thread that is running on a context. *)
       let b = if eng.budget = max_int then max_int else eng.budget + 1 in
       let horizon = Stdlib.min b (fault_horizon eng) in
+      (* The CPR-region latch, the last-writer dependence flag and the
+         additive counter land identically whether applied per
+         instruction or per compiled entry. *)
       let sub = cur_sub_opt eng tid in
-      let on_fused (pr : Vm.Block.probe) i =
-        match sub with
-        | None -> ()
-        | Some sub ->
-          if pr.Vm.Block.p_entered_cpr then sub.Subthread.cpr_region <- true;
-          (match i with
-          | Vm.Isa.Opaque _ ->
-            sub.Subthread.global_dep <- not tcb.Vm.Tcb.in_cpr_region;
-            Sim.Stats.bump eng.ctrs.opaque_calls
-          | _ -> ())
-      in
-      (* Per-compiled-entry form of [on_fused]: the latch, the
-         last-writer dependence flag and the additive counter land
-         identically whether applied per instruction or per entry. *)
-      let on_trace ~steps:_ ~opaques ~last_opaque_in_cpr ~entered_cpr =
+      let on_commit ~opaques ~last_opaque_in_cpr ~entered_cpr =
         match sub with
         | None -> ()
         | Some sub ->
@@ -745,8 +745,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
           end
       in
       let vend =
-        Exec.Fuse.run_chain st tcb ~instrs:eng.instrs ~horizon ~on_fused
-          ~on_trace
+        Exec.Fuse.run_chain st tcb ~instrs:eng.instrs ~horizon ~on_commit
           ~vstart:(t0 + Stdlib.max Exec.Sem.min_cost first)
           ()
       in
@@ -881,7 +880,7 @@ let compute_squash_set eng (victim : Subthread.t) =
       victim.Subthread.forked;
     (* Accumulated union of the squashed alias sets: each younger
        sub-thread is tested against it with one word-wise intersection,
-       equivalent to List.exists shares_alias over the squashed list
+       equivalent to testing it against each squashed sub-thread in turn
        (union distributes over the existential intersection). *)
     let aset = Subthread.aset_create () in
     Subthread.aset_add aset victim;
@@ -1332,7 +1331,7 @@ let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable
   {
     cfg;
     st;
-    sched = Sched.Scheduler.create Sched.Scheduler.Work_steal ~n_contexts:cfg.n_contexts;
+    sched = Sched.Scheduler.create ~n_contexts:cfg.n_contexts;
     ctx_of = Array.make cfg.n_contexts None;
     tick_handle = Array.make cfg.n_contexts None;
     busy_until = Array.make cfg.n_contexts 0;
@@ -1362,31 +1361,18 @@ let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable
     io_tid = 0;
   }
 
-(* §3.2's coverage of the scheduler and IO metadata: queue inserts and
-   file-growth operations are logged at their real sites, on behalf of
-   the acting thread's current sub-thread. Threads without a current sub
-   (restart releases) need no record — their enqueue is reconstructed by
-   the restart logic itself, not replayed from the log. Neither append
-   charges extra cycles: the boundary cost already budgets two WAL
-   appends per sub-thread and [io_per_word] subsumes the IO append. *)
+(* §3.2's coverage of the IO metadata: file growth happens inside a
+   [Work] body, so it is logged from the state's hook, on behalf of the
+   dispatched thread's current sub-thread. Like the queue-insert record
+   ([make_runnable]) it charges no extra cycles: the boundary cost
+   already budgets two WAL appends per sub-thread and [io_per_word]
+   subsumes the IO append. *)
 let install_hooks eng =
-  Sched.Scheduler.set_on_enqueue eng.sched
-    (Some
-       (fun tid ->
-         match cur_sub_opt eng tid with
-         | Some sub ->
-           ignore
-             (Wal.append eng.wal ~at:(now eng) ~order:sub.Subthread.id
-                (Wal.Sched_enqueue { sub = sub.Subthread.id }))
-         | None -> ()));
   eng.st.Exec.State.on_io_grow <-
     Some
       (fun file words ->
         match cur_sub_opt eng eng.io_tid with
-        | Some sub ->
-          ignore
-            (Wal.append eng.wal ~at:(now eng) ~order:sub.Subthread.id
-               (Wal.Io_op { file; words }))
+        | Some sub -> append eng ~order:sub.Subthread.id (Wal.Io_op { file; words })
         | None -> ())
 
 let boot_checkpoint eng =
@@ -1497,10 +1483,6 @@ let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
   in
   eng.allow_crash <- false;
   install_hooks eng;
-  (* Armed points keep watching the restarted engine's WAL (the crash
-     LSN does not: it already fired). *)
-  Wal.set_on_append eng.wal
-    (Some (fun _lsn -> fire_point eng Faults.Points.Wal_append));
   let stats = st.Exec.State.stats in
   (* Redo: rebuild the allocator lists from the last checkpoint plus the
      retired-prefix records. *)
@@ -1574,13 +1556,6 @@ let run ?(lint = `Warn) ?wal_out ?blocks ?events cfg program =
   in
   install_hooks eng;
   boot_checkpoint eng;
-  Wal.set_on_append eng.wal
-    (Some
-       (fun lsn ->
-         (match cfg.crash_lsn with
-         | Some k when lsn = k && not eng.recovering -> raise Crash_signal
-         | _ -> ());
-         fire_point eng Faults.Points.Wal_append));
   try
     (match cfg.crash_cycle with
     | Some t ->

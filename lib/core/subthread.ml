@@ -13,7 +13,7 @@ type t = {
   mutable started_at : int;
   mutable status : status;
   (* Alias sets are bitsets over small-int alias codes: 32 codes per
-     word, [alias_words] words in use. [shares_alias] is a word-wise AND
+     word, [alias_words] words in use. [aset_shares] is a word-wise AND
      over the shorter prefix and [add_alias] is truly idempotent (the old
      list representation only deduped against the head). *)
   mutable alias_bits : int array;
@@ -104,15 +104,6 @@ let aliases t =
       done
   done;
   !acc
-
-let shares_alias a b =
-  a.global_dep || b.global_dep
-  ||
-  let n = Stdlib.min a.alias_words b.alias_words in
-  let rec go i =
-    i < n && (a.alias_bits.(i) land b.alias_bits.(i) <> 0 || go (i + 1))
-  in
-  go 0
 
 (* --- accumulated alias sets (selective-squash walk) ------------------- *)
 

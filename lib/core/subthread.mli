@@ -13,7 +13,7 @@
       restart's dependent walk ("ones that acquired the same lock(s) or
       used the same atomic variable as the excepting sub-thread").
       Aliases are encoded as small-int codes in a growable bitset, so
-      {!add_alias} is idempotent O(1) and {!shares_alias} a word-wise
+      {!add_alias} is idempotent O(1) and {!aset_shares} a word-wise
       intersection test.
 
     The [id] doubles as the sub-thread's position in the deterministic
@@ -46,7 +46,7 @@ type t = {
   mutable status : status;
   mutable alias_bits : int array;
       (** bitset over {!alias_code}s, 32 codes per word; use
-          {!add_alias}/{!mem_alias}/{!shares_alias}, not the raw words *)
+          {!add_alias}/{!mem_alias}/{!aset_shares}, not the raw words *)
   mutable alias_words : int;  (** words of [alias_bits] in use *)
   mutable global_dep : bool;
       (** conservative ⊤-alias: opaque calls and non-standard sync outside
@@ -80,9 +80,6 @@ val add_alias : t -> alias -> unit
 
 val mem_alias : t -> alias -> bool
 
-val shares_alias : t -> t -> bool
-(** True when the alias sets intersect, or either side is [global_dep]. *)
-
 val aliases : t -> alias list
 (** Decoded alias set in ascending code order, for display/tests. *)
 
@@ -102,8 +99,9 @@ val aset_add : aset -> t -> unit
 (** Union [sub]'s aliases (and its [global_dep] flag) into the set. *)
 
 val aset_shares : aset -> t -> bool
-(** Equivalent to [List.exists (fun u -> shares_alias u s) added], where
-    [added] are the sub-threads folded in so far (assuming at least one). *)
+(** [aset_shares a s]: some sub-thread [u] folded into [a] so far (at
+    least one) shares an alias with [s] — their alias sets intersect, or
+    [u] or [s] is [global_dep]. *)
 
 (** {1 Pooling} *)
 

@@ -383,7 +383,7 @@ let finish_restore eng =
   for tid = 0 to st.Exec.State.n_threads - 1 do
     let tcb = Exec.State.thread st tid in
     if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then
-      Exec.Baseline.make_runnable eng.core ~ctx_hint:tid tid
+      Exec.Baseline.make_runnable eng.core tid
   done;
   (* Arm the alarm before dispatching so fused chains see its horizon. *)
   schedule_alarm eng;
@@ -415,7 +415,7 @@ let tick eng ctx =
       ctx_of.(ctx) <- None;
       let tcb = Exec.State.thread eng.st tid in
       if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then
-        Exec.Baseline.make_runnable c ~ctx_hint:ctx tid;
+        Exec.Baseline.make_runnable c tid;
       if all_ctx_idle eng then begin_recording eng)
   | Normal -> Exec.Baseline.tick c ctx
 
@@ -468,7 +468,7 @@ let run ?blocks cfg program =
   st.Exec.State.current_undo <- Some eng.cur_log;
   (* Initial (time-0) checkpoint so recovery is always possible. *)
   eng.snaps <- [ take_snapshot eng ];
-  Exec.Baseline.make_runnable eng.core ~ctx_hint:0 Exec.State.main_tid;
+  Exec.Baseline.make_runnable eng.core Exec.State.main_tid;
   (* Horizons (alarm, fault report) are armed before the first dispatch
      so fused chains never cross them. *)
   schedule_alarm eng;

@@ -21,7 +21,7 @@ let default_config =
 
 type 'ev core = {
   st : 'ev State.t;
-  mutable sched : Sched.Scheduler.t;
+  runq : int Sched.Deque.t;  (* the FIFO run queue: push bottom, take top *)
   ctx_of : int option array;  (* context -> running tid *)
   last_tid : int array;  (* context -> last tid it ran, -1 if none *)
   started : int array;  (* context -> time current thread got the context *)
@@ -41,7 +41,7 @@ let core ?(bound = fun () -> max_int) ?(on_hop = fun _ _ -> ()) ~tick
   let n = st.State.n_contexts in
   {
     st;
-    sched = Sched.Scheduler.create Sched.Scheduler.Fifo ~n_contexts:n;
+    runq = Sched.Deque.create ();
     ctx_of = Array.make n None;
     last_tid = Array.make n (-1);
     started = Array.make n 0;
@@ -70,22 +70,22 @@ let on_ctx ctx_of tid =
   done;
   !i < n
 
-let make_runnable c ~ctx_hint tid =
+let make_runnable c tid =
   if (not (Tidtab.get c.queued tid)) && not (on_ctx c.ctx_of tid) then begin
     Tidtab.set c.queued tid true;
-    Sched.Scheduler.enqueue c.sched ~ctx_hint tid
+    Sched.Deque.push_bottom c.runq tid
   end
 
-let rec wake c ctx = function
+let rec wake c = function
   | [] -> ()
   | tid :: rest ->
-    make_runnable c ~ctx_hint:ctx tid;
-    wake c ctx rest
+    make_runnable c tid;
+    wake c rest
 
 let reset_queue c =
-  c.sched <-
-    Sched.Scheduler.create Sched.Scheduler.Fifo
-      ~n_contexts:(Array.length c.ctx_of);
+  while not (Sched.Deque.is_empty c.runq) do
+    ignore (Sched.Deque.steal_top c.runq)
+  done;
   c.queued <- Tidtab.create false
 
 let schedule_tick c ctx ~after =
@@ -121,26 +121,26 @@ let dispatch c ctx (tcb : Vm.Tcb.t) =
     | Vm.Isa.Unlock { m } ->
       let woken, d = Sem.unlock st tcb (m tcb.Vm.Tcb.regs) in
       tcb.Vm.Tcb.lock_depth <- tcb.Vm.Tcb.lock_depth - 1;
-      (match woken with Some w -> make_runnable c ~ctx_hint:ctx w | None -> ());
+      (match woken with Some w -> make_runnable c w | None -> ());
       d
     | Vm.Isa.Barrier { b } ->
       let released, d = Sem.barrier_arrive st tcb b in
-      wake c ctx released;
+      wake c released;
       d
     | Vm.Isa.Cond_wait { c = cv; m } ->
       let granted, d = Sem.cond_block st tcb ~c:cv ~m in
       tcb.Vm.Tcb.lock_depth <- tcb.Vm.Tcb.lock_depth - 1;
-      (match granted with Some w -> make_runnable c ~ctx_hint:ctx w | None -> ());
+      (match granted with Some w -> make_runnable c w | None -> ());
       d
     | Vm.Isa.Cond_signal { c = cv; all } ->
       let _woken, runnable, d = Sem.cond_wake st ~c:cv ~all in
-      wake c ctx runnable;
+      wake c runnable;
       d
     | Vm.Isa.Atomic { var; rmw; dst } | Vm.Isa.Nonstd_atomic { var; rmw; dst } ->
       Sem.atomic_rmw st tcb ~var:(var tcb.Vm.Tcb.regs) ~rmw ~dst
     | Vm.Isa.Fork { group; proc; args; dst } ->
       let child, d = Sem.fork st tcb ~group ~proc ~args ~dst in
-      make_runnable c ~ctx_hint:ctx child.Vm.Tcb.tid;
+      make_runnable c child.Vm.Tcb.tid;
       d
     | Vm.Isa.Join { tid } ->
       let _ready, d = Sem.join st tcb ~target:(tid tcb.Vm.Tcb.regs) in
@@ -153,7 +153,7 @@ let dispatch c ctx (tcb : Vm.Tcb.t) =
       d
     | Vm.Isa.Exit ->
       let joiners, d = Sem.exit_thread st tcb in
-      wake c ctx joiners;
+      wake c joiners;
       d
     | Vm.Isa.Goto _ | Vm.Isa.If _ | Vm.Isa.Cpr_begin | Vm.Isa.Cpr_end ->
       assert false (* fused by [fetch] *)
@@ -164,7 +164,7 @@ let dispatch c ctx (tcb : Vm.Tcb.t) =
          have woken threads); the event queue cannot have changed since
          the hop started, so its head bounds how long the sample stays
          valid. *)
-      let q_empty = Sched.Scheduler.is_empty c.sched in
+      let q_empty = Sched.Deque.is_empty c.runq in
       let t_next =
         match Sim.Event_queue.peek_time st.State.evq with
         | Some t -> t
@@ -185,7 +185,6 @@ let dispatch c ctx (tcb : Vm.Tcb.t) =
       let horizon = Stdlib.min (Stdlib.min b (c.bound ())) sched_h in
       let vend =
         Fuse.run_chain st tcb ~instrs:c.instrs ~horizon
-          ~on_fused:(fun _ _ -> ())
           ~vstart:(t0 + Stdlib.max Sem.min_cost (ctrl + d))
           ()
       in
@@ -197,19 +196,17 @@ let dispatch c ctx (tcb : Vm.Tcb.t) =
   schedule_tick c ctx ~after
 
 let fill c ctx =
-  match Sched.Scheduler.take c.sched ~ctx with
+  match Sched.Deque.steal_top c.runq with
   | None -> ()
-  | Some (tid, stolen) ->
+  | Some tid ->
     Tidtab.set c.queued tid false;
     let st = c.st in
-    let costs = st.State.costs in
     let extra =
-      (if stolen then costs.Vm.Costs.steal else 0)
-      + if c.last_tid.(ctx) >= 0 && c.last_tid.(ctx) <> tid then begin
-          Sim.Stats.bump c.ctx_switches;
-          costs.Vm.Costs.ctx_switch
-        end
-        else 0
+      if c.last_tid.(ctx) >= 0 && c.last_tid.(ctx) <> tid then begin
+        Sim.Stats.bump c.ctx_switches;
+        st.State.costs.Vm.Costs.ctx_switch
+      end
+      else 0
     in
     c.ctx_of.(ctx) <- Some tid;
     c.last_tid.(ctx) <- tid;
@@ -233,11 +230,11 @@ let tick c ctx =
       let costs = st.State.costs in
       if
         State.now st - c.started.(ctx) >= costs.Vm.Costs.quantum
-        && not (Sched.Scheduler.is_empty c.sched)
+        && not (Sched.Deque.is_empty c.runq)
       then begin
         (* Quantum expired and others are waiting: preempt. *)
         c.ctx_of.(ctx) <- None;
-        make_runnable c ~ctx_hint:ctx tid;
+        make_runnable c tid;
         Sim.Stats.bump c.preemptions;
         fill c ctx
       end
@@ -259,7 +256,7 @@ let run ?blocks config program =
       ~n_contexts:config.n_contexts ~seed:config.seed ()
   in
   let c = core ~tick:(fun ctx -> Tick ctx) ~max_cycles:config.max_cycles st in
-  make_runnable c ~ctx_hint:0 State.main_tid;
+  make_runnable c State.main_tid;
   fill_all c;
   let rec loop () =
     match Sim.Event_queue.pop st.State.evq with

@@ -30,9 +30,10 @@ val run : ?blocks:Vm.Block.t -> config -> Vm.Isa.program -> State.run_result
 (** {1 The preemptive dispatch core}
 
     The one scheduler the Pthreads baseline and P-CPR both run on: a FIFO
-    run queue, quantum preemption, context-switch and steal charges, and
-    fused dispatch via {!Fuse.fetch} and {!Fuse.run_chain}. P-CPR adds
-    only checkpoint and rollback around it (paper §2.3). An engine wires
+    run queue, quantum preemption, context-switch charges, and fused
+    dispatch via {!Fuse.fetch} and {!Fuse.run_chain}. A FIFO never
+    steals. P-CPR adds only checkpoint and rollback around it (paper
+    §2.3). An engine wires
     in its [Tick] constructor, one extra fused-chain bound and a per-hop
     callback; none of them is a setting. *)
 
@@ -60,8 +61,9 @@ val tick_handles : 'ev core -> Sim.Event_queue.handle array
 val on_ctx : int option array -> int -> bool
 (** [on_ctx ctx_of tid]: [tid] runs on some context. Allocates nothing. *)
 
-val make_runnable : 'ev core -> ctx_hint:int -> int -> unit
-(** Enqueue a thread unless it is already queued or running. *)
+val make_runnable : 'ev core -> int -> unit
+(** Enqueue a thread at the tail of the FIFO unless it is already queued
+    or running. *)
 
 val fill_all : 'ev core -> unit
 (** Give every idle context, in index order, the next queued thread. *)

@@ -13,7 +13,7 @@ let fetch (tcb : Vm.Tcb.t) =
   pr
 
 let run_chain (type ev) (st : ev State.t) (tcb : Vm.Tcb.t) ~instrs ~horizon
-    ~on_fused ?on_trace ~vstart () =
+    ?on_commit ~vstart () =
   let proc = tcb.Vm.Tcb.proc in
   let stats = st.State.stats in
   let vnow = ref vstart in
@@ -37,7 +37,13 @@ let run_chain (type ev) (st : ev State.t) (tcb : Vm.Tcb.t) ~instrs ~horizon
       incr instrs;
       Vm.Block.profile_ctrl stats pr.Vm.Block.p_ctrl;
       Vm.Block.profile_instr stats i;
-      on_fused pr i;
+      (match on_commit with
+      | Some f ->
+        f
+          ~opaques:(match i with Vm.Isa.Opaque _ -> 1 | _ -> 0)
+          ~last_opaque_in_cpr:pr.Vm.Block.p_in_cpr
+          ~entered_cpr:pr.Vm.Block.p_entered_cpr
+      | None -> ());
       let d = Sem.exec_work st tcb ~cost ~run in
       vnow := !vnow + pr.Vm.Block.p_ctrl + d;
       incr fused
@@ -69,9 +75,9 @@ let run_chain (type ev) (st : ev State.t) (tcb : Vm.Tcb.t) ~instrs ~horizon
           (* Deferred engine bookkeeping, applied before any further
              interpreted instruction of the same chain so latch and
              last-writer effects land in program order. *)
-          (match on_trace with
+          (match on_commit with
           | Some f ->
-            f ~steps ~opaques:cu.Vm.Block.cu_opaques
+            f ~opaques:cu.Vm.Block.cu_opaques
               ~last_opaque_in_cpr:cu.Vm.Block.cu_opaque_in_cpr
               ~entered_cpr:cu.Vm.Block.cu_entered_cpr
           | None -> ());

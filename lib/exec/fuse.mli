@@ -35,19 +35,12 @@ val run_chain :
   Vm.Tcb.t ->
   instrs:int ref ->
   horizon:int ->
-  on_fused:(Vm.Block.probe -> Vm.Isa.instr -> unit) ->
-  ?on_trace:
-    (steps:int ->
-    opaques:int ->
-    last_opaque_in_cpr:bool ->
-    entered_cpr:bool ->
-    unit) ->
+  ?on_commit:(opaques:int -> last_opaque_in_cpr:bool -> entered_cpr:bool -> unit) ->
   vstart:int ->
   unit ->
   int
-(** [run_chain st tcb ~instrs ~horizon ~on_fused ?on_trace ~vstart ()]
-    returns the virtual completion time of the chain (= [vstart] when
-    nothing fused).
+(** [run_chain st tcb ~instrs ~horizon ?on_commit ~vstart ()] returns the
+    virtual completion time of the chain (= [vstart] when nothing fused).
 
     [horizon] is the hop's precomputed deopt bound: an instruction whose
     boundary time [s] satisfies [s < horizon] may fuse; at [s >= horizon]
@@ -59,19 +52,20 @@ val run_chain :
 
     Each interpreted iteration probes the control chain from [tcb.pc]; if
     the landing instruction is fusible and under the horizon, the probe
-    is committed, [on_fused] runs (engine bookkeeping, after the pc /
-    CPR-flag commit, before execution), the instruction executes via
-    {!Sem.exec_work}, and the clock advances by the control cycles plus
-    the instruction's duration. Otherwise the probe is abandoned with
-    the pc untouched and the chain ends.
+    is committed, the instruction executes via {!Sem.exec_work}, and the
+    clock advances by the control cycles plus the instruction's
+    duration. Otherwise the probe is abandoned with the pc untouched and
+    the chain ends.
 
-    [on_trace], if given, is called once per compiled-closure entry that
-    committed at least one instruction, immediately after the closure
-    returns and before any further instruction of the chain — carrying
-    the per-entry effects an engine applies per instruction on the
-    interpreted path ([opaques] count, CPR flag at the last [Opaque],
-    whether a [Cpr_begin] was crossed). Latch and last-writer semantics
-    make the batched application bit-identical.
+    [on_commit], if given, is the engine's bookkeeping, called once per
+    committed group of instructions: one interpreted step (after its
+    probe commits, before it executes) or one compiled-closure entry
+    that committed at least one instruction (after the closure returns,
+    before any further instruction of the chain). It carries the group's
+    [Opaque] count, the CPR flag at its last [Opaque] and whether it
+    crossed a [Cpr_begin]. An engine applies them as a latch, a
+    last-writer flag and an additive counter, so grouping does not change
+    the result. No [Work] body reads them.
 
     [instrs] is the engine's cached ["instrs"] counter; it is bumped once
     per fused instruction (compiled or interpreted), matching the unfused

@@ -122,7 +122,6 @@ let slots =
       })
 
 let mutex = Mutex.create ()
-let fired = Condition.create ()
 
 (* Armed-point count, readable without the lock: the only state the
    unarmed fast path touches. *)
@@ -229,7 +228,6 @@ let sample_slow p =
           s.hits <- s.hits + 1;
           if s.hits >= s.start_hit && s.hits <= s.end_hit then begin
             s.fires <- s.fires + 1;
-            Condition.broadcast fired;
             Some (action, s.delay_us)
           end
           else None)

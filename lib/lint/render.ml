@@ -49,40 +49,6 @@ let summary diags =
     (if w = 1 then "" else "s")
     i
 
-(* Machine-readable output for CI and the scenario-matrix driver: a JSON
-   array of diagnostic objects. Hand-rolled like the bench writer so
-   [lint] keeps its vm-only dependency footprint. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let diag_json d =
-  Printf.sprintf
-    "{\"severity\":\"%s\",\"kind\":\"%s\",\"proc\":\"%s\",\"pc\":%d,\
-     \"site\":\"%s\",\"instr\":\"%s\",\"message\":\"%s\"}"
-    (Diagnostic.severity_label d.Diagnostic.severity)
-    (Diagnostic.kind_label d.Diagnostic.kind)
-    (json_escape d.Diagnostic.proc)
-    d.Diagnostic.pc
-    (json_escape (Diagnostic.site d))
-    (json_escape d.Diagnostic.instr)
-    (json_escape d.Diagnostic.message)
-
-let pp_json ppf diags =
-  Format.fprintf ppf "[%s]"
-    (String.concat "," (List.map diag_json diags))
-
 let pp ?(title = "GPRS-lint findings") ppf diags =
   match diags with
   | [] -> Format.fprintf ppf "%s: clean@." title

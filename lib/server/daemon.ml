@@ -543,6 +543,10 @@ let housekeeper t () =
   loop ()
 
 let start cfg =
+  (* A client that hangs up before its reply turns the reply's write into
+     SIGPIPE, whose default action kills the process. Ignored, the write
+     fails with EPIPE instead, and [send] marks that connection dead. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listener, bound = listen_on cfg.addr in
   let t =
     {

@@ -1,15 +1,5 @@
 (* Fused-block pre-decoder and superblock trace compiler. See block.mli. *)
 
-type cls = Fuse | Ctrl | Stop
-
-let classify = function
-  | Isa.Work _ | Isa.Opaque _ -> Fuse
-  | Isa.Goto _ | Isa.If _ | Isa.Cpr_begin | Isa.Cpr_end -> Ctrl
-  | Isa.Lock _ | Isa.Unlock _ | Isa.Barrier _ | Isa.Cond_wait _
-  | Isa.Cond_signal _ | Isa.Atomic _ | Isa.Nonstd_atomic _ | Isa.Fork _
-  | Isa.Join _ | Isa.Alloc _ | Isa.Free _ | Isa.Exit ->
-    Stop
-
 (* --- profiling switch ------------------------------------------------ *)
 
 let profiling = ref false
@@ -122,14 +112,9 @@ let make_step ~check ~nctrl ~cpr ~entered ~commit_pc ~cost ~run ~opaque ~next =
    is left uncompiled — the interpreted probe handles it. *)
 let max_ctrl_prefix = 32
 
-(* --- static pre-decode ------------------------------------------------ *)
+(* --- per-program analysis --------------------------------------------- *)
 
 type proc_blocks = {
-  fuse_run : int array;
-      (* fuse_run.(pc) = length of the maximal Fuse-class run starting at
-         pc (0 when code.(pc) is not Fuse-class) *)
-  n_blocks : int;
-  lengths : (int * int) list;
   cells : cell option array;
       (* cells.(pc) = compiled superblock cell entered at boundary pc;
          entries exist for every reachable boundary, but only cells with
@@ -224,49 +209,8 @@ let compile_proc (code : Isa.instr array) =
   (cells, !n_compiled)
 
 let analyze_proc (p : Isa.proc) =
-  let code = p.Isa.code in
-  let n = Array.length code in
-  let fuse_run = Array.make (n + 1) 0 in
-  for pc = n - 1 downto 0 do
-    if classify code.(pc) = Fuse then fuse_run.(pc) <- 1 + fuse_run.(pc + 1)
-  done;
-  (* Static blocks: maximal Fuse runs additionally broken at branch
-     targets, so each block is straight-line code with a unique entry. *)
-  let target = Array.make (n + 1) false in
-  Array.iter
-    (fun i ->
-      let mark t = if t >= 0 && t <= n then target.(t) <- true in
-      match i with
-      | Isa.Goto t -> mark t
-      | Isa.If { target = t; _ } -> mark t
-      | _ -> ())
-    code;
-  let hist = Hashtbl.create 8 in
-  let n_blocks = ref 0 in
-  let pc = ref 0 in
-  while !pc < n do
-    if fuse_run.(!pc) = 0 then incr pc
-    else begin
-      let len = ref 0 in
-      let limit = fuse_run.(!pc) in
-      while !len < limit && (!len = 0 || not target.(!pc + !len)) do
-        incr len
-      done;
-      incr n_blocks;
-      let cur = Option.value ~default:0 (Hashtbl.find_opt hist !len) in
-      Hashtbl.replace hist !len (cur + 1);
-      pc := !pc + !len
-    end
-  done;
-  let cells, n_compiled = compile_proc code in
-  {
-    fuse_run;
-    n_blocks = !n_blocks;
-    lengths =
-      List.sort compare (Hashtbl.fold (fun l c acc -> (l, c) :: acc) hist []);
-    cells;
-    n_compiled;
-  }
+  let cells, n_compiled = compile_proc p.Isa.code in
+  { cells; n_compiled }
 
 (* Process-wide count of [analyze] calls. The service-mode program cache
    promises that a warm-cache dispatch never re-decodes or re-compiles;

@@ -1,14 +1,13 @@
 (** Fused-block pre-decoder and superblock trace compiler.
 
-    Partitions each proc's [code] array, once per program load, into
-    {e fused blocks}: maximal runs of fusible instructions that an engine
-    may execute in a single event-queue hop, summing their durations,
-    instead of paying one heap push/pop per instruction. Engines combine
-    the static decode with a dynamic control-flow {!probe_ctrl} so a hop
-    can chase [Goto]/[If]/[Cpr_begin]/[Cpr_end] chains across block
+    A {e fused block} is a maximal run of fusible instructions that an
+    engine may execute in a single event-queue hop, summing their
+    durations, instead of paying one heap push/pop per instruction.
+    Engines find them with a dynamic control-flow {!probe_ctrl}, so a
+    hop can chase [Goto]/[If]/[Cpr_begin]/[Cpr_end] chains across block
     boundaries exactly as an unfused dispatch's fetch does.
 
-    On top of the decode sits a {e superblock compiler}: at program load
+    On top of the probe sits a {e superblock compiler}: at program load
     every boundary pc is compiled into an OCaml closure (a {!cell}) that
     executes its control prefix — with each [If] direction statically
     predicted (backward taken, forward fall-through) and recorded as a
@@ -20,13 +19,13 @@
     probe chain takes over — so compiled execution is observationally
     identical to the interpreted chain, instruction for instruction.
 
-    The fusible ({!Fuse}) class is deliberately narrower than "not a sync
-    point": only [Work] and [Opaque] qualify. [Unlock], [Alloc], [Free]
+    The fusible class is deliberately narrower than "not a sync point":
+    only [Work] and [Opaque] qualify. [Unlock], [Alloc], [Free]
     and [Nonstd_atomic] are straight-line filler for {e sub-thread
     formation} but are cross-thread {e observable} (wake hand-off order,
     allocator address order, atomic interleaving), so hoisting them to the
-    hop's start time could change another thread's behaviour; they stay
-    {!Stop} class and dispatch alone at their exact unfused times. [Work]
+    hop's start time could change another thread's behaviour; they end
+    a fused block and dispatch alone at their exact unfused times. [Work]
     and [Opaque] only touch data that is race-free in a correct program
     (the lock discipline GPRS-lint enforces), so their effects commute
     with every event inside the hop's time window and cycle accounting,
@@ -41,13 +40,6 @@
     builder-generated program satisfies. Guard checks may re-evaluate a
     condition the interpreted replay evaluates again after a deopt —
     purity makes the double evaluation unobservable. *)
-
-type cls =
-  | Fuse  (** [Work]/[Opaque]: fusible straight-line filler *)
-  | Ctrl  (** [Goto]/[If]/[Cpr_begin]/[Cpr_end]: fused at 1 cycle each *)
-  | Stop  (** everything else: dispatched alone, ends the block *)
-
-val classify : Isa.instr -> cls
 
 (** {1 Profiling} *)
 
@@ -100,15 +92,9 @@ val enter : cell -> cursor -> unit
     stopped. A step is atomic: a guard failure or horizon deopt happens
     strictly between steps, never after partial effects. *)
 
-(** {1 Static pre-decode} *)
+(** {1 Per-program analysis} *)
 
 type proc_blocks = {
-  fuse_run : int array;
-      (** [fuse_run.(pc)] = length of the maximal {!Fuse} run starting at
-          [pc]; 0 when [code.(pc)] is not {!Fuse}. Length
-          [Array.length code + 1] (sentinel 0 at the end). *)
-  n_blocks : int;  (** static fused blocks (runs split at branch targets) *)
-  lengths : (int * int) list;  (** static block length -> count, sorted *)
   cells : cell option array;
       (** per-boundary compiled cells; use {!trace_at}, which filters out
           terminal (zero-step) and not-worth-entering cells *)

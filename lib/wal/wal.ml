@@ -30,7 +30,6 @@ type t = {
   mutable live : int;
   mutable hw : int;
   stable : Buffer.t option;  (* serialized "stable storage" image, or None *)
-  mutable on_append : (int -> unit) option;  (* fires after each op record *)
 }
 
 let initial_capacity = 256
@@ -47,11 +46,9 @@ let create ?(stable = false) () =
     live = 0;
     hw = 0;
     stable = (if stable then Some (Buffer.create 4096) else None);
-    on_append = None;
   }
 
 let stable_armed t = Option.is_some t.stable
-let set_on_append t f = t.on_append <- f
 
 (* --- stable-image record format ---------------------------------------
 
@@ -182,7 +179,6 @@ let append t ?(at = 0) ~order op =
     let a, b = op_fields op in
     emit t (Printf.sprintf "O %d %d %d %c %d %d" lsn at order (kind_char op) a b)
   end;
-  (match t.on_append with Some f -> f lsn | None -> ());
   lsn
 
 let size t = t.live

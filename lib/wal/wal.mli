@@ -44,11 +44,6 @@ val append : t -> ?at:int -> order:int -> op -> int
     simulated cycle of the append, recorded in the stable image so the
     crash sweep can replay the same schedule against P-CPR. *)
 
-val set_on_append : t -> (int -> unit) option -> unit
-(** Hook fired with the LSN after each op record reaches the log — the
-    crash injector's trigger point ("crash at every WAL-record
-    boundary"). *)
-
 val size : t -> int
 (** Live (unpruned) entries — the bounded quantity the paper keeps in
     check by pruning at retirement. *)

@@ -422,7 +422,7 @@ let prop_scheduler_conservation =
       pair (int_range 1 8)
         (list_size (int_range 1 200) (pair (int_range 0 7) (int_range 0 10_000))))
     (fun (n_ctx, items) ->
-      let s = Sched.Scheduler.create Sched.Scheduler.Work_steal ~n_contexts:n_ctx in
+      let s = Sched.Scheduler.create ~n_contexts:n_ctx in
       List.iteri
         (fun i (hint, _) -> Sched.Scheduler.enqueue s ~ctx_hint:hint (i + 1))
         items;

@@ -38,25 +38,15 @@ let test_deque_interleaved () =
   done;
   check "net length" 100 (Sched.Deque.length d)
 
-let test_fifo_policy_global_order () =
-  let s = Sched.Scheduler.create Sched.Scheduler.Fifo ~n_contexts:4 in
-  Sched.Scheduler.enqueue s ~ctx_hint:0 10;
-  Sched.Scheduler.enqueue s ~ctx_hint:3 11;
-  Sched.Scheduler.enqueue s ~ctx_hint:1 12;
-  Alcotest.(check (option (pair int bool))) "fifo" (Some (10, false))
-    (Sched.Scheduler.take s ~ctx:2);
-  Alcotest.(check (option (pair int bool))) "fifo" (Some (11, false))
-    (Sched.Scheduler.take s ~ctx:2)
-
 let test_steal_policy_local_first () =
-  let s = Sched.Scheduler.create Sched.Scheduler.Work_steal ~n_contexts:2 in
+  let s = Sched.Scheduler.create ~n_contexts:2 in
   Sched.Scheduler.enqueue s ~ctx_hint:0 7;
   Sched.Scheduler.enqueue s ~ctx_hint:1 8;
   Alcotest.(check (option (pair int bool))) "local, not stolen" (Some (7, false))
     (Sched.Scheduler.take s ~ctx:0)
 
 let test_steal_policy_steals () =
-  let s = Sched.Scheduler.create Sched.Scheduler.Work_steal ~n_contexts:3 in
+  let s = Sched.Scheduler.create ~n_contexts:3 in
   Sched.Scheduler.enqueue s ~ctx_hint:0 7;
   Alcotest.(check (option (pair int bool))) "stolen flag set" (Some (7, true))
     (Sched.Scheduler.take s ~ctx:2);
@@ -64,7 +54,7 @@ let test_steal_policy_steals () =
     (Sched.Scheduler.take s ~ctx:0)
 
 let test_steal_rotation_deterministic () =
-  let s = Sched.Scheduler.create Sched.Scheduler.Work_steal ~n_contexts:4 in
+  let s = Sched.Scheduler.create ~n_contexts:4 in
   (* Victims probed in rotation starting after the thief: ctx 1 probes
      2, 3, 0 — so work on ctx 2 wins over work on ctx 0. *)
   Sched.Scheduler.enqueue s ~ctx_hint:0 100;
@@ -74,7 +64,7 @@ let test_steal_rotation_deterministic () =
     (Sched.Scheduler.take s ~ctx:1)
 
 let test_scheduler_remove () =
-  let s = Sched.Scheduler.create Sched.Scheduler.Work_steal ~n_contexts:2 in
+  let s = Sched.Scheduler.create ~n_contexts:2 in
   Sched.Scheduler.enqueue s ~ctx_hint:0 1;
   Sched.Scheduler.enqueue s ~ctx_hint:0 2;
   Sched.Scheduler.enqueue s ~ctx_hint:1 3;
@@ -86,7 +76,7 @@ let test_scheduler_remove () =
     (Sched.Scheduler.take s ~ctx:0)
 
 let test_scheduler_counts () =
-  let s = Sched.Scheduler.create Sched.Scheduler.Fifo ~n_contexts:1 in
+  let s = Sched.Scheduler.create ~n_contexts:1 in
   checkb "empty" true (Sched.Scheduler.is_empty s);
   Sched.Scheduler.enqueue s ~ctx_hint:0 5;
   check "one" 1 (Sched.Scheduler.length s);
@@ -99,7 +89,6 @@ let suite =
     Alcotest.test_case "deque thief FIFO" `Quick test_deque_fifo_thief;
     Alcotest.test_case "deque growth" `Quick test_deque_growth;
     Alcotest.test_case "deque interleaved" `Quick test_deque_interleaved;
-    Alcotest.test_case "fifo global order" `Quick test_fifo_policy_global_order;
     Alcotest.test_case "steal local first" `Quick test_steal_policy_local_first;
     Alcotest.test_case "steal crosses contexts" `Quick test_steal_policy_steals;
     Alcotest.test_case "steal rotation" `Quick test_steal_rotation_deterministic;

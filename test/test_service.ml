@@ -455,6 +455,36 @@ let test_daemon_idle_quiesce () =
   in
   checks "post-quiesce run done" "done" (jstr "event" j2)
 
+(* --- hang-ups ------------------------------------------------------------- *)
+
+(* A client that sends a run and closes its socket before the reply must
+   not take the daemon down: on a Unix socket the "queued" ack's write
+   hits a closed peer, which raises SIGPIPE unless the daemon ignores it.
+   A second client still gets its reply. *)
+let test_client_hangup () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gprs-hangup-%d.sock" (Unix.getpid ()))
+  in
+  let cfg = { Server.Daemon.default_config with addr = Server.Daemon.Unix_sock path } in
+  with_daemon ~cfg @@ fun _d c ->
+  List.iter
+    (fun i ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let line =
+        J.to_string
+          (Server.Scenario.to_json
+             (scenario ~id:(Printf.sprintf "gone%d" i) ~seed:i ~workload:"histogram" ()))
+        ^ "\n"
+      in
+      ignore (Unix.write_substring fd line 0 (String.length line));
+      Unix.close fd)
+    [ 1; 2; 3 ];
+  let j = Server.Client.run_sync c (scenario ~id:"kept" ~workload:"histogram" ()) in
+  checks "second client still served" "done" (jstr "event" j)
+
 (* --- teardown ------------------------------------------------------------ *)
 
 (* Stopping a daemon with a client still connected must not close the
@@ -518,6 +548,8 @@ let suite =
       test_protocol_errors;
     Alcotest.test_case "daemon housekeeper joins the idle pool" `Quick
       test_daemon_idle_quiesce;
+    Alcotest.test_case "a client hanging up does not kill the daemon" `Quick
+      test_client_hangup;
     Alcotest.test_case "stop with a client connected, then serve again" `Quick
       test_stop_with_client_connected;
   ]
