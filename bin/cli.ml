@@ -12,6 +12,16 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* A finite float greater than 0: a rate of 0, a negative or a NaN rate
+   has no arrival schedule. *)
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0.0 -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "expected a finite number > 0, got %S" s))
+  in
+  Arg.conv ~docv:(Arg.conv_docv Arg.float) (parse, Arg.conv_printer Arg.float)
+
 (* An input scale, held to [Run.check_scale]. *)
 let scale =
   let parse s =

@@ -811,7 +811,7 @@ let client_retries =
               with its daemon instead of racing it with sleeps.")
 
 let client_count =
-  Arg.(value & opt int 1
+  Arg.(value & opt Cli.positive_int 1
        & info [ "count" ]
            ~doc:
              "Requests to send: sequential, stepping the seed (or arrival \
@@ -825,7 +825,7 @@ let client_mix =
               fault-free and (if --rate > 0) faulty.")
 
 let client_open_loop =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some Cli.positive_float) None
        & info [ "open-loop" ]
            ~doc:
              "Open-loop mode: send $(b,--count) arrivals at $(docv) \

@@ -80,11 +80,6 @@ val add_alias : t -> alias -> unit
 
 val mem_alias : t -> alias -> bool
 
-val aliases : t -> alias list
-(** Decoded alias set in ascending code order, for display/tests. *)
-
-val clear_aliases : t -> unit
-
 (** {1 Accumulated alias sets}
 
     The selective-squash walk tests each younger sub-thread against the
@@ -129,7 +124,5 @@ val release : pool -> t -> unit
 val pool_stats : pool -> int * int * int
 (** [(hits, misses, live high-water)] — recycled vs allocated acquires
     and the peak number of simultaneously outstanding records. *)
-
-val pp_alias : Format.formatter -> alias -> unit
 
 val pp : Format.formatter -> t -> unit

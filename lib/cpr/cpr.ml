@@ -66,7 +66,8 @@ type snapshot = {
   mutex_state : (int option * Exec.Fifo.t) array;
   cond_state : Exec.Fifo.t array;
   barrier_state : int list array;
-  alloc_state : Vm.Mem.alloc_state;
+  alloc : int * (Vm.Mem.addr * int) list * (Vm.Mem.addr * int) list;
+      (** [Vm.Mem.alloc_parts]: static break, free list, live blocks *)
 }
 
 type mode = Normal | Quiescing | Recording | Restoring
@@ -104,7 +105,6 @@ type eng = {
   mutable injector : Faults.Injector.t;
   mutable pending_reports : (int * int) list;  (* (occurred_at, ctx), oldest first *)
   mutable consecutive_rollbacks : int;
-  mutable restore_resets_to : int;  (* taken_at of last restore target *)
 }
 
 let note_work hk tid d =
@@ -143,7 +143,7 @@ let take_snapshot eng =
       Array.map (fun (c : Exec.State.cond) -> c.Exec.State.sleepers) st.Exec.State.conds;
     barrier_state =
       Array.map (fun (b : Exec.State.barrier) -> b.Exec.State.arrived) st.Exec.State.barriers;
-    alloc_state = Vm.Mem.save_alloc st.Exec.State.mem;
+    alloc = Vm.Mem.alloc_parts st.Exec.State.mem;
     work_done = Array.init n (Exec.Tidtab.get eng.hk.work_done);
   }
 
@@ -181,7 +181,8 @@ let restore_snapshot eng snap =
     snap.barrier_state;
   let copied = Vm.Mem.restore_image st.Exec.State.mem snap.image in
   Sim.Stats.add st.Exec.State.stats "cpr.snap_words_uncopied" copied;
-  Vm.Mem.restore_alloc st.Exec.State.mem snap.alloc_state;
+  let brk, free, used = snap.alloc in
+  Vm.Mem.restore_alloc_parts st.Exec.State.mem ~brk ~free ~used;
   let work = Exec.Tidtab.create 0 in
   Array.iteri (Exec.Tidtab.set work) snap.work_done;
   eng.hk.work_done <- work
@@ -354,7 +355,6 @@ let begin_restore eng ~occurred_at =
   | Some snap ->
     restore_snapshot eng snap;
     Sim.Stats.add st.Exec.State.stats "cpr.lost_cycles" (now eng - snap.taken_at);
-    eng.restore_resets_to <- snap.taken_at;
     if undo_prev_too then begin
       (match eng.snaps with
       | s2 :: _ when s2 != snap -> eng.image_pool <- s2.image :: eng.image_pool
@@ -462,7 +462,6 @@ let run ?blocks cfg program =
           ~cycles_per_second:cfg.costs.Vm.Costs.cycles_per_second;
       pending_reports = [];
       consecutive_rollbacks = 0;
-      restore_resets_to = 0;
     }
   in
   st.Exec.State.current_undo <- Some eng.cur_log;

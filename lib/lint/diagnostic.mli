@@ -70,8 +70,6 @@ val make :
 
 val severity_label : severity -> string
 val kind_label : kind -> string
-val severity_rank : severity -> int
-(** [Error] ranks lowest (sorts first). *)
 
 val compare : t -> t -> int
 (** Orders by severity (errors first), then proc, pc, message. *)

@@ -302,7 +302,11 @@ let handle_sleep t conn j =
   let id = Result.value ~default:"" (Json.str ~default:"" "id" j) in
   let ms = Result.value ~default:100 (Json.int ~default:100 "ms" j) in
   Mutex.lock t.mutex;
-  if t.inflight >= t.cfg.depth then begin
+  if t.stopping then begin
+    Mutex.unlock t.mutex;
+    send conn (err_reply ~id 503 "daemon shutting down")
+  end
+  else if t.inflight >= t.cfg.depth then begin
     t.n_shed <- t.n_shed + 1;
     Mutex.unlock t.mutex;
     send conn (err_reply ~id 429 "admission queue full")

@@ -62,20 +62,3 @@ let truncate t f n =
 let contents t f =
   let e = entry t f in
   Array.sub e.data 0 e.len
-
-let name t f = (entry t f).fname
-
-let snapshot t =
-  let files' =
-    Array.init t.count (fun i ->
-        let e = t.files.(i) in
-        { fname = e.fname; data = Array.copy e.data; len = e.len })
-  in
-  { files = files'; count = t.count }
-
-let restore t ~from =
-  t.files <-
-    Array.init from.count (fun i ->
-        let e = from.files.(i) in
-        { fname = e.fname; data = Array.copy e.data; len = e.len });
-  t.count <- from.count

@@ -5,9 +5,10 @@
     paper's file I/O idempotent (§3.2): re-executing a squashed
     sub-thread's writes lands the same words at the same offsets.
 
-    Like {!Mem}, the file store performs no undo tracking of its own;
-    executors route writes through their tracked hooks and capture the old
-    word (and old length) for rollback. *)
+    Like {!Mem}, the file store performs no undo tracking of its own, and
+    it has no snapshot: executors route writes through their tracked
+    hooks and capture the old word (and old length) in their undo logs,
+    which is how both GPRS and CPR roll files back. *)
 
 type file = int
 (** File handle: index into the file table. *)
@@ -36,9 +37,3 @@ val truncate : t -> file -> int -> unit
 
 val contents : t -> file -> int array
 (** Copy of the live contents (length [size]). *)
-
-val name : t -> file -> string
-
-val snapshot : t -> t
-
-val restore : t -> from:t -> unit

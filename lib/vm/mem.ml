@@ -7,7 +7,7 @@ let page_bits = 6
 let page_words = 1 lsl page_bits
 
 type t = {
-  mutable data : int array;
+  data : int array;
   mutable static_brk : int;
   (* Free blocks sorted by address; first-fit with splitting. *)
   mutable free_list : (addr * int) list;
@@ -16,25 +16,9 @@ type t = {
      [restore_image]; never by plain writes. *)
   mutable epoch : int;
   (* Per-page epoch of the last write (or restore) landing in the page. *)
-  mutable page_epoch : int array;
+  page_epoch : int array;
   (* Per-word epoch of the last counted first-touch; see [touch]. *)
-  mutable word_epoch : int array;
-  (* Dirty-page journal: each page stamped in an epoch is appended once
-     (the [page_epoch] comparison in [write] dedupes within the epoch),
-     so capture/restore walk exactly the pages written since an image's
-     sync instead of scanning every page. [ep_start.(e - ep_base)] is the
-     journal length when epoch [e] began; entries are complete for epochs
-     >= [ep_base] (the journal resets when it outgrows the page table, at
-     which point older images fall back to the full page scan). *)
-  mutable dirty_log : int array;
-  mutable dirty_len : int;
-  mutable ep_start : int array;
-  mutable ep_len : int;
-  mutable ep_base : int;
-  (* Generation-stamped scratch for deduping a journal walk that spans
-     several epochs (a page may appear once per epoch). *)
-  mutable mark : int array;
-  mutable mark_gen : int;
+  word_epoch : int array;
 }
 
 let n_pages words = (words + page_words - 1) lsr page_bits
@@ -48,61 +32,15 @@ let create ~words =
     epoch = 1;
     page_epoch = Array.make (n_pages words) 0;
     word_epoch = Array.make words 0;
-    dirty_log = [||];
-    dirty_len = 0;
-    ep_start = [| 0 |];
-    ep_len = 1;
-    ep_base = 1;
-    mark = Array.make (n_pages words) 0;
-    mark_gen = 0;
   }
 
 let words t = Array.length t.data
 
 let read t a = t.data.(a)
 
-let log_push t p =
-  if t.dirty_len = Array.length t.dirty_log then begin
-    let n = Stdlib.max 64 (2 * t.dirty_len) in
-    let a = Array.make n 0 in
-    Array.blit t.dirty_log 0 a 0 t.dirty_len;
-    t.dirty_log <- a
-  end;
-  t.dirty_log.(t.dirty_len) <- p;
-  t.dirty_len <- t.dirty_len + 1
-
 let write t a v =
   t.data.(a) <- v;
-  let p = a lsr page_bits in
-  if t.page_epoch.(p) <> t.epoch then begin
-    t.page_epoch.(p) <- t.epoch;
-    log_push t p
-  end
-
-let push_ep_start t v =
-  if t.ep_len = Array.length t.ep_start then begin
-    let n = Stdlib.max 8 (2 * t.ep_len) in
-    let a = Array.make n 0 in
-    Array.blit t.ep_start 0 a 0 t.ep_len;
-    t.ep_start <- a
-  end;
-  t.ep_start.(t.ep_len) <- v;
-  t.ep_len <- t.ep_len + 1
-
-(* Reset when the journal outgrows the page table by this factor: at that
-   density the full page scan is cheaper anyway, and the log stays
-   bounded on long runs with many retained epochs. *)
-let journal_overflow_factor = 4
-
-let advance_epoch t =
-  t.epoch <- t.epoch + 1;
-  if t.dirty_len > journal_overflow_factor * Array.length t.page_epoch then begin
-    t.dirty_len <- 0;
-    t.ep_base <- t.epoch;
-    t.ep_len <- 0;
-    push_ep_start t 0
-  end
-  else push_ep_start t t.dirty_len
+  t.page_epoch.(a lsr page_bits) <- t.epoch
 
 let touch t a =
   if t.word_epoch.(a) < t.epoch then begin
@@ -119,94 +57,39 @@ type image = {
 
 let alloc_image t = { img_data = Array.make (words t) 0; synced_at = -1 }
 
-let blit_pages ~src ~dst ~page_epoch ~since ~total =
-  let np = n_pages total in
+(* Copy every page stamped after [img.synced_at] from [src] to [dst],
+   re-stamping it with the current epoch if [restamp]; returns the number
+   of words copied. A never-synced image has [synced_at = -1], so every
+   page is due. *)
+let sync_pages t img ~src ~dst ~restamp =
+  let total = words t in
   let copied = ref 0 in
-  for p = 0 to np - 1 do
-    if page_epoch.(p) > since then begin
+  for p = 0 to Array.length t.page_epoch - 1 do
+    if t.page_epoch.(p) > img.synced_at then begin
       let off = p lsl page_bits in
       let len = min page_words (total - off) in
       Array.blit src off dst off len;
+      if restamp then t.page_epoch.(p) <- t.epoch;
       copied := !copied + len
     end
   done;
   !copied
 
-(* Walk the deduped journal entries logged since epoch [since + 1],
-   applying [f] to each distinct page. Caller must have checked
-   [since + 1 >= t.ep_base]. The walk is bounded to the entries present
-   when it started, so [f] may append new entries (restore re-logs). *)
-let iter_dirty_since t ~since f =
-  let start = t.ep_start.(since + 1 - t.ep_base) in
-  let stop = t.dirty_len in
-  t.mark_gen <- t.mark_gen + 1;
-  let gen = t.mark_gen in
-  for i = start to stop - 1 do
-    let p = t.dirty_log.(i) in
-    if t.mark.(p) <> gen then begin
-      t.mark.(p) <- gen;
-      f p
-    end
-  done
-
 let capture t img =
-  let total = words t in
-  let copied =
-    if img.synced_at < 0 then begin
-      (* Never synced: every page is due — one whole-array blit. *)
-      Array.blit t.data 0 img.img_data 0 total;
-      total
-    end
-    else if img.synced_at + 1 >= t.ep_base then begin
-      (* The journal covers every epoch since the sync: copy exactly the
-         pages written since, no page-table scan. The deduped entry set
-         equals {p | page_epoch.(p) > synced_at} — every stamp since the
-         sync was logged, and every logged page was stamped — so the
-         copied-word count (checkpoint-cost stats) is bit-identical to
-         the scan's. *)
-      let copied = ref 0 in
-      iter_dirty_since t ~since:img.synced_at (fun p ->
-          let off = p lsl page_bits in
-          let len = min page_words (total - off) in
-          Array.blit t.data off img.img_data off len;
-          copied := !copied + len);
-      !copied
-    end
-    else
-      blit_pages ~src:t.data ~dst:img.img_data ~page_epoch:t.page_epoch
-        ~since:img.synced_at ~total
-  in
+  let copied = sync_pages t img ~src:t.data ~dst:img.img_data ~restamp:false in
   img.synced_at <- t.epoch;
-  advance_epoch t;
+  t.epoch <- t.epoch + 1;
   copied
 
 let restore_image t img =
   (* Every page written since the image was synced differs (or may
-     differ) from the image; copy those back and re-stamp them (and
-     re-log them, so later journal walks of other retained images see
-     them as dirty too). *)
-  let total = words t in
-  let copied = ref 0 in
-  let restore_page p =
-    let off = p lsl page_bits in
-    let len = min page_words (total - off) in
-    Array.blit img.img_data off t.data off len;
-    if t.page_epoch.(p) <> t.epoch then begin
-      t.page_epoch.(p) <- t.epoch;
-      log_push t p
-    end;
-    copied := !copied + len
+     differ) from the image; copy those back and re-stamp them, so other
+     retained images see them as dirty too. *)
+  let copied =
+    sync_pages t img ~src:img.img_data ~dst:t.data ~restamp:true
   in
-  if img.synced_at >= 0 && img.synced_at + 1 >= t.ep_base then
-    iter_dirty_since t ~since:img.synced_at restore_page
-  else begin
-    let np = n_pages total in
-    for p = 0 to np - 1 do
-      if t.page_epoch.(p) > img.synced_at then restore_page p
-    done
-  end;
-  advance_epoch t;
-  !copied
+  t.epoch <- t.epoch + 1;
+  copied
 
 let take_front t n =
   (* Shrink the lowest free block; used by [reserve] so static data sits at
@@ -299,65 +182,3 @@ let restore_alloc_parts t ~brk ~free ~used =
   t.free_list <- free;
   Hashtbl.reset t.allocated;
   List.iter (fun (a, n) -> Hashtbl.replace t.allocated a n) used
-
-type alloc_state = {
-  a_static_brk : int;
-  a_free_list : (addr * int) list;
-  a_allocated : (addr * int) list;
-}
-
-let save_alloc t =
-  {
-    a_static_brk = t.static_brk;
-    a_free_list = t.free_list;
-    a_allocated = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.allocated [];
-  }
-
-let restore_alloc t s =
-  t.static_brk <- s.a_static_brk;
-  t.free_list <- s.a_free_list;
-  Hashtbl.reset t.allocated;
-  List.iter (fun (k, v) -> Hashtbl.replace t.allocated k v) s.a_allocated
-
-let snapshot t =
-  {
-    data = Array.copy t.data;
-    static_brk = t.static_brk;
-    free_list = t.free_list;
-    allocated = Hashtbl.copy t.allocated;
-    epoch = t.epoch;
-    page_epoch = Array.copy t.page_epoch;
-    word_epoch = Array.copy t.word_epoch;
-    dirty_log = Array.copy t.dirty_log;
-    dirty_len = t.dirty_len;
-    ep_start = Array.copy t.ep_start;
-    ep_len = t.ep_len;
-    ep_base = t.ep_base;
-    mark = Array.make (Array.length t.page_epoch) 0;
-    mark_gen = 0;
-  }
-
-let restore t ~from =
-  if Array.length t.data = Array.length from.data then
-    Array.blit from.data 0 t.data 0 (Array.length t.data)
-  else t.data <- Array.copy from.data;
-  t.static_brk <- from.static_brk;
-  t.free_list <- from.free_list;
-  Hashtbl.reset t.allocated;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.allocated k v) from.allocated;
-  (* Every page may now differ from any retained image: stamp them all
-     dirty at the current epoch, then advance it. Too many pages to
-     journal — reset the log, so pre-restore images fall back to the
-     full page scan (their pages all read as dirty anyway). *)
-  if Array.length t.page_epoch <> n_pages (Array.length from.data) then
-    t.page_epoch <- Array.make (n_pages (Array.length from.data)) 0;
-  if Array.length t.word_epoch <> Array.length from.data then
-    t.word_epoch <- Array.make (Array.length from.data) 0;
-  if Array.length t.mark <> Array.length t.page_epoch then
-    t.mark <- Array.make (Array.length t.page_epoch) 0;
-  Array.fill t.page_epoch 0 (Array.length t.page_epoch) t.epoch;
-  t.epoch <- t.epoch + 1;
-  t.dirty_len <- 0;
-  t.ep_base <- t.epoch;
-  t.ep_len <- 0;
-  push_ep_start t 0

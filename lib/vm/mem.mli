@@ -8,11 +8,11 @@
     The memory itself performs no undo tracking: executors capture old
     values through their tracked {!Env.t} write hooks. What memory does
     provide is the allocator's inverse operations ({!undo_alloc},
-    {!undo_free}) required for WAL-driven recovery, plus two snapshot
-    mechanisms: page-granular dirty-tracked {!image}s ({!capture} /
-    {!restore_image}) used by the coordinated-CPR engine, and deep
-    {!snapshot}/{!restore} full copies used by tests and as the
-    reference the incremental path is checked against. *)
+    {!undo_free}) required for WAL-driven recovery, the allocator's
+    concrete state ({!alloc_parts} / {!restore_alloc_parts}) for WAL
+    checkpoints and CPR snapshots, and page-granular dirty-tracked
+    {!image}s ({!capture} / {!restore_image}) for the coordinated-CPR
+    engine's data words. *)
 
 type addr = int
 
@@ -20,8 +20,6 @@ type t
 
 val create : words:int -> t
 (** Fresh zeroed memory of [words] words, all managed by the allocator. *)
-
-val words : t -> int
 
 val read : t -> addr -> int
 val write : t -> addr -> int -> unit
@@ -58,15 +56,12 @@ val touch : t -> addr -> bool
     words without materializing per-word entries. *)
 
 type image
-(** A page-granular snapshot of the data words, dirty-tracked: after the
-    first (full) sync, re-syncing through {!capture} copies only pages
-    written since. Syncs walk a dirty-page journal (one entry per page
-    per epoch, recorded at write time) rather than scanning the page
-    table, so a checkpoint costs O(pages written this interval), not
-    O(total pages); the page-table scan remains as the fallback once the
-    journal resets (it is dropped when it outgrows the page table).
-    Copied-word counts are identical either way. Allocator metadata is
-    not included — pair with {!save_alloc}. *)
+(** A page-granular snapshot of the data words, dirty-tracked: every
+    write stamps its page with the current epoch, and after the first
+    (full) sync, re-syncing through {!capture} copies only the pages
+    stamped since — found by one scan of the page table, one compare
+    per page. Allocator metadata is not included — pair with
+    {!alloc_parts}. *)
 
 val alloc_image : t -> image
 (** A fresh, never-synced image: the next {!capture} into it copies every
@@ -84,10 +79,6 @@ val restore_image : t -> image -> int
     other retained images stay coherent), and advances the epoch.
     Returns the number of words copied. *)
 
-val live_blocks : t -> (addr * int) list
-(** Allocated blocks, sorted by address; used by tests and by CPR
-    snapshots. *)
-
 val redo_alloc : t -> addr -> size:int -> unit
 (** ARIES conditional redo of a logged [Alloc]: carve exactly
     [addr, addr+size) back out of the free list and mark it live; no-op
@@ -98,23 +89,8 @@ val alloc_parts : t -> int * (addr * int) list * (addr * int) list
 (** [(static_brk, free_list, allocated)] — the concrete allocator
     metadata, both lists address-sorted. Serialized into WAL checkpoint
     records so cold recovery can rebuild the allocator without replaying
-    the whole log. *)
+    the whole log, and held by CPR snapshots. *)
 
 val restore_alloc_parts :
   t -> brk:int -> free:(addr * int) list -> used:(addr * int) list -> unit
 (** Inverse of {!alloc_parts}: install a checkpointed allocator state. *)
-
-type alloc_state
-(** Opaque copy of the allocator metadata (free list + live blocks),
-    excluding data words. CPR snapshots this cheaply at every checkpoint;
-    data words are restored through undo logs instead. *)
-
-val save_alloc : t -> alloc_state
-
-val restore_alloc : t -> alloc_state -> unit
-
-val snapshot : t -> t
-(** Deep copy (data + allocator state). *)
-
-val restore : t -> from:t -> unit
-(** Overwrite [t] in place with the contents of a snapshot. *)

@@ -8,8 +8,3 @@
     Fig. 9 while GPRS's sub-thread pool absorbs it. *)
 
 val spec : Workload.spec
-
-val options_count : scale:float -> int
-
-val price_one : spot:int -> strike:int -> vol:int -> expiry:int -> int
-(** The pricing kernel, exposed for unit tests: deterministic, pure. *)

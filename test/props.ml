@@ -201,39 +201,45 @@ let prop_alloc_coalesce =
       Array.iter (fun a -> Vm.Mem.free m a) blocks;
       Vm.Mem.alloc m 8192 = 0)
 
-(* --- Incremental snapshots: image restore ≡ full-copy restore -------- *)
+(* --- Incremental snapshots: image restore ≡ full-copy model ---------- *)
 
-let mem_writes_gen =
-  QCheck2.Gen.(list_size (int_range 0 120) (pair (int_range 0 511) (int_range 0 9999)))
+type img_op = IWrite of int * int | ICapture of int | IRestore of int
+
+let img_op_gen =
+  Gen.(
+    frequency
+      [
+        (6, map2 (fun a v -> IWrite (a, v)) (int_range 0 511) (int_range 0 9999));
+        (1, map (fun k -> ICapture k) (int_range 0 2));
+        (1, map (fun k -> IRestore k) (int_range 0 2));
+      ])
 
 let prop_mem_image_equiv =
   case "mem: restore(incremental image) ≡ restore(full copy)"
-    Gen.(triple mem_writes_gen mem_writes_gen mem_writes_gen)
-    (fun (w0, w1, w2) ->
+    Gen.(list_size (int_range 1 300) img_op_gen)
+    (fun ops ->
       let m = Vm.Mem.create ~words:512 in
-      let apply ws = List.iter (fun (a, v) -> Vm.Mem.write m a v) ws in
-      let contents () = Array.init 512 (Vm.Mem.read m) in
-      apply w0;
-      let img1 = Vm.Mem.alloc_image m in
-      ignore (Vm.Mem.capture m img1);
-      let full1 = contents () in
-      apply w1;
-      let img2 = Vm.Mem.alloc_image m in
-      ignore (Vm.Mem.capture m img2);
-      let full2 = contents () in
-      apply w2;
-      ignore (Vm.Mem.restore_image m img2);
-      let ok2 = contents () = full2 in
-      ignore (Vm.Mem.restore_image m img1);
-      let ok1 = contents () = full1 in
-      (* recycle img2 as a pool image: incremental re-capture, then
-         restore across fresh dirt *)
-      apply w2;
-      ignore (Vm.Mem.capture m img2);
-      let full3 = contents () in
-      apply w1;
-      ignore (Vm.Mem.restore_image m img2);
-      ok1 && ok2 && contents () = full3)
+      let imgs = Array.init 3 (fun _ -> Vm.Mem.alloc_image m) in
+      (* The model: the words, and each image's words at its last
+         capture (a never-synced image restores zeros). *)
+      let model = Array.make 512 0 in
+      let saved = Array.init 3 (fun _ -> Array.make 512 0) in
+      List.for_all
+        (fun op ->
+          match op with
+          | IWrite (a, v) ->
+            Vm.Mem.write m a v;
+            model.(a) <- v;
+            true
+          | ICapture k ->
+            ignore (Vm.Mem.capture m imgs.(k));
+            Array.blit model 0 saved.(k) 0 512;
+            true
+          | IRestore k ->
+            ignore (Vm.Mem.restore_image m imgs.(k));
+            Array.blit saved.(k) 0 model 0 512;
+            Array.init 512 (Vm.Mem.read m) = model)
+        ops)
 
 (* --- Undo log: random writes restore exactly ------------------------ *)
 

@@ -528,6 +528,47 @@ let test_stop_with_client_connected () =
       | None -> assert false)
     [ 1; 2; 3 ]
 
+(* Once shutdown has begun, every verb that queues work refuses it with
+   503, the sleep verb as well as run: a sleep queued behind the drain
+   would hold the pool the stop is waiting on. A 1 s sleep holds the only
+   worker while [stop] drains it in another thread; the socket file is
+   unlinked after [stop] marks the daemon stopping, so its absence says
+   the daemon is stopping while the connection is still open. *)
+let test_sleep_refused_while_stopping () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gprs-stopping-%d.sock" (Unix.getpid ()))
+  in
+  let cfg =
+    {
+      Server.Daemon.default_config with
+      addr = Server.Daemon.Unix_sock path;
+      jobs = 1;
+      idle_quiesce_ms = 0;
+    }
+  in
+  with_daemon ~cfg @@ fun d c ->
+  Server.Client.send c
+    (J.Obj [ ("op", J.Str "sleep"); ("id", J.Str "hold"); ("ms", J.Int 1000) ]);
+  poll_until ~msg:"the held sleep never reached the pool" (fun () ->
+      jint "pool_pending" (Server.Daemon.stats_json d) = 1);
+  let stopper = Thread.create Server.Daemon.stop d in
+  poll_until ~msg:"stop never began" (fun () -> not (Sys.file_exists path));
+  Server.Client.send c
+    (Server.Scenario.to_json (scenario ~id:"late-run" ~workload:"histogram" ()));
+  Server.Client.send c
+    (J.Obj [ ("op", J.Str "sleep"); ("id", J.Str "late-sleep"); ("ms", J.Int 10) ]);
+  List.iter
+    (fun id ->
+      let j, _ = Server.Client.await c ~id in
+      checks (id ^ " refused") "error" (jstr "event" j);
+      checki (id ^ " with 503") 503 (jint "code" j))
+    [ "late-run"; "late-sleep" ];
+  let j, _ = Server.Client.await c ~id:"hold" in
+  checks "the held sleep drains" "done" (jstr "event" j);
+  Thread.join stopper
+
 let suite =
   [
     Alcotest.test_case "json codec round-trips" `Quick test_json_roundtrip;
@@ -552,4 +593,6 @@ let suite =
       test_client_hangup;
     Alcotest.test_case "stop with a client connected, then serve again" `Quick
       test_stop_with_client_connected;
+    Alcotest.test_case "sleep is refused once shutdown has begun" `Quick
+      test_sleep_refused_while_stopping;
   ]

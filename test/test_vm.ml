@@ -50,16 +50,24 @@ let test_mem_undo_alloc_free () =
   Alcotest.(check (option int)) "re-registered" (Some 8) (Vm.Mem.block_size m b)
 
 let test_mem_snapshot_restore () =
+  (* The checkpoint CPR takes: a data image plus the allocator parts. *)
   let m = Vm.Mem.create ~words:64 in
   let a = Vm.Mem.alloc m 4 in
   Vm.Mem.write m a 7;
-  let snap = Vm.Mem.snapshot m in
+  let img = Vm.Mem.alloc_image m in
+  ignore (Vm.Mem.capture m img);
+  let brk, free, used = Vm.Mem.alloc_parts m in
   Vm.Mem.write m a 9;
+  let b = Vm.Mem.alloc m 8 in
   Vm.Mem.free m a;
-  Vm.Mem.restore m ~from:snap;
+  ignore (Vm.Mem.restore_image m img);
+  Vm.Mem.restore_alloc_parts m ~brk ~free ~used;
   check "word restored" 7 (Vm.Mem.read m a);
   Alcotest.(check (option int)) "alloc state restored" (Some 4)
-    (Vm.Mem.block_size m a)
+    (Vm.Mem.block_size m a);
+  Alcotest.(check (option int)) "later block gone" None (Vm.Mem.block_size m b);
+  checkb "allocator parts round-trip" true
+    (Vm.Mem.alloc_parts m = (brk, free, used))
 
 let test_mem_free_coalesces () =
   let m = Vm.Mem.create ~words:128 in
@@ -139,16 +147,6 @@ let test_io_truncate () =
   check "shorter" 1 (Vm.Io.size io f);
   Alcotest.(check (array int)) "contents" [| 5 |] (Vm.Io.contents io f)
 
-let test_io_snapshot_restore () =
-  let io = Vm.Io.create () in
-  let f = Vm.Io.add_file io ~name:"x" [| 1 |] in
-  let snap = Vm.Io.snapshot io in
-  Vm.Io.write io f ~off:0 100;
-  Vm.Io.write io f ~off:1 200;
-  Vm.Io.restore io ~from:snap;
-  check "len back" 1 (Vm.Io.size io f);
-  check "word back" 1 (Vm.Io.read io f ~off:0)
-
 let test_tcb_save_restore () =
   let proc = { Vm.Isa.pname = "p"; code = [| Vm.Isa.Exit |] } in
   let t = Vm.Tcb.create ~n_barriers:0 ~tid:3 ~group:1 ~proc ~args:[| 10; 20 |] in
@@ -218,7 +216,6 @@ let suite =
     Alcotest.test_case "io basics" `Quick test_io_basics;
     Alcotest.test_case "io write grows" `Quick test_io_write_grows;
     Alcotest.test_case "io truncate" `Quick test_io_truncate;
-    Alcotest.test_case "io snapshot/restore" `Quick test_io_snapshot_restore;
     Alcotest.test_case "tcb save/restore" `Quick test_tcb_save_restore;
     Alcotest.test_case "builder labels" `Quick test_builder_labels;
     Alcotest.test_case "builder unbound label" `Quick test_builder_unbound_label;
