@@ -1,8 +1,6 @@
 (* ARIES-style cold recovery over the GPRS WAL's stable-storage image,
    plus the crash-consistency sweep harness built on it. *)
 
-module IntSet = Set.Make (Int)
-
 type analysis = {
   horizon : int;
   dropped : int list;
@@ -27,19 +25,21 @@ type ckpt = {
 let analyze image =
   Faults.Points.strike Faults.Points.Recovery_analysis;
   let recs = Wal.parse_image image in
-  (* Analysis pass: last complete checkpoint, retirement horizon, the
-     drop set of live-squashed orders, and every op record in LSN order. *)
-  let ckpt = ref None in
-  let horizon = ref 0 in
-  let dropped = ref IntSet.empty in
-  let ops = ref [] in
+  (* One walk over the records: last complete checkpoint, retirement
+     horizon, the drop set of live-squashed orders, every op record
+     newest first, and the span of op orders. *)
+  let ckpt = ref None and horizon = ref 0 and dropped = ref [] in
+  let ops = ref [] and n_ops = ref 0 and lo = ref max_int and hi = ref (-1) in
   List.iter
     (fun r ->
       match r with
-      | Wal.S_op { at; e } -> ops := (at, e) :: !ops
+      | Wal.S_op { at; e } ->
+        ops := (at, e) :: !ops;
+        incr n_ops;
+        if e.Wal.order < !lo then lo := e.Wal.order;
+        if e.Wal.order > !hi then hi := e.Wal.order
       | Wal.S_prune { upto; _ } -> horizon := Stdlib.max !horizon upto
-      | Wal.S_drop { orders; _ } ->
-        List.iter (fun o -> dropped := IntSet.add o !dropped) orders
+      | Wal.S_drop { orders; _ } -> dropped := List.rev_append orders !dropped
       | Wal.S_ckpt_begin _ -> ()
       | Wal.S_ckpt_end { min_retired; redo_start; brk; free; used; _ } ->
         (* Begin records carry no payload: a begin without its end means
@@ -60,73 +60,72 @@ let analyze image =
     | Some c -> c
     | None -> raise (Wal.Corrupt "no complete checkpoint record in image")
   in
-  let ops = List.rev !ops in
+  (* The engine logs a ROL insert for every order it grants, and grants
+     them in sequence, so the op orders of an image it wrote are one
+     span no wider than its op count. *)
+  let lo = !lo and hi = !hi in
+  let span = if !n_ops = 0 then 0 else hi - lo + 1 in
+  (* [span] wraps to <= 0 when the true width passes max_int. *)
+  if !n_ops > 0 && (span <= 0 || span > !n_ops) then
+    raise
+      (Wal.Corrupt
+         (Printf.sprintf "op orders %d..%d span more than the image's %d op records" lo hi
+            !n_ops));
   let horizon = !horizon in
-  let dropped = !dropped in
-  (* Losers: every order the log ever granted that neither retired
-     (order >= horizon) nor was squashed-and-undone by a live recovery
-     before the crash (drop markers). *)
-  let losers =
-    List.fold_left
-      (fun acc (_, (e : Wal.entry)) ->
-        if e.Wal.order >= horizon && not (IntSet.mem e.Wal.order dropped) then
-          IntSet.add e.Wal.order acc
-        else acc)
-      IntSet.empty ops
-  in
-  let loser_ops =
-    List.filter (fun (_, (e : Wal.entry)) -> IntSet.mem e.Wal.order losers) ops
-    |> List.rev_map snd
-  in
-  let retired o = o < horizon && not (IntSet.mem o dropped) in
-  let replayed =
-    List.length
-      (List.filter (fun (_, (e : Wal.entry)) -> e.Wal.lsn >= ckpt.c_redo_start) ops)
-  in
-  (* Redo: install the checkpointed allocator, then conditionally
-     re-apply the retired-prefix records from the redo-start LSN on.
-     Allocs are positional carves (no-op when the checkpoint already
-     holds them); frees are the retirement-time application of the
-     quarantined blocks, guarded so a free already reflected in the
-     checkpoint is not applied twice. Thread/ROL/queue/IO records need no
-     allocator action — their state lives in the durable TCBs or is
-     rebuilt by the restart logic — but they count as redone work. *)
+  let dropped = List.sort_uniq compare !dropped in
+  (* One mark per op order in [lo, hi]: dropped, or a loser — an order
+     the log granted that neither retired (order >= horizon) nor was
+     squashed-and-undone by a live recovery before the crash. *)
+  let marks = Bytes.make span '\000' in
+  List.iter (fun o -> if o >= lo && o <= hi then Bytes.set marks (o - lo) 'd') dropped;
+  (* One walk over the ops, newest first: points and the redo set come
+     out oldest first, the loser ops newest first (the undo order). *)
+  let retired o = o < horizon && Bytes.get marks (o - lo) <> 'd' in
+  let loser_ops = ref [] and points = ref [] and redo_ops = ref [] in
+  let replayed = ref 0 in
+  List.iter
+    (fun (at, (e : Wal.entry)) ->
+      let o = e.Wal.order in
+      if o >= horizon && Bytes.get marks (o - lo) <> 'd' then begin
+        Bytes.set marks (o - lo) 'l';
+        loser_ops := e :: !loser_ops
+      end;
+      if e.Wal.lsn >= ckpt.c_redo_start then begin
+        incr replayed;
+        if retired o then redo_ops := e.Wal.op :: !redo_ops
+      end;
+      points := (e.Wal.lsn, at) :: !points)
+    !ops;
+  let losers = ref [] in
+  for i = Bytes.length marks - 1 downto 0 do
+    if Bytes.get marks i = 'l' then losers := (lo + i) :: !losers
+  done;
+  let redo_ops = !redo_ops in
   let redo mem =
     Faults.Points.strike Faults.Points.Recovery_redo;
     Vm.Mem.restore_alloc_parts mem ~brk:ckpt.c_brk ~free:ckpt.c_free
       ~used:ckpt.c_used;
-    let n = ref 0 in
     List.iter
-      (fun (_, (e : Wal.entry)) ->
-        if e.Wal.lsn >= ckpt.c_redo_start && retired e.Wal.order then begin
-          incr n;
-          match e.Wal.op with
-          | Wal.Alloc { addr; size } -> Vm.Mem.redo_alloc mem addr ~size
-          | Wal.Free { addr; size } -> (
-            match Vm.Mem.block_size mem addr with
-            | Some s when s = size -> Vm.Mem.free mem addr
-            | Some _ | None -> ())
-          | Wal.Thread_create _ | Wal.Rol_insert _ | Wal.Sched_enqueue _
-          | Wal.Io_op _ -> ()
-        end)
-      ops;
-    !n
-  in
-  let next_sub =
-    1
-    + List.fold_left
-        (fun acc (_, (e : Wal.entry)) -> Stdlib.max acc e.Wal.order)
-        (-1) ops
+      (function
+        | Wal.Alloc { addr; size } -> Vm.Mem.redo_alloc mem addr ~size
+        | Wal.Free { addr; size } -> (
+          match Vm.Mem.block_size mem addr with
+          | Some s when s = size -> Vm.Mem.free mem addr
+          | Some _ | None -> ())
+        | Wal.Thread_create _ | Wal.Rol_insert _ | Wal.Sched_enqueue _
+        | Wal.Io_op _ -> ())
+      redo_ops;
+    List.length redo_ops
   in
   {
     horizon;
-    dropped = IntSet.elements dropped;
-    losers = IntSet.elements losers;
-    loser_ops;
-    replayed;
+    dropped;
+    losers = !losers;
+    loser_ops = List.rev !loser_ops;
+    replayed = !replayed;
     redo;
-    next_sub;
-    points = List.map (fun (at, (e : Wal.entry)) -> (e.Wal.lsn, at)) ops;
+    next_sub = hi + 1;
+    points = !points;
   }
 
 let recover ?(mangle = fun s -> s) dump =

@@ -48,8 +48,10 @@ type analysis = {
 
 val analyze : string -> analysis
 (** Analysis pass over a stable WAL image ({!Wal.parse_image}).
-    @raise Wal.Corrupt on a damaged or checkpoint-less image — recovery
-    refuses corrupted stable storage rather than guessing. *)
+    @raise Wal.Corrupt on a damaged or checkpoint-less image, or one
+    whose op orders span more ids than it has op records (the engine
+    logs every order it grants, in sequence) — recovery refuses
+    corrupted stable storage rather than guessing. *)
 
 val recover :
   ?mangle:(string -> string) ->

@@ -107,6 +107,10 @@ let close c =
     try Unix.close c.fd with _ -> ()
   end
 
+exception Closed
+
+(* A write the peer can no longer take (EPIPE, a reset, a descriptor
+   already closed) is the same event the reader reports as EOF. *)
 let send c j =
   Mutex.lock c.wlock;
   let r =
@@ -118,9 +122,10 @@ let send c j =
     with e -> Error e
   in
   Mutex.unlock c.wlock;
-  match r with Ok () -> () | Error e -> raise e
-
-exception Closed
+  match r with
+  | Ok () -> ()
+  | Error (Sys_error _ | Unix.Unix_error _) -> raise Closed
+  | Error e -> raise e
 
 (* Final reply (done or error) for [id], with its host arrival time. *)
 let await c ~id =

@@ -9,7 +9,9 @@
 type t
 
 exception Closed
-(** The connection dropped while a caller was waiting. *)
+(** The connection dropped: raised by {!send} (and so every call that
+    sends) once the socket no longer takes writes, and by a caller
+    waiting for a reply. *)
 
 val connect : ?retries:int -> Daemon.addr -> t
 (** Connect; on failure retry with bounded exponential backoff (50 ms
@@ -22,7 +24,7 @@ val close : t -> unit
     close the socket. A second call does nothing. *)
 
 val send : t -> Json.t -> unit
-(** Ship one protocol line. *)
+(** Ship one protocol line. @raise Closed if the daemon has hung up. *)
 
 val await : t -> id:string -> Json.t * float
 (** Block until the final (done/error) reply for [id]; returns it with

@@ -126,7 +126,26 @@ type srec =
     }
 
 val parse_image : string -> srec list
-(** Parse a stable image back into records, LSN order. @raise Corrupt *)
+(** Parse a stable image back into records, LSN order, in one pass that
+    checks each line's crc in place. The accepted grammar is exactly
+    what the writer emits. Lines end in ['\n'] (the last one may lack
+    it; empty lines are skipped). A line is a body, one space and its
+    crc. The crc is FNV-1a 64 of the body, written as lowercase hex
+    with no leading zeros (OCaml's [%Lx]). The body is a record tag and
+    its fields, separated by single spaces:
+    {v
+      O <lsn> <at> <order> <k> <a> <b>     k one of A F T R S I
+      P <lsn> <upto>
+      D <lsn> <ints>
+      B <lsn>
+      E <lsn> <min_retired> <redo_start> <ints> <brk> <blocks> <blocks>
+    v}
+    Every field is a decimal int: an optional ['-'], at least one
+    digit, and in [int] range. [<ints>] is ["-"] (empty) or ints joined
+    by [','], [<blocks>] is ["-"] or [<addr>:<size>] pairs joined by
+    [',']. Anything else is {!Corrupt}: a ['+'], a radix prefix, an
+    underscore, a doubled or stray space, a missing or extra field.
+    @raise Corrupt *)
 
 val all : t -> entry list
 (** Oldest first; for tests. *)

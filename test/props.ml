@@ -783,29 +783,66 @@ let prop_undo_log_model =
         ops)
 
 type wal_op =
-  | W_append of int * int  (* order, op kind *)
+  | W_append of { order : int; kind : int; at : int; a : int; b : int }
   | W_prune of int
   | W_drop of int * int  (* orders o with o mod m = r *)
-  | W_checkpoint of int
+  | W_checkpoint of {
+      min_retired : int;
+      brk : int;
+      active : int list;
+      free : (int * int) list;
+      used : (int * int) list;
+    }
+
+(* Record fields that reach every branch of the image's digit writer:
+   zero, one-digit and nineteen-digit magnitudes of both signs, and the
+   ends of the int range. Orders stay small: they index the live log. *)
+let edge_int_gen =
+  Gen.(
+    frequency
+      [
+        (4, int_range (-20) 100);
+        (2, int);
+        (1, oneofl [ 0; -1; 9; 10; -10; max_int; min_int; max_int - 1; min_int + 1 ]);
+      ])
+
+(* Empty, one-element and many-element lists. *)
+let edge_list_gen g =
+  Gen.(
+    frequency
+      [
+        (1, return []);
+        (1, map (fun x -> [ x ]) g);
+        (2, list_size (int_range 2 12) g);
+      ])
 
 let wal_op_gen =
   Gen.(
     frequency
       [
-        (10, map2 (fun o k -> W_append (o, k)) (int_range 0 40) (int_range 0 5));
+        ( 10,
+          map5
+            (fun order kind at a b -> W_append { order; kind; at; a; b })
+            (int_range 0 40) (int_range 0 5) edge_int_gen edge_int_gen edge_int_gen );
         (2, map (fun o -> W_prune o) (int_range 0 45));
         (2, map2 (fun m r -> W_drop (m, r mod m)) (int_range 1 6) (int_range 0 5));
-        (1, map (fun b -> W_checkpoint b) (int_range 0 100));
+        ( 1,
+          map5
+            (fun min_retired brk active free used ->
+              W_checkpoint { min_retired; brk; active; free; used })
+            edge_int_gen edge_int_gen (edge_list_gen edge_int_gen)
+            (edge_list_gen (pair edge_int_gen edge_int_gen))
+            (edge_list_gen (pair edge_int_gen edge_int_gen)) );
       ])
 
-let wal_op_of k o : Wal.op =
+let wal_op_of k a b : Wal.op =
   match k with
-  | 0 -> Alloc { addr = o; size = k + 1 }
-  | 1 -> Free { addr = o; size = 2 }
-  | 2 -> Thread_create { tid = o }
-  | 3 -> Rol_insert { sub = o }
-  | 4 -> Sched_enqueue { sub = o }
-  | _ -> Io_op { file = 0; words = o }
+  | 0 -> Alloc { addr = a; size = b }
+  | 1 -> Free { addr = a; size = b }
+  | 2 -> Thread_create { tid = a }
+  | 3 -> Rol_insert { sub = a }
+  | 4 -> Sched_enqueue { sub = a }
+  | _ -> Io_op { file = a; words = b }
 
 let prop_wal_model =
   case "wal: order-bucketed log equals the list reference model"
@@ -813,24 +850,21 @@ let prop_wal_model =
     (fun (stable, ops) ->
       let w = Wal.create ~stable () and r = Ref_models.Wal.create ~stable () in
       let all _ = true in
-      let at = ref 0 in
       List.for_all
         (fun op ->
-          incr at;
           let counts_agree =
             match op with
-            | W_append (order, k) ->
-              let op = wal_op_of k order in
-              Wal.append w ~at:!at ~order op = Ref_models.Wal.append r ~at:!at ~order op
+            | W_append { order; kind; at; a; b } ->
+              let op = wal_op_of kind a b in
+              Wal.append w ~at ~order op = Ref_models.Wal.append r ~at ~order op
             | W_prune order ->
               Wal.prune_below w ~order = Ref_models.Wal.prune_below r ~order
             | W_drop (m, rem) ->
               let orders o = o mod m = rem in
               Wal.drop_for w ~orders = Ref_models.Wal.drop_for r ~orders
-            | W_checkpoint brk ->
-              let active = [ brk mod 7; brk ] and free = [ (brk, 4) ] and used = [] in
-              Wal.log_checkpoint w ~min_retired:brk ~active ~brk ~free ~used;
-              Ref_models.Wal.log_checkpoint r ~min_retired:brk ~active ~brk ~free ~used;
+            | W_checkpoint { min_retired; brk; active; free; used } ->
+              Wal.log_checkpoint w ~min_retired ~active ~brk ~free ~used;
+              Ref_models.Wal.log_checkpoint r ~min_retired ~active ~brk ~free ~used;
               true
           in
           counts_agree
@@ -841,6 +875,132 @@ let prop_wal_model =
              = Ref_models.Wal.entries_for r ~orders:(fun o -> o mod 3 = 1)
           && Wal.stable_image w = Ref_models.Wal.stable_image r)
         ops)
+
+(* --- WAL image scanner: differential against the split-and-substring
+   reader ------------------------------------------------------------- *)
+
+(* The stable image of an op sequence, opened like an engine's by an
+   empty checkpoint so that it is never empty. *)
+let wal_image ops =
+  let w = Wal.create ~stable:true () in
+  Wal.log_checkpoint w ~min_retired:0 ~active:[] ~brk:0 ~free:[] ~used:[];
+  List.iter
+    (function
+      | W_append { order; kind; at; a; b } ->
+        ignore (Wal.append w ~at ~order (wal_op_of kind a b))
+      | W_prune order -> ignore (Wal.prune_below w ~order)
+      | W_drop (m, rem) -> ignore (Wal.drop_for w ~orders:(fun o -> o mod m = rem))
+      | W_checkpoint { min_retired; brk; active; free; used } ->
+        Wal.log_checkpoint w ~min_retired ~active ~brk ~free ~used)
+    ops;
+  Option.get (Wal.stable_image w)
+
+let wal_image_gen = Gen.(map wal_image (list_size (int_range 0 120) wal_op_gen))
+
+let parsed parse image =
+  match parse image with
+  | recs -> Ok recs
+  | exception Wal.Corrupt msg -> Error msg
+
+let prop_wal_parse_model =
+  case "wal: the image scanner reads every image as the reference reader does"
+    wal_image_gen
+    (fun image ->
+      match parsed Wal.parse_image image with
+      | Ok recs -> parsed Ref_models.Wal.parse_image image = Ok recs
+      | Error _ -> false)
+
+(* Start of the last line of a non-empty image that ends in '\n'. *)
+let last_line_start image =
+  match String.rindex_from_opt image (String.length image - 2) '\n' with
+  | Some j -> j + 1
+  | None -> 0
+
+let prop_wal_parse_damaged =
+  case "wal: a flipped byte or a cut last line is refused as the reference refuses it"
+    Gen.(quad wal_image_gen bool nat (int_range 1 255))
+    (fun (image, flip, at, mask) ->
+      let n = String.length image in
+      let damaged =
+        if flip then
+          String.mapi
+            (fun i c -> if i = at mod n then Char.chr (Char.code c lxor mask) else c)
+            image
+        else
+          (* Keep at least one byte of the last line and cut at least one
+             byte of its text, as a torn write does. *)
+          let start = last_line_start image in
+          String.sub image 0 (start + 1 + (at mod (n - 2 - start)))
+      in
+      match parsed Wal.parse_image damaged with
+      | Error msg -> parsed Ref_models.Wal.parse_image damaged = Error msg
+      | Ok _ -> false)
+
+(* Edits that leave a line's crc valid: a field replaced by, or a new
+   field holding, a token at or past the edge of the grammar; a field
+   removed; one byte of the body overwritten. *)
+type line_edit =
+  | E_replace of int * string
+  | E_insert of int * string
+  | E_remove of int
+  | E_byte of int * char
+
+let odd_tokens =
+  [ ""; "-"; "--"; "+5"; "0x1f"; "1_0"; "007"; "-0"; "a"; "1:2"; "1,2"; ",";
+    ":"; "1:"; ":2"; "1:2:3"; "-,1"; "1,"; "1:2,"; "4611686018427387903";
+    "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905";
+    "99999999999999999999"; "A"; "Z"; "AB"; "O"; "E"; "0u5"; "0b11"; "0o7";
+    " "; "1  2"; "\t1"; "1\r" ]
+
+let line_edit_gen =
+  Gen.(
+    oneof
+      [
+        map2 (fun f t -> E_replace (f, t)) nat (oneofl odd_tokens);
+        map2 (fun f t -> E_insert (f, t)) nat (oneofl odd_tokens);
+        map (fun f -> E_remove f) nat;
+        map2
+          (fun i c -> E_byte (i, c))
+          nat
+          (oneofl (List.of_seq (String.to_seq "0123456789-+ ,:xAFTRSIOPDBE_\t")));
+      ])
+
+(* Apply [edit] to the body of line [l] of [image] and give the line a
+   valid crc again. *)
+let reseal image l edit =
+  let lines = String.split_on_char '\n' image in
+  let lines = List.filter (fun x -> x <> "") lines in
+  let l = l mod List.length lines in
+  let edit_line line =
+    let body = String.sub line 0 (String.rindex line ' ') in
+    let fields = String.split_on_char ' ' body in
+    let nf = List.length fields in
+    let body =
+      match edit with
+      | E_replace (f, t) ->
+        String.concat " " (List.mapi (fun i x -> if i = f mod nf then t else x) fields)
+      | E_insert (f, t) ->
+        String.concat " "
+          (List.concat (List.mapi (fun i x -> if i = f mod nf then [ t; x ] else [ x ]) fields))
+      | E_remove f ->
+        String.concat " " (List.filteri (fun i _ -> i <> f mod nf) fields)
+      | E_byte (i, c) ->
+        if body = "" then body
+        else String.mapi (fun j x -> if j = i mod String.length body then c else x) body
+    in
+    Printf.sprintf "%s %Lx" body (Ref_models.Wal.fnv1a body)
+  in
+  String.concat "\n" (List.mapi (fun i x -> if i = l then edit_line x else x) lines) ^ "\n"
+
+let prop_wal_parse_resealed =
+  case "wal: a re-sealed edited line the reference refuses is refused"
+    Gen.(triple wal_image_gen nat line_edit_gen)
+    (fun (image, l, edit) ->
+      let image = reseal image l edit in
+      match parsed Ref_models.Wal.parse_image image, parsed Wal.parse_image image with
+      | Error _, Ok _ -> false
+      | Ok want, Ok got -> got = want
+      | _, Error _ -> true)
 
 type order_op =
   | O_add of int * int  (* tid, group *)
@@ -1038,5 +1198,8 @@ let suite =
     prop_fetch_model;
     prop_undo_log_model;
     prop_wal_model;
+    prop_wal_parse_model;
+    prop_wal_parse_damaged;
+    prop_wal_parse_resealed;
     prop_order_model;
   ]

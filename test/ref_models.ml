@@ -1,8 +1,9 @@
 (* Reference models for the differential properties in [props.ml]: the
    list-and-Hashtbl implementations of the undo log, the live WAL and
    the token order that the flat, order-indexed and memoized versions in
-   the library replaced. They define the required behaviour; they are
-   not tuned. *)
+   the library replaced, and the WAL image reader that the in-place
+   scanner replaced. They define the required behaviour; they are not
+   tuned. *)
 
 module Undo_log = struct
   type key = Exec.Undo_log.key =
@@ -197,6 +198,77 @@ module Wal = struct
     end
 
   let stable_image t = Option.map Buffer.contents t.stable
+
+  (* The split-and-substring reader the in-place scanner replaced: each
+     line cut out, its crc compared as a %Lx string, its fields split on
+     spaces and commas and read by [int_of_string_opt]. *)
+  let parse_image image =
+    let bad fmt = Printf.ksprintf (fun m -> raise (Wal.Corrupt m)) fmt in
+    let int s = match int_of_string_opt s with Some v -> v | None -> bad "bad int %S" s in
+    let ints = function
+      | "-" -> []
+      | s -> List.map int (String.split_on_char ',' s)
+    in
+    let blocks = function
+      | "-" -> []
+      | s ->
+        List.map
+          (fun tok ->
+            match String.split_on_char ':' tok with
+            | [ a; sz ] -> (int a, int sz)
+            | _ -> bad "bad block %S" tok)
+          (String.split_on_char ',' s)
+    in
+    let parse_line ln line : Wal.srec =
+      match String.rindex_opt line ' ' with
+      | None -> bad "line %d: no checksum" ln
+      | Some i ->
+        let body = String.sub line 0 i in
+        let crc = String.sub line (i + 1) (String.length line - i - 1) in
+        let want = Printf.sprintf "%Lx" (fnv1a body) in
+        if not (String.equal crc want) then
+          bad "line %d: checksum mismatch (got %s, want %s)" ln crc want;
+        (match String.split_on_char ' ' body with
+        | [ "O"; lsn; at; order; k; a; b ] ->
+          let a = int a and b = int b in
+          let op =
+            match k with
+            | "A" -> Alloc { addr = a; size = b }
+            | "F" -> Free { addr = a; size = b }
+            | "T" -> Thread_create { tid = a }
+            | "R" -> Rol_insert { sub = a }
+            | "S" -> Sched_enqueue { sub = a }
+            | "I" -> Io_op { file = a; words = b }
+            | _ -> bad "line %d: unknown op kind %S" ln k
+          in
+          S_op { at = int at; e = { lsn = int lsn; order = int order; op } }
+        | [ "P"; lsn; upto ] -> S_prune { lsn = int lsn; upto = int upto }
+        | [ "D"; lsn; os ] -> S_drop { lsn = int lsn; orders = ints os }
+        | [ "B"; lsn ] -> S_ckpt_begin { lsn = int lsn }
+        | [ "E"; lsn; min_retired; redo_start; active; brk; free; used ] ->
+          S_ckpt_end
+            {
+              lsn = int lsn;
+              min_retired = int min_retired;
+              redo_start = int redo_start;
+              active = ints active;
+              brk = int brk;
+              free = blocks free;
+              used = blocks used;
+            }
+        | _ -> bad "line %d: unparseable record %S" ln body)
+    in
+    let recs = ref [] in
+    let n = String.length image in
+    let pos = ref 0 and ln = ref 1 in
+    while !pos < n do
+      let stop = match String.index_from_opt image !pos '\n' with Some j -> j | None -> n in
+      let line = String.sub image !pos (stop - !pos) in
+      if line <> "" then recs := parse_line !ln line :: !recs;
+      incr ln;
+      pos := stop + 1
+    done;
+    List.rev !recs
 end
 
 module Order = struct

@@ -221,8 +221,98 @@ let test_sweep_wedged_restart_classified () =
         | None -> false))
     hung
 
+(* Every field of the analysis, recomputed one at a time from the parsed
+   records, at 60 record boundaries spread over a stable image whose run
+   pruned and, under injected exceptions, squashed and dropped. *)
+let test_analysis_fields () =
+  let cfg =
+    { (gprs_cfg ()) with injector = Faults.Injector.config ~seed:5 2000.0 }
+  in
+  let image, _ = Recovery.pilot ~cfg (prepared "re" 0.05) in
+  let lines = List.length (String.split_on_char '\n' image) in
+  let analyzed = ref 0 and drops = ref 0 and line = ref 0 in
+  String.iteri
+    (fun stop c ->
+      if c = '\n' then incr line;
+      if c = '\n' && !line mod (1 + (lines / 60)) = 0 then
+        let prefix = String.sub image 0 (stop + 1) in
+        match Recovery.analyze prefix with
+        | exception Wal.Corrupt _ -> () (* no complete checkpoint yet *)
+        | a ->
+          incr analyzed;
+          let recs = Wal.parse_image prefix in
+          let ops =
+            List.filter_map (function Wal.S_op { at; e } -> Some (at, e) | _ -> None) recs
+          in
+          let horizon =
+            List.fold_left
+              (fun h -> function
+                | Wal.S_prune { upto; _ } -> max h upto
+                | Wal.S_ckpt_end { min_retired; _ } -> max h min_retired
+                | _ -> h)
+              0 recs
+          in
+          let dropped =
+            List.sort_uniq compare
+              (List.concat_map (function Wal.S_drop { orders; _ } -> orders | _ -> []) recs)
+          in
+          if dropped <> [] then incr drops;
+          let redo_start =
+            List.fold_left
+              (fun r -> function Wal.S_ckpt_end { redo_start; _ } -> redo_start | _ -> r)
+              0 recs
+          in
+          let loser (e : Wal.entry) =
+            e.Wal.order >= horizon && not (List.mem e.Wal.order dropped)
+          in
+          let entries = List.map snd ops in
+          let field = Printf.sprintf "byte %d: %s" stop in
+          checkb (field "horizon") true (a.Recovery.horizon = horizon);
+          checkb (field "dropped") true (a.Recovery.dropped = dropped);
+          checkb (field "losers") true
+            (a.Recovery.losers
+            = List.sort_uniq compare
+                (List.map (fun (e : Wal.entry) -> e.Wal.order) (List.filter loser entries)));
+          checkb (field "loser_ops") true
+            (a.Recovery.loser_ops = List.rev (List.filter loser entries));
+          checkb (field "replayed") true
+            (a.Recovery.replayed
+            = List.length (List.filter (fun (e : Wal.entry) -> e.Wal.lsn >= redo_start) entries));
+          checkb (field "next_sub") true
+            (a.Recovery.next_sub
+            = 1 + List.fold_left (fun m (e : Wal.entry) -> max m e.Wal.order) (-1) entries);
+          checkb (field "points") true
+            (a.Recovery.points = List.map (fun (at, (e : Wal.entry)) -> (e.Wal.lsn, at)) ops))
+    image;
+  checkb "prefixes analyzed" true (!analyzed > 20);
+  checkb "prefixes with drop markers" true (!drops > 0)
+
+(* The engine grants orders in sequence and logs each one, so an image
+   whose op orders span more ids than it has op records is refused
+   before analysis sizes anything by that span. *)
+let test_sparse_orders_refused () =
+  let line body = Printf.sprintf "%s %Lx\n" body (Ref_models.Wal.fnv1a body) in
+  let image a b =
+    String.concat ""
+      [
+        line "B 0"; line "E 0 0 0 - 0 - -";
+        line (Printf.sprintf "O 0 1 %d R %d 0" a a);
+        line (Printf.sprintf "O 1 2 %d R %d 0" b b);
+      ]
+  in
+  let refused img =
+    match Recovery.analyze img with
+    | _ -> false
+    | exception Wal.Corrupt _ -> true
+  in
+  checkb "dense orders analyzed" false (refused (image 0 1));
+  checkb "a gap refused" true (refused (image 0 2));
+  checkb "min_int..max_int refused" true (refused (image min_int max_int))
+
 let suite =
   [
+    Alcotest.test_case "analysis fields, recomputed per prefix" `Quick
+      test_analysis_fields;
     Alcotest.test_case "wal: stable image round-trips" `Quick
       test_stable_roundtrip;
     Alcotest.test_case "wal: corruption detected" `Quick
@@ -234,6 +324,7 @@ let suite =
     Alcotest.test_case "crash via injector kind" `Quick
       test_crash_via_injector;
     Alcotest.test_case "mangled WAL refused" `Quick test_mangled_wal_refused;
+    Alcotest.test_case "sparse op orders refused" `Quick test_sparse_orders_refused;
     Alcotest.test_case "sweep histogram round-robin" `Quick
       test_sweep_histogram_rr;
     Alcotest.test_case "sweep histogram balance-aware" `Quick

@@ -500,7 +500,8 @@ let test_stop_with_client_connected () =
   Server.Daemon.stop d1;
   with_daemon ~cfg @@ fun _d c2 ->
   (* wakes d1's reader if it still reads *)
-  (try Server.Client.send c1 (J.Obj [ ("op", J.Str "ping") ]) with _ -> ());
+  (try Server.Client.send c1 (J.Obj [ ("op", J.Str "ping") ])
+   with Server.Client.Closed -> ());
   List.iter
     (fun seed ->
       let scn =
@@ -569,6 +570,28 @@ let test_sleep_refused_while_stopping () =
   checks "the held sleep drains" "done" (jstr "event" j);
   Thread.join stopper
 
+(* A send on a connection the daemon has shut down raises the same
+   [Closed] that [await] does, not the socket's own error. The first
+   writes after the hang-up may still land in the kernel's buffer, so
+   keep sending until one fails. *)
+let test_send_after_stop_is_closed () =
+  let cfg = { Server.Daemon.default_config with idle_quiesce_ms = 0 } in
+  let d = Server.Daemon.start cfg in
+  let c = Server.Client.connect (Server.Daemon.bound_addr d) in
+  Fun.protect ~finally:(fun () -> Server.Client.close c) @@ fun () ->
+  Server.Client.ping c;
+  Server.Daemon.stop d;
+  let rec go n =
+    if n = 0 then Alcotest.fail "send kept succeeding after Daemon.stop"
+    else
+      match Server.Client.send c (J.Obj [ ("op", J.Str "ping") ]) with
+      | () ->
+        Unix.sleepf 0.005;
+        go (n - 1)
+      | exception Server.Client.Closed -> ()
+  in
+  go 400
+
 let suite =
   [
     Alcotest.test_case "json codec round-trips" `Quick test_json_roundtrip;
@@ -595,4 +618,6 @@ let suite =
       test_stop_with_client_connected;
     Alcotest.test_case "sleep is refused once shutdown has begun" `Quick
       test_sleep_refused_while_stopping;
+    Alcotest.test_case "send after Daemon.stop raises Closed" `Quick
+      test_send_after_stop_is_closed;
   ]

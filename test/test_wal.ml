@@ -91,6 +91,33 @@ let test_armed_matches_unarmed () =
   check "prune markers" 2 (count (function Wal.S_prune _ -> true | _ -> false));
   check "drop markers" 1 (count (function Wal.S_drop _ -> true | _ -> false))
 
+(* The scanner reads only the spellings the writer emits: a re-sealed
+   line in another spelling [int_of_string] would take, or with a field
+   too many or too few, is refused. *)
+let test_image_grammar_strict () =
+  let parses line =
+    match Wal.parse_image line with
+    | _ -> true
+    | exception Wal.Corrupt _ -> false
+  in
+  let crc body = Printf.sprintf "%Lx" (Ref_models.Wal.fnv1a body) in
+  let sealed body = Printf.sprintf "%s %s\n" body (crc body) in
+  checkb "the written form" true (parses (sealed "O 5 -3 2 A 0 -4611686018427387904"));
+  checkb "lists and blocks" true (parses (sealed "E 9 1 0 3,-4 7 1:2,3:4 -"));
+  List.iter
+    (fun body -> checkb body false (parses (sealed body)))
+    [
+      "O 5 +3 2 A 0 1"; "O 5 0x3 2 A 0 1"; "O 5 1_0 2 A 0 1"; "O 5 0u3 2 A 0 1";
+      "O 5  3 2 A 0 1"; "O 5 3 2 A 0 1 "; "O 5 3 2 AB 0 1"; "O 5 3 2 A 0 -";
+      "O 5 3 2 A 0 4611686018427387904"; "P 5"; "B 5 6"; "D 5 1,,2"; "D 5 -,1";
+      "E 1 0 0 - 0 1:2:3 -"; "E 1 0 0 - 0 1 -"; "X 5";
+    ];
+  let body = "B 7" in
+  checkb "an upper-case crc" false
+    (parses (Printf.sprintf "%s %s\n" body (String.uppercase_ascii (crc body))));
+  checkb "a crc with a leading zero" false
+    (parses (Printf.sprintf "%s 0%s\n" body (crc body)))
+
 (* Undo log *)
 
 let mk_state () =
@@ -139,6 +166,7 @@ let suite =
     Alcotest.test_case "prune_below" `Quick test_prune_below;
     Alcotest.test_case "all oldest first" `Quick test_all_oldest_first;
     Alcotest.test_case "armed image matches unarmed" `Quick test_armed_matches_unarmed;
+    Alcotest.test_case "image grammar is strict" `Quick test_image_grammar_strict;
     Alcotest.test_case "undo: first write only" `Quick test_undo_first_write_only;
     Alcotest.test_case "undo: replay restores" `Quick test_undo_replay_restores;
     Alcotest.test_case "undo: keys" `Quick test_undo_keys;
