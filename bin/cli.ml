@@ -22,10 +22,13 @@ let positive_float =
   in
   Arg.conv ~docv:(Arg.conv_docv Arg.float) (parse, Arg.conv_printer Arg.float)
 
-(* An input scale, held to [Run.check_scale]. *)
-let scale =
+(* A float held to one of [Run]'s input checks. *)
+let checked check =
   let parse s =
     Result.bind (Arg.conv_parser Arg.float s) (fun f ->
-        Result.map_error (fun m -> `Msg m) (Run.check_scale f))
+        Result.map_error (fun m -> `Msg m) (check f))
   in
   Arg.conv ~docv:(Arg.conv_docv Arg.float) (parse, Arg.conv_printer Arg.float)
+
+let scale = checked Run.check_scale
+let rate = checked Run.check_rate

@@ -554,7 +554,12 @@ let scale =
   Arg.(value & opt Cli.scale 1.0
        & info [ "scale" ] ~doc:"Input scale (finite, at least 0).")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.")
-let rate = Arg.(value & opt float 0.0 & info [ "rate" ] ~doc:"Exceptions per second.")
+let rate =
+  Arg.(value & opt Cli.rate 0.0
+       & info [ "rate" ]
+           ~doc:
+             "Exceptions per second (finite, at least 0, below one per \
+              simulated cycle).")
 let grain =
   Arg.(value & opt (one_of (List.map fst Run.grains)) "default"
        & info [ "grain" ] ~doc:"default or fine.")
@@ -567,7 +572,8 @@ let ordering =
               (nondeterministic; dynamic order recorded for selective restart).")
 
 let interval =
-  Arg.(value & opt float 0.05 & info [ "interval" ] ~doc:"CPR checkpoint interval (s).")
+  Arg.(value & opt Cli.positive_float 0.05
+       & info [ "interval" ] ~doc:"CPR checkpoint interval (s, finite, > 0).")
 
 let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print run statistics.")
 

@@ -111,6 +111,37 @@ let cpr_on ?interval ?(rate = 0.0) ?max_cycles p =
     { (Run.cpr_config { p.scn with interval; rate }) with max_cycles }
     p.run.Run.program
 
+(* One driver row: the prepared program, its fault-free default-grain
+   Pthreads cycles, the DNC budget and the same baseline in simulated
+   seconds. The row's runs carry its budget ({!gprs}, {!cpr}) and are
+   reported relative to [base] ({!bar}). *)
+type row = { p : prepared; base : int; budget : int; base_s : float }
+
+let row cfg spec ~grain =
+  let p = prepare cfg spec ~grain in
+  let base = baseline_cycles p in
+  let cycles_per_second = Vm.Costs.default.Vm.Costs.cycles_per_second in
+  let base_s = Sim.Time.to_seconds ~cycles_per_second base in
+  { p; base; budget = cfg.dnc_factor * base; base_s }
+
+(* The exception rate that injects [k] exceptions per fault-free run. *)
+let per_run r k = k /. r.base_s
+
+let gprs ?ordering ?costs ?rate ?recovery r =
+  gprs_on ?ordering ?costs ?rate ?recovery ~max_cycles:r.budget r.p
+
+let cpr ?interval ?rate r = cpr_on ?interval ?rate ~max_cycles:r.budget r.p
+
+(* A run's time relative to the row's baseline, or DNC. *)
+let bar r label (res : Exec.State.run_result) =
+  {
+    Report.label;
+    value = float_of_int res.Exec.State.sim_cycles /. float_of_int r.base;
+    dnc = res.Exec.State.dnc;
+  }
+
+let cell r res = Report.fmt_bar (bar r "" res)
+
 (* ------------------------------------------------------------------ *)
 (* Engine front-ends: one-shot, each prepares its own program          *)
 (* ------------------------------------------------------------------ *)
@@ -195,36 +226,20 @@ let table2 cfg =
 (* Fig. 8: overhead decomposition                                      *)
 (* ------------------------------------------------------------------ *)
 
-let rel ~base (r : Exec.State.run_result) =
-  { Report.label = ""; value = float_of_int r.Exec.State.sim_cycles /. float_of_int base;
-    dnc = r.Exec.State.dnc }
-
-let with_label l b = { b with Report.label = l }
-
 let fig8 cfg ~grain ~id ~title =
   let rows =
     Pool.map ~jobs:cfg.jobs
       (fun (spec : Workloads.Workload.spec) ->
-        let p = prepare cfg spec ~grain in
-        let base = baseline_cycles p in
-        let budget = Some (cfg.dnc_factor * base) in
-        let g_r_or =
-          gprs_on ~ordering:"round-robin" ~costs:costs_order_only
-            ?max_cycles:budget p
-        in
-        let g_b_or = gprs_on ~costs:costs_order_only ?max_cycles:budget p in
-        let g_b_rol = gprs_on ~costs:costs_order_rol ?max_cycles:budget p in
-        let p_ch = cpr_on ?max_cycles:budget p in
-        let g_b_ch = gprs_on ?max_cycles:budget p in
+        let r = row cfg spec ~grain in
         {
           Report.row_name = spec.Workloads.Workload.name;
           bars =
             [
-              with_label "G-R-OR" (rel ~base g_r_or);
-              with_label "G-B-OR" (rel ~base g_b_or);
-              with_label "G-B-ROL" (rel ~base g_b_rol);
-              with_label "P-/-CH" (rel ~base p_ch);
-              with_label "G-B-CH" (rel ~base g_b_ch);
+              bar r "G-R-OR" (gprs ~ordering:"round-robin" ~costs:costs_order_only r);
+              bar r "G-B-OR" (gprs ~costs:costs_order_only r);
+              bar r "G-B-ROL" (gprs ~costs:costs_order_rol r);
+              bar r "P-/-CH" (cpr r);
+              bar r "G-B-CH" (gprs r);
             ];
         })
       Workloads.Suite.all
@@ -258,19 +273,15 @@ let fig9 cfg =
   let rows =
     Pool.map ~jobs:cfg.jobs
       (fun name ->
-        let p =
-          prepare cfg (Workloads.Suite.find name) ~grain:Workloads.Workload.Fine
+        let r =
+          row cfg (Workloads.Suite.find name) ~grain:Workloads.Workload.Fine
         in
-        let base = baseline_cycles p in
-        let budget = Some (cfg.dnc_factor * base) in
-        let p_fine = pthreads_on ?max_cycles:budget p in
-        let g_fine = gprs_on ?max_cycles:budget p in
         {
           Report.row_name = name;
           bars =
             [
-              with_label "P-fine" (rel ~base p_fine);
-              with_label "G-fine" (rel ~base g_fine);
+              bar r "P-fine" (pthreads_on ~max_cycles:r.budget r.p);
+              bar r "G-fine" (gprs r);
             ];
         })
       fig9_programs
@@ -301,29 +312,19 @@ let fig10 cfg =
   let rows =
     Pool.map ~jobs:cfg.jobs
       (fun (spec : Workloads.Workload.spec) ->
-        let p = prepare cfg spec ~grain:Workloads.Workload.Default in
-        let base = baseline_cycles p in
-        let budget = Some (cfg.dnc_factor * base) in
-        let base_s =
-          Sim.Time.to_seconds
-            ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second base
-        in
+        let r = row cfg spec ~grain:Workloads.Workload.Default in
         let k_low, k_high = fig10_exceptions spec.Workloads.Workload.name in
-        let rate_low = k_low /. base_s and rate_high = k_high /. base_s in
-        let cpr_l = cpr_on ~rate:rate_low ?max_cycles:budget p in
-        let gprs_l = gprs_on ~rate:rate_low ?max_cycles:budget p in
-        let cpr_h = cpr_on ~rate:rate_high ?max_cycles:budget p in
-        let gprs_h = gprs_on ~rate:rate_high ?max_cycles:budget p in
+        let rate_low = per_run r k_low and rate_high = per_run r k_high in
         {
           Report.row_name =
             Printf.sprintf "%s (%.1f/s, %.1f/s)" spec.Workloads.Workload.name rate_low
               rate_high;
           bars =
             [
-              with_label "P-CPR-L" (rel ~base cpr_l);
-              with_label "GPRS-L" (rel ~base gprs_l);
-              with_label "P-CPR-H" (rel ~base cpr_h);
-              with_label "GPRS-H" (rel ~base gprs_h);
+              bar r "P-CPR-L" (cpr ~rate:rate_low r);
+              bar r "GPRS-L" (gprs ~rate:rate_low r);
+              bar r "P-CPR-H" (cpr ~rate:rate_high r);
+              bar r "GPRS-H" (gprs ~rate:rate_high r);
             ];
         })
       Workloads.Suite.all
@@ -354,37 +355,26 @@ let fig11 ?rates ?(contexts = [ 1; 2; 4; 8; 16; 24 ]) cfg =
   let rows =
     Pool.map ~jobs:cfg.jobs
       (fun n ->
-        let p =
-          prepare { cfg with n_contexts = n } spec
-            ~grain:Workloads.Workload.Default
-        in
-        let base = baseline_cycles p in
-        let base_s =
-          Sim.Time.to_seconds
-            ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second base
+        let r =
+          row { cfg with n_contexts = n } spec ~grain:Workloads.Workload.Default
         in
         let rates =
           match rates with
-          | Some r -> r
+          | Some rates -> rates
           | None ->
             (* geometric ladder, in units of exceptions per baseline run *)
-            List.map (fun k -> k /. base_s) [ 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ]
+            List.map (per_run r) [ 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ]
         in
-        let max_cycles = cfg.dnc_factor * base in
         let points engine_run =
           List.map
             (fun rate ->
-              let r = engine_run rate in
-              ( rate,
-                if r.Exec.State.dnc then None
-                else
-                  Some
-                    (float_of_int r.Exec.State.sim_cycles /. float_of_int base) ))
+              let b = bar r "" (engine_run rate) in
+              (rate, if b.Report.dnc then None else Some b.Report.value))
             rates
         in
-        let cpr = points (fun rate -> cpr_on ~rate ~max_cycles p) in
-        let gprs = points (fun rate -> gprs_on ~rate ~max_cycles p) in
-        (n, cpr, gprs))
+        let cpr_pts = points (fun rate -> cpr ~rate r) in
+        let gprs_pts = points (fun rate -> gprs ~rate r) in
+        (n, cpr_pts, gprs_pts))
       contexts
   in
   let cpr_times = List.map (fun (n, c, _) -> (n, c)) rows in
@@ -439,29 +429,22 @@ let ablation_ordering cfg =
     List.concat
     @@ Pool.map ~jobs:cfg.jobs
       (fun name ->
-        let p =
-          prepare cfg (Workloads.Suite.find name) ~grain:Workloads.Workload.Default
+        let r =
+          row cfg (Workloads.Suite.find name) ~grain:Workloads.Workload.Default
         in
-        let base = baseline_cycles p in
-        let budget = Some (cfg.dnc_factor * base) in
-        let base_s =
-          Sim.Time.to_seconds
-            ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second base
-        in
-        let run ?rate ordering = gprs_on ~ordering ?rate ?max_cycles:budget p in
         let bars ?rate () =
           [
-            with_label "RR" (rel ~base (run ?rate "round-robin"));
-            with_label "BA" (rel ~base (run ?rate "balance-aware"));
-            with_label "WT" (rel ~base (run ?rate "weighted"));
-            with_label "REC" (rel ~base (run ?rate "recorded"));
+            bar r "RR" (gprs ~ordering:"round-robin" ?rate r);
+            bar r "BA" (gprs ~ordering:"balance-aware" ?rate r);
+            bar r "WT" (gprs ~ordering:"weighted" ?rate r);
+            bar r "REC" (gprs ~ordering:"recorded" ?rate r);
           ]
         in
         [
           { Report.row_name = name ^ " (fault-free)"; bars = bars () };
           {
             Report.row_name = name ^ " (with exceptions)";
-            bars = bars ~rate:(6.0 /. base_s) ();
+            bars = bars ~rate:(per_run r 6.0) ();
           };
         ])
       programs
@@ -478,36 +461,28 @@ let ablation_ordering cfg =
   }
 
 let ablation_latency cfg =
-  let p =
-    prepare cfg (Workloads.Suite.find "pbzip2") ~grain:Workloads.Workload.Default
+  let r =
+    row cfg (Workloads.Suite.find "pbzip2") ~grain:Workloads.Workload.Default
   in
-  let base = baseline_cycles p in
-  let base_s =
-    Sim.Time.to_seconds
-      ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second base
-  in
-  let rate = 6.0 /. base_s in
+  let c = Run.gprs_config { r.p.scn with rate = per_run r 6.0 } in
   List.map
     (fun latency ->
-      let c = Run.gprs_config { p.scn with rate } in
-      let r =
-        gprs_exec p
+      let res =
+        gprs_exec r.p
           {
             c with
             costs = { Vm.Costs.default with Vm.Costs.detection_latency = latency };
             injector = { c.injector with Faults.Injector.detection_latency = latency };
-            max_cycles = Some (cfg.dnc_factor * base);
+            max_cycles = Some r.budget;
           }
       in
+      let stat k = string_of_int (Sim.Stats.get res.Exec.State.run_stats k) in
       [
         string_of_int latency;
-        (if r.Exec.State.dnc then "DNC"
-         else
-           Printf.sprintf "%.2f"
-             (float_of_int r.Exec.State.sim_cycles /. float_of_int base));
-        string_of_int (Sim.Stats.get r.Exec.State.run_stats "gprs.rol_depth");
-        string_of_int (Sim.Stats.get r.Exec.State.run_stats "wal.high_water");
-        string_of_int (Sim.Stats.get r.Exec.State.run_stats "gprs.squashed_subs");
+        cell r res;
+        stat "gprs.rol_depth";
+        stat "wal.high_water";
+        stat "gprs.squashed_subs";
       ])
     [ 1_000; 10_000; 40_000; 100_000; 400_000 ]
 
@@ -515,22 +490,14 @@ let ablation_recovery cfg =
   let rows =
     Pool.map ~jobs:cfg.jobs
       (fun (spec : Workloads.Workload.spec) ->
-        let p = prepare cfg spec ~grain:Workloads.Workload.Default in
-        let base = baseline_cycles p in
-        let budget = Some (cfg.dnc_factor * base) in
-        let base_s =
-          Sim.Time.to_seconds
-            ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second base
-        in
-        let rate = 6.0 /. base_s in
-        let sel = gprs_on ~rate ?max_cycles:budget p in
-        let bas = gprs_on ~rate ~recovery:Gprs.Engine.Basic ?max_cycles:budget p in
+        let r = row cfg spec ~grain:Workloads.Workload.Default in
+        let rate = per_run r 6.0 in
         {
           Report.row_name = spec.Workloads.Workload.name;
           bars =
             [
-              with_label "Selective" (rel ~base sel);
-              with_label "Basic" (rel ~base bas);
+              bar r "Selective" (gprs ~rate r);
+              bar r "Basic" (gprs ~rate ~recovery:Gprs.Engine.Basic r);
             ];
         })
       Workloads.Suite.all
@@ -543,8 +510,8 @@ let ablation_recovery cfg =
   }
 
 let tune_weights cfg (spec : Workloads.Workload.spec) =
-  let p = prepare cfg spec ~grain:Workloads.Workload.Default in
-  let base = baseline_cycles p in
+  let r = row cfg spec ~grain:Workloads.Workload.Default in
+  let p = r.p in
   let n_groups = p.run.Run.program.Vm.Isa.n_groups in
   let candidates =
     (* uniform plus front-loaded pipelines of varying steepness *)
@@ -570,14 +537,14 @@ let tune_weights cfg (spec : Workloads.Workload.spec) =
         (* Weights change neither the code nor the lint verdict, so the
            variant reuses [p]'s decode and its one lint. *)
         let program = { p.run.Run.program with Vm.Isa.group_weights = weights } in
-        let r =
+        let res =
           gprs_exec { p with run = { p.run with Run.program } }
             {
               (Run.gprs_config { p.scn with ordering = "weighted" }) with
-              max_cycles = Some (cfg.dnc_factor * base);
+              max_cycles = Some r.budget;
             }
         in
-        (weights, float_of_int r.Exec.State.sim_cycles /. float_of_int base))
+        (weights, (bar r "" res).Report.value))
       candidates
   in
   List.sort (fun (_, a) (_, b) -> compare a b) timed
@@ -596,32 +563,19 @@ let render_weights ppf (spec : Workloads.Workload.spec) results =
    penalty but inflates the checkpoint penalty. Swept on one workload
    under a fixed exception rate. *)
 let ablation_interval cfg =
-  let p =
-    prepare cfg (Workloads.Suite.find "re") ~grain:Workloads.Workload.Default
-  in
-  let base = baseline_cycles p in
-  let base_s =
-    Sim.Time.to_seconds
-      ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second base
-  in
-  let rate = 6.0 /. base_s in
+  let r = row cfg (Workloads.Suite.find "re") ~grain:Workloads.Workload.Default in
+  let rate = per_run r 6.0 in
   List.map
     (fun divisor ->
-      let interval = base_s /. float_of_int divisor in
-      let max_cycles = cfg.dnc_factor * base in
-      let faulty = cpr_on ~interval ~rate ~max_cycles p in
-      let clean = cpr_on ~interval ~max_cycles p in
-      let fmt (r : Exec.State.run_result) =
-        if r.Exec.State.dnc then "DNC"
-        else
-          Printf.sprintf "%.2f"
-            (float_of_int r.Exec.State.sim_cycles /. float_of_int base)
-      in
+      let interval = r.base_s /. float_of_int divisor in
+      let faulty = cpr ~interval ~rate r in
+      let clean = cpr ~interval r in
+      let stat k = string_of_int (Sim.Stats.get faulty.Exec.State.run_stats k) in
       [
         Printf.sprintf "1/%d run" divisor;
-        fmt clean;
-        fmt faulty;
-        string_of_int (Sim.Stats.get faulty.Exec.State.run_stats "cpr.checkpoints");
-        string_of_int (Sim.Stats.get faulty.Exec.State.run_stats "cpr.rollbacks");
+        cell r clean;
+        cell r faulty;
+        stat "cpr.checkpoints";
+        stat "cpr.rollbacks";
       ])
     [ 2; 5; 10; 25; 50; 100 ]

@@ -24,6 +24,9 @@ val hm_row : figure -> row option
     mismatched bars or any DNC (a DNC makes the mean meaningless). DNC
     bars are skipped per-label, as in the paper. *)
 
+val fmt_bar : bar -> string
+(** A bar's cell: its value to two decimals, or ["DNC"]. *)
+
 val render_figure : Format.formatter -> figure -> unit
 
 val render_table :

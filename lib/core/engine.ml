@@ -9,21 +9,18 @@ type config = {
   ordering : Order.scheme;
   recovery : recovery;
   injector : Faults.Injector.config;
-  livelock_squashes : int;
   costs : Vm.Costs.t;
   revoke_contexts : bool;
       (** treat [Resource_revocation] exceptions as permanent: the struck
           context is retired from service and the program continues on
           the remaining ones (§3.5's fatal-exception extension) *)
   wal_stable : bool;
-      (** serialize the WAL to "stable storage" (implied by either crash
-          trigger below; harmless otherwise — appends cost the same
-          simulated cycles either way) *)
+      (** serialize the WAL to "stable storage" (implied by [crash_lsn];
+          harmless otherwise — appends cost the same simulated cycles
+          either way) *)
   crash_lsn : int option;
       (** crash the whole runtime immediately after this WAL record is
           written (the crash-sweep trigger: one run per record boundary) *)
-  crash_cycle : int option;
-      (** crash the whole runtime at this simulated cycle *)
   reference : bool;  (* single-step reference run; tests only *)
 }
 
@@ -35,14 +32,16 @@ let default_config =
     ordering = Order.Balance_aware;
     recovery = Selective;
     injector = Faults.Injector.default_config;
-    livelock_squashes = 100_000;
     costs = Vm.Costs.default;
     revoke_contexts = false;
     wal_stable = false;
     crash_lsn = None;
-    crash_cycle = None;
     reference = false;
   }
+
+(* Squashed sub-threads since the last retirement before the run is
+   declared DNC. *)
+let livelock_squashes = 100_000
 
 type victim = V_sub of int | V_runtime
 
@@ -52,7 +51,6 @@ type event =
   | Fault_occur of { ctx : int; kind : Faults.Injector.kind }
   | Fault_report of { victim : victim; ctx : int; kind : Faults.Injector.kind }
   | Recovery_done
-  | Crash_point  (* [crash_cycle] fired: lose the machine *)
 
 (* The boundary-path counters, resolved once per engine (see
    [Sim.Stats.handle]). *)
@@ -111,9 +109,6 @@ type eng = {
   mutable pending_reports : victim list;
   mutable squashed_since_retire : int;
   mutable injector : Faults.Injector.t;
-  mutable allow_crash : bool;
-      (* cleared by cold restart: a recovered machine swallows further
-         injected [Crash] events so the resumed run reaches its digest *)
   mutable grant_guard : int;  (* re-entrancy depth of try_grant *)
   (* Scheduled times of pending Fault_occur / Fault_report events, sorted
      ascending: the fused-dispatch horizon. A chain must not execute a
@@ -142,8 +137,9 @@ let default_ring () =
 (* Whole-runtime crashes                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Raised internally at the armed crash point; caught at the outermost
-   run loop, where the durable remains of the machine are captured. *)
+(* Raised internally at the armed crash LSN or an armed fault point;
+   caught at the outermost run loop, where the durable remains of the
+   machine are captured. *)
 exception Crash_signal
 
 (* Named fault-point seams (Faults.Points). Run-time seams decline to
@@ -151,15 +147,19 @@ exception Crash_signal
    re-trigger the fault that killed it; the armed crash-LSN hook has the
    same guard. Recovery-side points (cold_restart, recovery_analysis,
    recovery_redo, recovery_undo) have no such guard: recovery is exactly
-   when they are meant to fire. *)
+   when they are meant to fire. Returns whether the armed action was
+   [skip]: {!Faults.Points.supported} offers it only at the checkpoint
+   seams, so every other seam ignores the result. *)
 let fire_point eng p =
-  if not eng.recovering then
-    match Faults.Points.sample p with
-    | None | Some Faults.Points.Skip_fire -> ()
-    | Some Faults.Points.Crash_fire -> raise Crash_signal
-    | Some Faults.Points.Torn_fire ->
-      Wal.tear_stable eng.wal;
-      raise Crash_signal
+  (not eng.recovering)
+  &&
+  match Faults.Points.sample p with
+  | None -> false
+  | Some Faults.Points.Skip_fire -> true
+  | Some Faults.Points.Crash_fire -> raise Crash_signal
+  | Some Faults.Points.Torn_fire ->
+    Wal.tear_stable eng.wal;
+    raise Crash_signal
 
 (* Every WAL op record the engine writes goes through here: the record
    boundary is where the armed crash LSN ("crash at every WAL-record
@@ -170,7 +170,7 @@ let append eng ~order op =
   (match eng.cfg.crash_lsn with
   | Some k when lsn = k && not eng.recovering -> raise Crash_signal
   | Some _ | None -> ());
-  fire_point eng Faults.Points.Wal_append
+  ignore (fire_point eng Faults.Points.Wal_append)
 
 (* What survives a crash of the runtime. Volatile and gone: the scheduler
    queues, the ROL ring structure, the engine-side per-tid tables, every
@@ -392,7 +392,7 @@ let grant eng tid =
     let released, d = Exec.Sem.barrier_arrive st tcb b in
     (* The arrival that completes the episode is the release seam. *)
     if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then
-      fire_point eng Faults.Points.Barrier_release;
+      ignore (fire_point eng Faults.Points.Barrier_release);
     add_delay eng tid d;
     if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then resume ~also:released ()
     else Order.set_eligible eng.order tid false
@@ -518,11 +518,6 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
   | None -> st.Exec.State.current_undo <- None);
   let pr = Exec.Fuse.fetch tcb in
   let instr = pr.Vm.Block.p_instr and ctrl = pr.Vm.Block.p_ctrl in
-  if pr.Vm.Block.p_entered_cpr then begin
-    match cur_sub_opt eng tid with
-    | Some sub -> sub.Subthread.cpr_region <- true
-    | None -> ()
-  end;
   incr eng.instrs;
   Vm.Block.profile_ctrl st.Exec.State.stats ctrl;
   Vm.Block.profile_instr st.Exec.State.stats instr;
@@ -622,14 +617,14 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
         Exec.Sem.atomic_rmw st tcb ~var:v ~rmw ~dst
       | Vm.Isa.Unlock { m } ->
         (* [Error] here models a lock-release/handoff timeout. *)
-        fire_point eng Faults.Points.Lock_handoff;
+        ignore (fire_point eng Faults.Points.Lock_handoff);
         let woken, d = Exec.Sem.unlock st tcb (m tcb.Vm.Tcb.regs) in
         tcb.Vm.Tcb.lock_depth <- tcb.Vm.Tcb.lock_depth - 1;
         (match woken with Some w -> wake [ w ] | None -> ());
         d
       | Vm.Isa.Alloc { size; dst } ->
         (* [Error] here models allocator failure. *)
-        fire_point eng Faults.Points.Alloc_grant;
+        ignore (fire_point eng Faults.Points.Alloc_grant);
         let a, d = Exec.Sem.alloc st tcb ~size ~dst in
         let size = Option.get (Vm.Mem.block_size st.Exec.State.mem a) in
         (match cur_sub_opt eng tid with
@@ -671,7 +666,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
         (* Only reachable inside a CPR region. *)
         let released, d = Exec.Sem.barrier_arrive st tcb b in
         if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then
-          fire_point eng Faults.Points.Barrier_release;
+          ignore (fire_point eng Faults.Points.Barrier_release);
         wake released;
         d
       | Vm.Isa.Cond_wait { c; m } ->
@@ -730,19 +725,16 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
          targets a thread that is running on a context. *)
       let b = if eng.budget = max_int then max_int else eng.budget + 1 in
       let horizon = Stdlib.min b (fault_horizon eng) in
-      (* The CPR-region latch, the last-writer dependence flag and the
-         additive counter land identically whether applied per
-         instruction or per compiled entry. *)
+      (* The last-writer dependence flag and the additive counter land
+         identically whether applied per instruction or per compiled
+         entry. *)
       let sub = cur_sub_opt eng tid in
-      let on_commit ~opaques ~last_opaque_in_cpr ~entered_cpr =
+      let on_commit ~opaques ~last_opaque_in_cpr =
         match sub with
-        | None -> ()
-        | Some sub ->
-          if entered_cpr then sub.Subthread.cpr_region <- true;
-          if opaques > 0 then begin
-            sub.Subthread.global_dep <- not last_opaque_in_cpr;
-            Sim.Stats.bump_by eng.ctrs.opaque_calls opaques
-          end
+        | Some sub when opaques > 0 ->
+          sub.Subthread.global_dep <- not last_opaque_in_cpr;
+          Sim.Stats.bump_by eng.ctrs.opaque_calls opaques
+        | Some _ | None -> ()
       in
       let vend =
         Exec.Fuse.run_chain st tcb ~instrs:eng.instrs ~horizon ~on_commit
@@ -841,21 +833,14 @@ let retire eng =
          checkpoint analysis must refuse to use. [wal_fsync] models the
          durability barrier after the pair; a torn write there loses the
          tail of the E record. *)
-      let sample p =
-        if eng.recovering then None else Faults.Points.sample p
-      in
-      (match sample Faults.Points.Checkpoint_begin with
-      | Some Faults.Points.Skip_fire -> ()
-      | Some Faults.Points.Crash_fire -> raise Crash_signal
-      | Some Faults.Points.Torn_fire | None ->
+      if not (fire_point eng Faults.Points.Checkpoint_begin) then begin
         Wal.log_checkpoint_begin eng.wal;
-        (match sample Faults.Points.Checkpoint_end with
-        | Some Faults.Points.Skip_fire -> ()
-        | Some Faults.Points.Crash_fire -> raise Crash_signal
-        | Some Faults.Points.Torn_fire | None ->
+        if not (fire_point eng Faults.Points.Checkpoint_end) then begin
           Wal.log_checkpoint_end eng.wal ~min_retired ~active ~brk ~free
             ~used;
-          fire_point eng Faults.Points.Wal_fsync))
+          ignore (fire_point eng Faults.Points.Wal_fsync)
+        end
+      end
     end
   end
 
@@ -1351,7 +1336,6 @@ let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable
     pending_reports = [];
     squashed_since_retire = 0;
     injector;
-    allow_crash = true;
     grant_guard = 0;
     fault_times = [];
     budget = Option.value ~default:max_int cfg.max_cycles;
@@ -1384,7 +1368,7 @@ let boot_checkpoint eng =
 let run_loop eng =
   let st = eng.st and cfg = eng.cfg in
   let rec loop () =
-    if eng.squashed_since_retire > cfg.livelock_squashes then finalize eng ~dnc:true
+    if eng.squashed_since_retire > livelock_squashes then finalize eng ~dnc:true
     else if finished eng then finalize eng ~dnc:false
     else if all_contexts_dead eng then finalize eng ~dnc:true
     else
@@ -1418,23 +1402,7 @@ let run_loop eng =
           | Retire_check -> retire eng
           | Fault_occur { ctx; kind } ->
             remove_fault_time eng time;
-            if kind = Faults.Injector.Crash then begin
-              if not eng.allow_crash then
-                (* a cold-recovered machine: consume and move on *)
-                schedule_next_fault eng
-              else if eng.recovering then begin
-                (* Mid-live-recovery the WAL image is torn (squashed
-                   orders not yet dropped, undo half-applied): hold the
-                   crash until the machine is consistent again, like the
-                   armed-LSN hook does. *)
-                add_fault_time eng (time + 1);
-                ignore
-                  (Sim.Event_queue.schedule st.Exec.State.evq ~time:(time + 1)
-                     (Fault_occur { ctx; kind }))
-              end
-              else raise Crash_signal
-            end
-            else fault_occur eng ctx kind
+            fault_occur eng ctx kind
           | Fault_report { victim; ctx; kind } ->
             remove_fault_time eng time;
             if
@@ -1449,8 +1417,7 @@ let run_loop eng =
             | [] -> ()
             | v :: rest ->
               eng.pending_reports <- rest;
-              handle_report eng v)
-          | Crash_point -> raise Crash_signal);
+              handle_report eng v));
           try_grant eng;
           loop ())
   in
@@ -1472,7 +1439,7 @@ let run_loop eng =
 let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
   Faults.Points.strike Faults.Points.Cold_restart;
   let st = d.d_st in
-  let cfg = { d.d_cfg with crash_lsn = None; crash_cycle = None } in
+  let cfg = { d.d_cfg with crash_lsn = None } in
   Sim.Event_queue.clear st.Exec.State.evq;
   st.Exec.State.current_undo <- None;
   st.Exec.State.on_io_grow <- None;
@@ -1481,7 +1448,6 @@ let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
       ~destroyed:d.d_destroyed ~dead_ctx:d.d_dead_ctx ~next_sub_id:next_sub
       ~stable:cfg.wal_stable ~ring:d.d_ring
   in
-  eng.allow_crash <- false;
   install_hooks eng;
   let stats = st.Exec.State.stats in
   (* Redo: rebuild the allocator lists from the last checkpoint plus the
@@ -1540,9 +1506,7 @@ let run ?(lint = `Warn) ?wal_out ?blocks ?events cfg program =
     Exec.State.create ?blocks ~reference:cfg.reference ~program ~costs:cfg.costs
       ~n_contexts:cfg.n_contexts ~seed:cfg.seed ()
   in
-  let stable =
-    cfg.wal_stable || cfg.crash_lsn <> None || cfg.crash_cycle <> None
-  in
+  let stable = cfg.wal_stable || cfg.crash_lsn <> None in
   let eng =
     mk_eng cfg st
       ~order:(Order.create cfg.ordering ~group_weights:program.Vm.Isa.group_weights)
@@ -1557,10 +1521,6 @@ let run ?(lint = `Warn) ?wal_out ?blocks ?events cfg program =
   install_hooks eng;
   boot_checkpoint eng;
   try
-    (match cfg.crash_cycle with
-    | Some t ->
-      ignore (Sim.Event_queue.schedule st.Exec.State.evq ~time:t Crash_point)
-    | None -> ());
     let main = Exec.State.thread st Exec.State.main_tid in
     Order.add_thread eng.order ~tid:Exec.State.main_tid ~group:main.Vm.Tcb.group;
     ignore (new_sub eng main);

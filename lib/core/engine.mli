@@ -54,9 +54,6 @@ type config = {
   ordering : Order.scheme;
   recovery : recovery;
   injector : Faults.Injector.config;
-  livelock_squashes : int;
-      (** squashed sub-threads since the last retirement before the run is
-          declared DNC *)
   costs : Vm.Costs.t;
   revoke_contexts : bool;
       (** treat [Resource_revocation] exceptions as permanent hardware
@@ -65,7 +62,7 @@ type config = {
           contexts lost means DNC *)
   wal_stable : bool;
       (** serialize the WAL to an in-memory stable-storage image (see
-          {!Wal.stable_image}); implied by either crash trigger below.
+          {!Wal.stable_image}); implied by [crash_lsn].
           Arming it changes no simulated cycle and no program output —
           appends already charge their cycles whether or not an image is
           kept *)
@@ -73,10 +70,6 @@ type config = {
       (** crash the runtime immediately after WAL op record [lsn] reaches
           stable storage: {!run} raises {!Crashed} carrying the durable
           remains. The crash sweep enumerates this over every LSN *)
-  crash_cycle : int option;
-      (** crash at a simulated cycle instead of a WAL boundary — the
-          schedule-comparison form used to hit GPRS and P-CPR at the same
-          points *)
   reference : bool;
       (** single-step reference run (see {!Exec.State.t.reference}) with
           sub-thread record reuse off; tests only. Default [false]. *)
@@ -87,22 +80,26 @@ val default_config : config
 
 (** {2 Crash model}
 
-    A [Crash] (whole-runtime failure) at cycle [c] discards everything
-    volatile: the scheduler's queues, the live WAL entries, the ROL ring,
-    the engine's context/tick/sub-thread tables. What survives is what
-    the paper's fault model calls stable: the serialized WAL image, the
-    architectural state (memory words, atomics, files, TCBs — protected
-    by the history buffers of in-flight sub-threads), those in-flight
-    sub-threads' history-buffer checkpoints and undo logs, the ordering
-    state, and the fault injector's stream. {!cold_restart} rebuilds a
-    running engine from those remains after {!Recovery} has performed
-    ARIES analysis/redo planning over the WAL image. *)
+    A whole-runtime crash has exactly two triggers: the armed
+    [crash_lsn] (right after that WAL op record is appended) and a named
+    fault point armed with [crash] or [torn_write] ({!Faults.Points}).
+    Neither fires while the engine is recovering. A crash discards
+    everything volatile: the scheduler's queues, the live WAL entries,
+    the ROL ring, the engine's context/tick/sub-thread tables. What
+    survives is what the paper's fault model calls stable: the
+    serialized WAL image, the architectural state (memory words,
+    atomics, files, TCBs — protected by the history buffers of in-flight
+    sub-threads), those in-flight sub-threads' history-buffer checkpoints
+    and undo logs, the ordering state, and the fault injector's stream.
+    {!cold_restart} rebuilds a running engine from those remains after
+    {!Recovery} has performed ARIES analysis/redo planning over the WAL
+    image. *)
 
 type crash_dump
 (** The durable remains of a crashed run. *)
 
 exception Crashed of crash_dump
-(** Raised by {!run} when a configured crash trigger fires. *)
+(** Raised by {!run} when [crash_lsn] or an armed fault point fires. *)
 
 val dump_wal_image : crash_dump -> string
 (** The WAL's stable-storage image as of the crash. *)

@@ -19,7 +19,6 @@ type t = {
   mutable alias_bits : int array;
   mutable alias_words : int;
   mutable global_dep : bool;
-  mutable cpr_region : bool;
   saved : Vm.Tcb.saved;
   mutable held_locks : int list;
   undo : Exec.Undo_log.t;
@@ -60,7 +59,6 @@ let make ~id ~tid ~now ~saved =
     alias_bits = Array.make bits_initial 0;
     alias_words = 0;
     global_dep = false;
-    cpr_region = false;
     saved;
     held_locks = [];
     undo = Exec.Undo_log.create ();
@@ -182,7 +180,6 @@ let release p sub =
        the pool. *)
     clear_aliases sub;
     sub.global_dep <- false;
-    sub.cpr_region <- false;
     sub.held_locks <- [];
     Exec.Undo_log.reset sub.undo;
     sub.forked <- [];

@@ -51,7 +51,6 @@ type t = {
   mutable global_dep : bool;
       (** conservative ⊤-alias: opaque calls and non-standard sync outside
           CPR regions conflict with every younger sub-thread *)
-  mutable cpr_region : bool;  (** covers a [Cpr_begin]/[Cpr_end] hybrid region *)
   saved : Vm.Tcb.saved;  (** thread state at sub-thread start *)
   mutable held_locks : int list;
       (** mutexes the thread held when this sub-thread's checkpoint was

@@ -42,7 +42,6 @@ let run_chain (type ev) (st : ev State.t) (tcb : Vm.Tcb.t) ~instrs ~horizon
         f
           ~opaques:(match i with Vm.Isa.Opaque _ -> 1 | _ -> 0)
           ~last_opaque_in_cpr:pr.Vm.Block.p_in_cpr
-          ~entered_cpr:pr.Vm.Block.p_entered_cpr
       | None -> ());
       let d = Sem.exec_work st tcb ~cost ~run in
       vnow := !vnow + pr.Vm.Block.p_ctrl + d;
@@ -65,7 +64,6 @@ let run_chain (type ev) (st : ev State.t) (tcb : Vm.Tcb.t) ~instrs ~horizon
         cu.Vm.Block.cu_steps <- 0;
         cu.Vm.Block.cu_ctrl <- 0;
         cu.Vm.Block.cu_opaques <- 0;
-        cu.Vm.Block.cu_entered_cpr <- false;
         Vm.Block.enter cell cu;
         let steps = cu.Vm.Block.cu_steps in
         if steps > 0 then begin
@@ -73,13 +71,12 @@ let run_chain (type ev) (st : ev State.t) (tcb : Vm.Tcb.t) ~instrs ~horizon
           fused := !fused + steps;
           instrs := !instrs + steps;
           (* Deferred engine bookkeeping, applied before any further
-             interpreted instruction of the same chain so latch and
-             last-writer effects land in program order. *)
+             interpreted instruction of the same chain so last-writer
+             effects land in program order. *)
           (match on_commit with
           | Some f ->
             f ~opaques:cu.Vm.Block.cu_opaques
               ~last_opaque_in_cpr:cu.Vm.Block.cu_opaque_in_cpr
-              ~entered_cpr:cu.Vm.Block.cu_entered_cpr
           | None -> ());
           if !Vm.Block.profiling then begin
             let opaques = cu.Vm.Block.cu_opaques in

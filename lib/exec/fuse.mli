@@ -26,16 +26,16 @@ val fetch : Vm.Tcb.t -> Vm.Block.probe
     {!Vm.Block.probe_ctrl}, commits it (pc := [p_pc], CPR flag :=
     [p_in_cpr]) and returns the probe: [p_instr] is the landing
     instruction ([Exit] past the end of the code, with pc = the landing
-    pc), [p_ctrl] the control transfers crossed, and [p_entered_cpr]
-    whether a [Cpr_begin] was crossed. The pc is left {e at} the landing
-    instruction; the engine advances it when it executes it. *)
+    pc) and [p_ctrl] the control transfers crossed. The pc is left {e at}
+    the landing instruction; the engine advances it when it executes
+    it. *)
 
 val run_chain :
   'ev State.t ->
   Vm.Tcb.t ->
   instrs:int ref ->
   horizon:int ->
-  ?on_commit:(opaques:int -> last_opaque_in_cpr:bool -> entered_cpr:bool -> unit) ->
+  ?on_commit:(opaques:int -> last_opaque_in_cpr:bool -> unit) ->
   vstart:int ->
   unit ->
   int
@@ -62,10 +62,9 @@ val run_chain :
     probe commits, before it executes) or one compiled-closure entry
     that committed at least one instruction (after the closure returns,
     before any further instruction of the chain). It carries the group's
-    [Opaque] count, the CPR flag at its last [Opaque] and whether it
-    crossed a [Cpr_begin]. An engine applies them as a latch, a
-    last-writer flag and an additive counter, so grouping does not change
-    the result. No [Work] body reads them.
+    [Opaque] count and the CPR flag at its last [Opaque]. An engine
+    applies them as a last-writer flag and an additive counter, so
+    grouping does not change the result. No [Work] body reads them.
 
     [instrs] is the engine's cached ["instrs"] counter; it is bumped once
     per fused instruction (compiled or interpreted), matching the unfused

@@ -3,7 +3,6 @@ type kind =
   | Voltage_emergency
   | Approx_recompute
   | Resource_revocation
-  | Crash
 
 type event = {
   occurred_at : Sim.Time.cycles;
@@ -57,8 +56,6 @@ let create cfg ~n_contexts ~cycles_per_second =
     last = 0.0;
     seq = 0;
   }
-
-let rate t = t.cfg.rate
 
 let next t =
   if t.cfg.rate <= 0.0 then (t, None)

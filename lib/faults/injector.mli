@@ -12,19 +12,15 @@
     Exceptions carry a {!kind} reflecting the sources surveyed in §2.1.
     All kinds are {e global} exceptions from the recovery system's
     perspective; kinds are metadata for reporting and for workloads (such
-    as approximate computing) that interpret them. *)
+    as approximate computing) that interpret them. A whole-runtime crash
+    is not a kind: it is armed only by an engine's crash LSN or by a
+    named fault point ({!Points}). *)
 
 type kind =
   | Transient_fault  (** soft error corrupting a context *)
   | Voltage_emergency  (** timing/voltage/thermal emergency *)
   | Approx_recompute  (** QoS framework demands recomputation *)
   | Resource_revocation  (** spot instance / scheduler revoked a context *)
-  | Crash
-      (** whole-runtime failure: all volatile engine state is lost and
-          execution cold-restarts from the serialized WAL ({!Recovery}).
-          Not in {!default_config}'s kind list — crashes only happen when
-          asked for. A crash takes effect at [occurred_at] (there is no
-          detection window for losing the machine). *)
 
 type event = {
   occurred_at : Sim.Time.cycles;
@@ -42,7 +38,7 @@ type config = {
   rate : float;  (** exceptions per simulated second; [<= 0.] disables *)
   process : process;
   detection_latency : Sim.Time.cycles;
-  kinds : kind list;  (** drawn uniformly; default all four non-crash kinds *)
+  kinds : kind list;  (** drawn uniformly; default all four kinds *)
   seed : int;
 }
 
@@ -61,5 +57,3 @@ val next : t -> t * event option
 (** The next exception after the previous one, advancing the stream.
     [None] when injection is disabled. Pure-functional interface so
     engines can't accidentally share streams. *)
-
-val rate : t -> float

@@ -46,6 +46,11 @@ let check_scale scale =
     Error
       (Printf.sprintf "scale must be a finite number at least 0, got %g" scale)
 
+let check_rate rate =
+  let cap = float_of_int Vm.Costs.default.Vm.Costs.cycles_per_second in
+  if Float.is_finite rate && rate >= 0.0 && rate < cap then Ok rate
+  else Error (Printf.sprintf "rate must be finite, >= 0 and < %g, got %g" cap rate)
+
 (* Program-cache key: exactly the inputs of decode + superblock
    compilation + lint admission — workload identity and build knobs —
    and nothing of the run (seed, rate, ordering, engine), so one cached

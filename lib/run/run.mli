@@ -41,6 +41,11 @@ val check_scale : float -> (float, string) result
 (** The one input-scale check: finite and at least 0 (0 builds the
     smallest inputs). The error names the scale. *)
 
+val check_rate : float -> (float, string) result
+(** The one exception-rate check: finite, at least 0 and below one
+    exception per simulated cycle, where the injector's next arrival
+    would never pass the current cycle. The error names the rate. *)
+
 val program_key : t -> string
 (** Program-cache key: workload identity + build knobs — the inputs of
     decode, superblock compilation and lint admission, and nothing of

@@ -25,7 +25,12 @@ let of_json j =
   let* grain = known "grain" (List.map fst grains) grain in
   let* seed = Json.int ~default:1 "seed" j in
   let* rate = Json.float ~default:0.0 "rate" j in
+  let* rate = check_rate rate in
   let* interval = Json.float ~default:0.05 "interval" j in
+  let* interval =
+    if Float.is_finite interval && interval > 0.0 then Ok interval
+    else Error (Printf.sprintf "interval must be finite and > 0, got %g" interval)
+  in
   let* want_stats = Json.bool ~default:false "stats" j in
   Ok
     {

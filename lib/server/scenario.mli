@@ -10,7 +10,9 @@ end
 val of_json : Json.t -> (t, string) result
 (** Decode a run request; every field except [workload] has the CLI's
     default. Rejects an unknown engine, ordering or grain, fewer than
-    one context, and a scale {!Run.check_scale} refuses. *)
+    one context, a scale {!Run.check_scale} refuses, a rate
+    {!Run.check_rate} refuses, and an interval that is not finite and
+    greater than 0. *)
 
 val to_json : t -> Json.t
 (** Encode as a run request (includes ["op":"run"]). *)

@@ -19,7 +19,6 @@ type cursor = {
   mutable cu_ctrl : int;
   mutable cu_opaques : int;
   mutable cu_opaque_in_cpr : bool;
-  mutable cu_entered_cpr : bool;
   mutable cu_deopt : deopt;
 }
 
@@ -34,7 +33,6 @@ let make_cursor ~tcb ~env ~take_acc =
     cu_ctrl = 0;
     cu_opaques = 0;
     cu_opaque_in_cpr = false;
-    cu_entered_cpr = false;
     cu_deopt = Trace_end;
   }
 
@@ -80,7 +78,7 @@ let make_check guards =
    flag are written {e before} [run] so the sanitizer hooks (which read
    [tcb.pc] and skip CPR-region accesses) see exactly what the
    interpreted chain shows them. *)
-let make_step ~check ~nctrl ~cpr ~entered ~commit_pc ~cost ~run ~opaque ~next =
+let make_step ~check ~nctrl ~cpr ~commit_pc ~cost ~run ~opaque ~next =
   fun cu ->
     if cu.cu_vnow >= cu.cu_horizon then cu.cu_deopt <- Horizon
     else begin
@@ -91,7 +89,6 @@ let make_step ~check ~nctrl ~cpr ~entered ~commit_pc ~cost ~run ~opaque ~next =
         (match cpr with
         | Some b -> tcb.Tcb.in_cpr_region <- b
         | None -> ());
-        if entered then cu.cu_entered_cpr <- true;
         let declared = cost tcb.Tcb.regs in
         run cu.cu_env;
         let d = declared + cu.cu_take_acc () in
@@ -149,33 +146,33 @@ let compile_proc (code : Isa.instr array) =
         c
   and build pc c =
     let guards = ref [] in
-    let rec follow p crossings ctrl cpr entered =
+    let rec follow p crossings ctrl cpr =
       if crossings > max_ctrl_prefix then None
       else if p < 0 || p >= n then None
       else
         match code.(p) with
-        | Isa.Goto t -> follow t (crossings + 1) (ctrl + 1) cpr entered
+        | Isa.Goto t -> follow t (crossings + 1) (ctrl + 1) cpr
         | Isa.If { cond; target } ->
           let take = target <= p in
           guards := (cond, take) :: !guards;
           follow
             (if take then target else p + 1)
-            (crossings + 1) (ctrl + 1) cpr entered
-        | Isa.Cpr_begin -> follow (p + 1) (crossings + 1) (ctrl + 1) (Some true) true
-        | Isa.Cpr_end -> follow (p + 1) (crossings + 1) (ctrl + 1) (Some false) entered
-        | Isa.Work { cost; run } -> Some (p, ctrl, cpr, entered, cost, run, false)
-        | Isa.Opaque { cost; run } -> Some (p, ctrl, cpr, entered, cost, run, true)
+            (crossings + 1) (ctrl + 1) cpr
+        | Isa.Cpr_begin -> follow (p + 1) (crossings + 1) (ctrl + 1) (Some true)
+        | Isa.Cpr_end -> follow (p + 1) (crossings + 1) (ctrl + 1) (Some false)
+        | Isa.Work { cost; run } -> Some (p, ctrl, cpr, cost, run, false)
+        | Isa.Opaque { cost; run } -> Some (p, ctrl, cpr, cost, run, true)
         | _ -> None
     in
-    match follow pc 0 0 None false with
+    match follow pc 0 0 None with
     | None -> ()
-    | Some (lpc, nctrl, cpr, entered, cost, run, opaque) ->
+    | Some (lpc, nctrl, cpr, cost, run, opaque) ->
       let next = walk (lpc + 1) in
       let check = make_check (List.rev !guards) in
       succs.(pc) <- lpc + 1;
       c.body <-
-        make_step ~check ~nctrl ~cpr ~entered ~commit_pc:(lpc + 1) ~cost ~run
-          ~opaque ~next;
+        make_step ~check ~nctrl ~cpr ~commit_pc:(lpc + 1) ~cost ~run ~opaque
+          ~next;
       c.c_exec <- true
   in
   (* Seed every pc so any boundary an engine can reach mid-loop has an
@@ -252,31 +249,29 @@ type probe = {
   p_pc : int;
   p_ctrl : int;
   p_in_cpr : bool;
-  p_entered_cpr : bool;
   p_instr : Isa.instr;
 }
 
-let stop pc ctrl in_cpr entered instr =
-  { p_pc = pc; p_ctrl = ctrl; p_in_cpr = in_cpr; p_entered_cpr = entered;
-    p_instr = instr }
+let stop pc ctrl in_cpr instr =
+  { p_pc = pc; p_ctrl = ctrl; p_in_cpr = in_cpr; p_instr = instr }
 
 (* Top-level with no local closure, so a probe allocates only its result
    record. *)
-let rec probe_from code regs pc ctrl in_cpr entered =
-  if pc < 0 || pc >= Array.length code then stop pc ctrl in_cpr entered Isa.Exit
+let rec probe_from code regs pc ctrl in_cpr =
+  if pc < 0 || pc >= Array.length code then stop pc ctrl in_cpr Isa.Exit
   else
     match code.(pc) with
-    | Isa.Goto target -> probe_from code regs target (ctrl + 1) in_cpr entered
+    | Isa.Goto target -> probe_from code regs target (ctrl + 1) in_cpr
     | Isa.If { cond; target } ->
       probe_from code regs
         (if cond regs then target else pc + 1)
-        (ctrl + 1) in_cpr entered
-    | Isa.Cpr_begin -> probe_from code regs (pc + 1) (ctrl + 1) true true
-    | Isa.Cpr_end -> probe_from code regs (pc + 1) (ctrl + 1) false entered
-    | i -> stop pc ctrl in_cpr entered i
+        (ctrl + 1) in_cpr
+    | Isa.Cpr_begin -> probe_from code regs (pc + 1) (ctrl + 1) true
+    | Isa.Cpr_end -> probe_from code regs (pc + 1) (ctrl + 1) false
+    | i -> stop pc ctrl in_cpr i
 
 let probe_ctrl (p : Isa.proc) ~pc ~regs ~in_cpr =
-  probe_from p.Isa.code regs pc 0 in_cpr false
+  probe_from p.Isa.code regs pc 0 in_cpr
 
 (* --- dispatch-mix profiling ------------------------------------------- *)
 

@@ -74,7 +74,6 @@ type cursor = {
   mutable cu_ctrl : int;  (** control transfers crossed this entry *)
   mutable cu_opaques : int;  (** [Opaque] steps this entry *)
   mutable cu_opaque_in_cpr : bool;  (** CPR flag at the last [Opaque] *)
-  mutable cu_entered_cpr : bool;  (** a [Cpr_begin] was crossed *)
   mutable cu_deopt : deopt;  (** why the closure returned *)
 }
 
@@ -134,7 +133,6 @@ type probe = {
   p_pc : int;  (** pc of the first non-Ctrl instruction reached *)
   p_ctrl : int;  (** control transfers crossed (1 cycle each) *)
   p_in_cpr : bool;  (** CPR-region flag after the crossing *)
-  p_entered_cpr : bool;  (** a [Cpr_begin] was crossed *)
   p_instr : Isa.instr;
       (** the landing instruction at [p_pc]; [Exit] when the chain ran off
           the end of the code (an implicit exit) *)

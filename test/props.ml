@@ -1097,10 +1097,9 @@ let prop_alloc_undo_exact =
 
 (* The engines' original per-instruction fetch loop, kept as the model:
    one control transfer at a time, each committed to the TCB. Returns
-   the landing instruction, the transfers crossed and whether a
-   [Cpr_begin] was crossed. *)
+   the landing instruction and the transfers crossed. *)
 let model_fetch (tcb : Vm.Tcb.t) =
-  let ctrl = ref 0 and entered = ref false in
+  let ctrl = ref 0 in
   let rec fetch () =
     match Vm.Tcb.current_instr tcb with
     | None -> Vm.Isa.Exit
@@ -1114,7 +1113,6 @@ let model_fetch (tcb : Vm.Tcb.t) =
       fetch ()
     | Some Vm.Isa.Cpr_begin ->
       tcb.Vm.Tcb.in_cpr_region <- true;
-      entered := true;
       tcb.Vm.Tcb.pc <- tcb.Vm.Tcb.pc + 1;
       incr ctrl;
       fetch ()
@@ -1126,7 +1124,7 @@ let model_fetch (tcb : Vm.Tcb.t) =
     | Some i -> i
   in
   let i = fetch () in
-  (i, !ctrl, !entered)
+  (i, !ctrl)
 
 (* Random control-heavy code: every branch goes forward (possibly past
    the end), so no chain loops forever. *)
@@ -1159,10 +1157,9 @@ let prop_fetch_model =
       in
       let a = fresh () and b = fresh () in
       let pr = Exec.Fuse.fetch a in
-      let instr, ctrl, entered = model_fetch b in
+      let instr, ctrl = model_fetch b in
       pr.Vm.Block.p_instr == instr
       && pr.Vm.Block.p_ctrl = ctrl
-      && pr.Vm.Block.p_entered_cpr = entered
       && a.Vm.Tcb.pc = b.Vm.Tcb.pc
       && a.Vm.Tcb.in_cpr_region = b.Vm.Tcb.in_cpr_region)
 

@@ -102,41 +102,6 @@ let test_stable_invisible () =
 
 (* --- Single crash points ---------------------------------------------- *)
 
-let recover_and_check ?(spec_name = "pbzip2") ?(scale = 0.02) dump =
-  let spec, program = workload spec_name scale in
-  ignore program;
-  let _a, _secs, resume = Recovery.recover dump in
-  let r = resume () in
-  checkb "completes" false r.Exec.State.dnc;
-  spec.Workloads.Workload.digest r
-
-let test_crash_at_cycle () =
-  let spec, program = workload "pbzip2" 0.02 in
-  let want = spec.Workloads.Workload.digest (Gprs.Engine.run ~lint:`Off (gprs_cfg ()) program) in
-  let cfg = { (gprs_cfg ()) with Gprs.Engine.crash_cycle = Some 50_000 } in
-  match Gprs.Engine.run ~lint:`Off cfg program with
-  | _ -> Alcotest.fail "crash never fired"
-  | exception Gprs.Engine.Crashed dump ->
-    checks "digest" want (recover_and_check dump)
-
-let test_crash_via_injector () =
-  (* The [Crash] exception kind arrives through the regular injector
-     plumbing (a Fault_occur event), not just the LSN/cycle triggers. *)
-  let spec, program = workload "pbzip2" 0.02 in
-  let want = spec.Workloads.Workload.digest (Gprs.Engine.run ~lint:`Off (gprs_cfg ()) program) in
-  let cfg =
-    {
-      (gprs_cfg ()) with
-      Gprs.Engine.wal_stable = true;
-      injector =
-        Faults.Injector.config ~seed:3 ~kinds:[ Faults.Injector.Crash ] 200_000.0;
-    }
-  in
-  match Gprs.Engine.run ~lint:`Off cfg program with
-  | _ -> Alcotest.fail "injected crash never fired"
-  | exception Gprs.Engine.Crashed dump ->
-    checks "digest" want (recover_and_check dump)
-
 let test_mangled_wal_refused () =
   let _, program = workload "pbzip2" 0.02 in
   let cfg = { (gprs_cfg ()) with Gprs.Engine.crash_lsn = Some 60 } in
@@ -319,10 +284,6 @@ let suite =
       test_corrupt_image_detected;
     Alcotest.test_case "stable arming is invisible" `Quick
       test_stable_invisible;
-    Alcotest.test_case "crash at cycle, recover, digest" `Quick
-      test_crash_at_cycle;
-    Alcotest.test_case "crash via injector kind" `Quick
-      test_crash_via_injector;
     Alcotest.test_case "mangled WAL refused" `Quick test_mangled_wal_refused;
     Alcotest.test_case "sparse op orders refused" `Quick test_sparse_orders_refused;
     Alcotest.test_case "sweep histogram round-robin" `Quick

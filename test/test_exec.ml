@@ -603,7 +603,6 @@ let test_fetch_cpr_region () =
   compute p 5;
   let tcb, pr = fetch_at p in
   check "landing" 5 (landing_cost pr);
-  checkb "entered" true pr.Vm.Block.p_entered_cpr;
   checkb "flag ends false" false tcb.Vm.Tcb.in_cpr_region;
   check "ctrl" 2 pr.Vm.Block.p_ctrl
 

@@ -43,6 +43,13 @@ let test_names () =
     Points.all;
   checkb "unknown name" true (Points.of_name "bogus" = None)
 
+(* Every action; the match fails to compile when one is added and not
+   listed here. *)
+let all_actions = Points.[ Skip; Error; Crash; Delay; Torn_write ]
+
+let _ = function
+  | Points.Skip | Points.Error | Points.Crash | Points.Delay | Points.Torn_write -> ()
+
 let test_arm_validation () =
   (* unsound combos are refused up front, not at fire time *)
   checkb "skip at wal_append refused" true
@@ -57,17 +64,24 @@ let test_arm_validation () =
   checkb "zero start refused" true
     (Result.is_error
        (Points.arm ~start_hit:0 Points.Wal_append Points.Crash));
-  (* the supported matrix is what arm enforces *)
+  (* the supported matrix is what arm enforces, in both directions *)
   List.iter
     (fun p ->
       List.iter
         (fun a ->
-          checkb
-            (Points.to_name p ^ "/" ^ Points.action_name a)
-            true
-            (Result.is_ok (Points.arm p a)))
-        (Points.supported p))
-    Points.all
+          let name = Points.to_name p ^ "/" ^ Points.action_name a in
+          if List.mem a (Points.supported p) then
+            checkb (name ^ " armed") true (Result.is_ok (Points.arm p a))
+          else checkb (name ^ " refused") true (Result.is_error (Points.arm p a)))
+        all_actions)
+    Points.all;
+  (* The engine reads a skip only at the checkpoint seams and tears the
+     stable image only at the WAL seams; both rest on these rows. *)
+  let where a = List.filter (fun p -> List.mem a (Points.supported p)) Points.all in
+  checkb "skip only at the checkpoint seams and the cache" true
+    (where Points.Skip = Points.[ Checkpoint_begin; Checkpoint_end; Cache_insert ]);
+  checkb "torn_write only at the WAL seams" true
+    (where Points.Torn_write = Points.[ Wal_append; Wal_fsync ])
 
 let test_counters_and_window () =
   arm_ok ~start_hit:2 ~end_hit:3 ~delay_us:0 Points.Lock_handoff Points.Delay;
@@ -134,19 +148,43 @@ let test_delay_zero_invisible () =
     (spec.Workloads.Workload.digest on);
   checki "cycles" off.Exec.State.sim_cycles on.Exec.State.sim_cycles
 
+(* Lines of a stable WAL image with record tag [tag]. *)
+let count_records tag image =
+  List.length
+    (List.filter
+       (fun l -> String.length l > 0 && l.[0] = tag)
+       (String.split_on_char '\n' image))
+
 let test_checkpoint_skip_invisible () =
   (* Eliding every retirement checkpoint changes durability, not
      output: digest and cycles are identical (checkpoints are charged
-     no simulated cycles). *)
+     no simulated cycles). The image shows the skip took effect: a skip
+     at begin leaves only the boot checkpoint, a skip at end leaves
+     every B record without its E. *)
   let spec, program = workload "histogram" 0.05 in
-  let off = Gprs.Engine.run ~lint:`Off (gprs_cfg ~wal_stable:true ()) program in
+  let run () =
+    let image = ref "" in
+    let r =
+      Gprs.Engine.run ~lint:`Off ~wal_out:image (gprs_cfg ~wal_stable:true ()) program
+    in
+    (r, !image)
+  in
+  let off, off_image = run () in
+  checkb "retirement checkpoints logged" true (count_records 'B' off_image > 1);
   arm_ok Points.Checkpoint_begin Points.Skip;
-  let on = Gprs.Engine.run ~lint:`Off (gprs_cfg ~wal_stable:true ()) program in
+  let on, on_image = run () in
   checkb "skipped at least one checkpoint" true
     ((Points.status Points.Checkpoint_begin).Points.s_fires > 0);
   checks "digest" (spec.Workloads.Workload.digest off)
     (spec.Workloads.Workload.digest on);
-  checki "cycles" off.Exec.State.sim_cycles on.Exec.State.sim_cycles
+  checki "cycles" off.Exec.State.sim_cycles on.Exec.State.sim_cycles;
+  checki "only the boot checkpoint" 1 (count_records 'B' on_image);
+  Points.reset_all ();
+  arm_ok Points.Checkpoint_end Points.Skip;
+  let on, on_image = run () in
+  checki "cycles, end skipped" off.Exec.State.sim_cycles on.Exec.State.sim_cycles;
+  checki "every begin logged" (count_records 'B' off_image) (count_records 'B' on_image);
+  checki "only the boot checkpoint ends" 1 (count_records 'E' on_image)
 
 (* --- crash / error / torn at engine seams ------------------------------ *)
 

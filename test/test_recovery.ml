@@ -7,7 +7,7 @@ let checkb = Alcotest.(check bool)
 
 let grun ?(n_contexts = 4) ?(seed = 1) ?(rate = 0.0)
     ?(recovery = Gprs.Engine.Selective) ?(process = Faults.Injector.Periodic)
-    ?max_cycles ?(livelock = 100_000) program =
+    ?max_cycles program =
   Gprs.Engine.run
     {
       Gprs.Engine.default_config with
@@ -16,7 +16,6 @@ let grun ?(n_contexts = 4) ?(seed = 1) ?(rate = 0.0)
       recovery;
       injector = Faults.Injector.config ~process rate;
       max_cycles;
-      livelock_squashes = livelock;
     }
     program
 

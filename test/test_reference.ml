@@ -455,8 +455,8 @@ let mk_tcb ?(regs = [||]) () =
 
 (* A sub-thread observed through everything the engine ever reads. *)
 let sub_fingerprint (s : Gprs.Subthread.t) =
-  Format.asprintf "%a|gd=%b cpr=%b held=%s undo=%d forked=%s pend=%s freed=%d"
-    Gprs.Subthread.pp s s.Gprs.Subthread.global_dep s.Gprs.Subthread.cpr_region
+  Format.asprintf "%a|gd=%b held=%s undo=%d forked=%s pend=%s freed=%d"
+    Gprs.Subthread.pp s s.Gprs.Subthread.global_dep
     (String.concat "," (List.map string_of_int s.Gprs.Subthread.held_locks))
     (Exec.Undo_log.size s.Gprs.Subthread.undo)
     (String.concat "," (List.map string_of_int s.Gprs.Subthread.forked))
@@ -474,7 +474,6 @@ let test_recycled_sub_is_fresh () =
   Gprs.Subthread.add_alias s (Gprs.Subthread.Atomic_var 40);
   Gprs.Subthread.add_alias s (Gprs.Subthread.Thread_edge 2);
   s.Gprs.Subthread.global_dep <- true;
-  s.Gprs.Subthread.cpr_region <- true;
   s.Gprs.Subthread.held_locks <- [ 5; 1 ];
   s.Gprs.Subthread.forked <- [ 9 ];
   s.Gprs.Subthread.pending_mutex <- Some 2;

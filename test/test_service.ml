@@ -230,6 +230,32 @@ let scenario ?(engine = "gprs") ?(rate = 0.0) ?(seed = 7) ~id ~workload () =
     want_stats = true;
   }
 
+(* A rate or interval with no arrival schedule is refused by the codec
+   with a message naming the field, before any run starts: at a NaN
+   rate, or one of an exception per simulated cycle or more, the
+   injector's next arrival never passes the current cycle. *)
+let test_scenario_rate_interval () =
+  let with_field k v =
+    match Server.Scenario.to_json (scenario ~id:"r" ~workload:"histogram" ()) with
+    | J.Obj kvs -> J.Obj ((k, J.Float v) :: List.remove_assoc k kvs)
+    | j -> j
+  in
+  let refused k v =
+    match Server.Scenario.of_json (with_field k v) with
+    | Ok _ -> Alcotest.failf "%s %g accepted" k v
+    | Error e ->
+      checkb (Printf.sprintf "%s %g: error names it" k v) true
+        (String.starts_with ~prefix:k e)
+  in
+  let accepted k v =
+    checkb (Printf.sprintf "%s %g accepted" k v) true
+      (Result.is_ok (Server.Scenario.of_json (with_field k v)))
+  in
+  List.iter (refused "rate") [ nan; infinity; -1.0; 1e7; 1e308 ];
+  List.iter (refused "interval") [ nan; infinity; 0.0; -1.0 ];
+  List.iter (accepted "rate") [ 0.0; 100.0; 9.9e6 ];
+  List.iter (accepted "interval") [ 0.05; 1e-6 ]
+
 let stats_of_reply j =
   match J.member "stats" j with
   | Some (J.Obj fields) ->
@@ -595,6 +621,8 @@ let test_send_after_stop_is_closed () =
 let suite =
   [
     Alcotest.test_case "json codec round-trips" `Quick test_json_roundtrip;
+    Alcotest.test_case "codec refuses a rate or interval with no schedule"
+      `Quick test_scenario_rate_interval;
     Alcotest.test_case "cache: LRU eviction and stats" `Quick test_cache_lru;
     Alcotest.test_case "cache: cold burst builds once" `Quick
       test_cache_inflight_dedup;
