@@ -8,8 +8,8 @@
 
    - bounded constant propagation: registers hold [Known v] or [Top];
      [Work] bodies are probe-executed against a sandboxed {!Vm.Env.t}
-     (writes land in a scratch table, reads of untouched state return
-     probe-dependent fillers), so pure register moves like
+     (writes land in flat scratch tables, reads of untouched state
+     return probe-dependent fillers), so pure register moves like
      [Builder.set_reg] propagate exactly while anything data-dependent
      on shared memory, files or the tid demotes to [Top];
 
@@ -27,7 +27,7 @@
    [for k = 1 to len] where [len] is an unknown register) sees a filler
    value in the millions and would burn seconds per probe. Every sandbox
    therefore carries a fuel budget counted in [Env] operations; running
-   out aborts the probe, which {!eval_work} already folds to all-[Top] —
+   out aborts the probe, which {!Races.probe_work} folds to all-[Top] —
    the sound answer for a body whose effects we could not afford to
    observe. *)
 
@@ -98,20 +98,35 @@ exception Out_of_fuel
    ~10^6-iteration loops a filler-valued bound produces. *)
 let probe_fuel = 50_000
 
-(* Int-keyed tables for the sandbox and the race probe's access sets:
-   monomorphic hashing and equality, and no boxed (fd, offset) key per
-   file access. *)
-module Itbl = Hashtbl.Make (Int)
+(* The probe sandbox's tables. One lint run ({!Check.driver}) owns one
+   sandbox, every probe resets it, and nothing of it outlives the run. *)
+type sandbox = {
+  written : Flat.t;  (* address -> word written by this probe *)
+  fds : Flat.t;  (* fd -> its index into [files] *)
+  mutable files : Flat.t array;  (* per fd: offset -> word written *)
+}
+
+let sandbox () = { written = Flat.create (); fds = Flat.create (); files = [||] }
+
+(* The table of a file first written in this probe: the next slot of
+   [files], reset for its new fd. *)
+let claim_file sb n =
+  if n = Array.length sb.files then
+    sb.files <-
+      Array.init (Stdlib.max 4 (2 * n)) (fun i ->
+          if i < n then sb.files.(i) else Flat.create ());
+  Flat.reset sb.files.(n)
 
 (* Sandboxed environment for probe-executing a [Work] body: writes are
    remembered (so read-after-write within one body is consistent), reads
    of untouched addresses and all file contents are salt-dependent, and
    the tid differs between probes so tid-derived values demote to Top.
-   Every operation burns fuel; exhaustion raises {!Out_of_fuel}. *)
-let sandbox_env ?(on_read = fun _ -> ()) ?(on_write = fun _ -> ()) ~salt regs =
-  let written : int Itbl.t = Itbl.create 16 in
-  (* file contents written so far: fd -> offset -> word *)
-  let files : int Itbl.t Itbl.t = Itbl.create 4 in
+   Every operation burns fuel; exhaustion raises {!Out_of_fuel}. Making
+   the environment resets [sb], so it serves one probe at a time. *)
+let sandbox_env ?(on_read = fun _ -> ()) ?(on_write = fun _ -> ()) sb ~salt
+    regs =
+  Flat.reset sb.written;
+  Flat.reset sb.fds;
   let h x = ((x * 0x9E3779B9) + salt) land 0x3FFF_FFFF in
   let fuel = ref probe_fuel in
   let burn () =
@@ -125,12 +140,14 @@ let sandbox_env ?(on_read = fun _ -> ()) ?(on_write = fun _ -> ()) ~salt regs =
       (fun a ->
         burn ();
         on_read a;
-        match Itbl.find_opt written a with Some v -> v | None -> h (a + 1));
+        match Flat.find sb.written a with
+        | -1 -> h (a + 1)
+        | i -> Flat.value sb.written i);
     write =
       (fun a v ->
         burn ();
         on_write a;
-        Itbl.replace written a v);
+        Flat.replace sb.written a v);
     file_size =
       (fun fd ->
         burn ();
@@ -138,32 +155,18 @@ let sandbox_env ?(on_read = fun _ -> ()) ?(on_write = fun _ -> ()) ~salt regs =
     file_read =
       (fun fd ~off ->
         burn ();
-        match
-          Option.bind (Itbl.find_opt files fd) (fun f -> Itbl.find_opt f off)
-        with
-        | Some v -> v
-        | None -> h ((fd * 65599) + off));
+        match Flat.find sb.fds fd with
+        | -1 -> h ((fd * 65599) + off)
+        | j -> (
+          let f = sb.files.(Flat.value sb.fds j) in
+          match Flat.find f off with
+          | -1 -> h ((fd * 65599) + off)
+          | i -> Flat.value f i));
     file_write =
       (fun fd ~off v ->
         burn ();
-        let f =
-          match Itbl.find_opt files fd with
-          | Some f -> f
-          | None ->
-            let f = Itbl.create 16 in
-            Itbl.replace files fd f;
-            f
-        in
-        Itbl.replace f off v);
+        let n = Flat.length sb.fds in
+        let idx = Flat.value sb.fds (Flat.slot sb.fds fd ~init:n) in
+        if idx = n then claim_file sb n;
+        Flat.replace sb.files.(idx) off v);
   }
-
-let eval_work regs run =
-  let ra = concretize regs filler_a and rb = concretize regs filler_b in
-  match
-    run (sandbox_env ~salt:0x5eed0 ra);
-    run (sandbox_env ~salt:0x7a110 rb)
-  with
-  | () ->
-    Array.init (Array.length regs) (fun i ->
-        if ra.(i) = rb.(i) then Known ra.(i) else Top)
-  | exception _ -> top_regs (Array.length regs)

@@ -76,6 +76,7 @@ type ctx = {
   forks : (string * int, string) Hashtbl.t;  (* fork site -> target *)
   fuel_sites : (string * int, unit) Hashtbl.t;
       (* Work sites whose probe ran out of fuel at least once *)
+  scratch : Races.scratch;  (* the probes' tables, for this run only *)
 }
 
 let report ?(tag = 0) ctx ~severity ~kind ~proc ~pc ~instr msg =
@@ -205,7 +206,7 @@ let analyze_proc ctx (proc : Vm.Isa.proc) ~entry_regs ~on_fork =
     match code.(pc) with
     | Vm.Isa.Work { run; _ } ->
       let p =
-        Races.probe_work ~record:ctx.collect
+        Races.probe_work ctx.scratch ~record:ctx.collect
           ~mem_words:ctx.prog.Vm.Isa.mem_words s.regs run
       in
       if p.Races.fuel_exhausted then
@@ -628,6 +629,7 @@ let driver ~collect (prog : Vm.Isa.program) =
       accesses = Hashtbl.create 64;
       forks = Hashtbl.create 16;
       fuel_sites = Hashtbl.create 4;
+      scratch = Races.scratch ();
     }
   in
   analyze ctx;

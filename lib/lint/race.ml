@@ -98,6 +98,7 @@ let multiplicities (prog : Vm.Isa.program) (facts : Check.facts) =
 type sample = Word of int | Page of int
 
 let first_word_in_pages words pages =
+  let pages = Array.of_list pages in
   List.find_opt
     (fun w -> Races.mem_sorted (w lsr Races.page_bits) pages)
     words

@@ -1,10 +1,10 @@
 (* Per-[Work]-block may-read/may-write address summaries.
 
-   The probe sandbox of {!Absval} already executes every [Work] body
-   twice, under two filler families that agree on [Known] registers and
-   disagree on everything unknown. Recording the addresses each probe
-   touches classifies every access by how much of it the analysis
-   actually resolved:
+   The race probe ({!probe_work}) executes every [Work] body in the
+   {!Absval} sandbox twice, under two filler families that agree on
+   [Known] registers and disagree on everything unknown. Recording the
+   addresses each probe touches classifies every access by how much of
+   it the analysis actually resolved:
 
    - both probes touch the same address: the address is a function of
      [Known] state only, so the access is *word-precise*;
@@ -52,15 +52,33 @@ let no_accesses s =
   s.w_words = [] && s.r_words = [] && s.w_pages = [] && s.r_pages = []
 
 type probe = {
-  regs : Absval.t array;  (* post-state registers, as {!Absval.eval_work} *)
+  regs : Absval.t array;
+      (* post-state registers: [Known] where both probes agree, all-[Top]
+         after an abort *)
   summary : summary;
   fuel_exhausted : bool;
 }
 
-(* --- sorted-int-list set algebra -------------------------------------- *)
+(* The race probe's tables, owned by one lint run ({!Check.driver}) like
+   the sandbox they sit beside: per probe, the addresses its body touched,
+   valued [read_bit] lor [write_bit]. *)
+type scratch = { sandbox : Absval.sandbox; acc_a : Flat.t; acc_b : Flat.t }
 
-let sorted_of_tbl tbl =
-  Absval.Itbl.fold (fun a () acc -> a :: acc) tbl [] |> List.sort_uniq Int.compare
+let scratch () =
+  { sandbox = Absval.sandbox (); acc_a = Flat.create (); acc_b = Flat.create () }
+
+let read_bit = 1
+let write_bit = 2
+
+(* The sorted (reads, writes) that probes A and B recorded in the last
+   {!probe_work} on [sc]. *)
+let recorded sc =
+  let sets t =
+    (Flat.sorted_keys t ~mask:read_bit, Flat.sorted_keys t ~mask:write_bit)
+  in
+  (sets sc.acc_a, sets sc.acc_b)
+
+(* --- sorted-int-list set algebra -------------------------------------- *)
 
 let rec inter a b =
   match (a, b) with
@@ -70,11 +88,15 @@ let rec inter a b =
     else if x < y then inter xs b
     else inter a ys
 
-let rec overlap a b =
+(* [a] minus [b]. *)
+let rec diff a b =
   match (a, b) with
-  | [], _ | _, [] -> false
+  | [], _ -> []
+  | _, [] -> a
   | x :: xs, y :: ys ->
-    if x = y then true else if x < y then overlap xs b else overlap a ys
+    if x = y then diff xs ys
+    else if x < y then x :: diff xs b
+    else diff a ys
 
 (* First common element, for diagnostics. *)
 let rec common a b =
@@ -85,20 +107,27 @@ let rec common a b =
     else if x < y then common xs b
     else common a ys
 
-let mem_sorted x l = List.exists (fun y -> y = x) l
+(* Binary search of a sorted array. *)
+let mem_sorted x a =
+  let rec go lo hi =
+    lo < hi
+    &&
+    let mid = lo + ((hi - lo) / 2) in
+    let y = a.(mid) in
+    y = x || if y < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
 
 (* --- the dual probe --------------------------------------------------- *)
 
 (* Classify one access class (reads or writes) of the two probes into
    word-precise / page-coarse / unknown, clamped to the program's memory
    so filler-derived garbage addresses cannot collide into findings. *)
-let classify ~mem_words ta tb =
-  let sa = sorted_of_tbl ta and sb = sorted_of_tbl tb in
+let classify ~mem_words sa sb =
   let words =
     inter sa sb |> List.filter (fun a -> a >= 0 && a < mem_words)
   in
-  let leftover s = List.filter (fun a -> not (mem_sorted a words)) s in
-  let la = leftover sa and lb = leftover sb in
+  let la = diff sa words and lb = diff sb words in
   let max_page = (mem_words + (1 lsl page_bits) - 1) lsr page_bits in
   let pages l =
     List.map (fun a -> a lsr page_bits) l
@@ -106,44 +135,42 @@ let classify ~mem_words ta tb =
     |> List.filter (fun p -> p >= 0 && p < max_page)
   in
   let shared_pages = inter (pages la) (pages lb) in
+  let shared = Array.of_list shared_pages in
   let unknown =
     List.length
-      (List.filter (fun a -> not (mem_sorted (a lsr page_bits) shared_pages)) la)
+      (List.filter (fun a -> not (mem_sorted (a lsr page_bits) shared)) la)
   in
   (words, shared_pages, unknown)
 
-(* Probe-execute a [Work] body exactly as {!Absval.eval_work} does —
-   same fillers, same salts, same fold of any exception to all-[Top]
-   registers — additionally recording the addresses each probe touches
-   (when [record]) and whether the abort was fuel exhaustion. *)
-let probe_work ?(record = true) ~mem_words regs run =
+(* Probe-execute a [Work] body twice in [sc]'s sandbox: under the two
+   filler families and salts, folding any exception to all-[Top]
+   registers, and running the second probe only if the first returned.
+   When [record], note the addresses each probe touches; report whether
+   an abort was fuel exhaustion. *)
+let probe_work sc ?(record = true) ~mem_words regs run =
   let ra = Absval.concretize regs Absval.filler_a
   and rb = Absval.concretize regs Absval.filler_b in
-  let reads_a = Absval.Itbl.create 16
-  and writes_a = Absval.Itbl.create 16
-  and reads_b = Absval.Itbl.create 16
-  and writes_b = Absval.Itbl.create 16 in
-  let note tbl = if record then fun a -> Absval.Itbl.replace tbl a () else fun _ -> () in
+  Flat.reset sc.acc_a;
+  Flat.reset sc.acc_b;
   let fuel = ref false in
-  let aborted = ref false in
-  let go salt cregs ~reads ~writes =
-    match
-      run
-        (Absval.sandbox_env ~on_read:(note reads) ~on_write:(note writes)
-           ~salt cregs)
-    with
+  let go salt cregs acc =
+    let env =
+      if record then
+        Absval.sandbox_env
+          ~on_read:(fun a -> Flat.add_bits acc a read_bit)
+          ~on_write:(fun a -> Flat.add_bits acc a write_bit)
+          sc.sandbox ~salt cregs
+      else Absval.sandbox_env sc.sandbox ~salt cregs
+    in
+    match run env with
     | () -> true
     | exception Absval.Out_of_fuel ->
       fuel := true;
-      aborted := true;
       false
-    | exception _ ->
-      aborted := true;
-      false
+    | exception _ -> false
   in
-  let ok_a = go 0x5eed0 ra ~reads:reads_a ~writes:writes_a in
-  (* eval_work never runs the second probe once the first throws *)
-  let ok_b = ok_a && go 0x7a110 rb ~reads:reads_b ~writes:writes_b in
+  let ok_a = go 0x5eed0 ra sc.acc_a in
+  let ok_b = ok_a && go 0x7a110 rb sc.acc_b in
   let regs' =
     if ok_a && ok_b then
       Array.init (Array.length regs) (fun i ->
@@ -153,6 +180,7 @@ let probe_work ?(record = true) ~mem_words regs run =
   let summary =
     if not record then empty_summary
     else if ok_a && ok_b then begin
+      let (reads_a, writes_a), (reads_b, writes_b) = recorded sc in
       let w_words, w_pages, unknown_writes =
         classify ~mem_words writes_a writes_b
       in
@@ -167,8 +195,8 @@ let probe_work ?(record = true) ~mem_words regs run =
          count what probe A saw as unknown and flag the hole. *)
       {
         empty_summary with
-        unknown_writes = Absval.Itbl.length writes_a;
-        unknown_reads = Absval.Itbl.length reads_a;
+        unknown_writes = Flat.count_keys sc.acc_a ~mask:write_bit;
+        unknown_reads = Flat.count_keys sc.acc_a ~mask:read_bit;
         incomplete = true;
       }
   in

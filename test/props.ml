@@ -1163,6 +1163,157 @@ let prop_fetch_model =
       && a.Vm.Tcb.pc = b.Vm.Tcb.pc
       && a.Vm.Tcb.in_cpr_region = b.Vm.Tcb.in_cpr_region)
 
+(* --- lint probe: flat scratch tables against the Hashtbl sandbox --- *)
+
+type operand = Imm of int | Reg of int
+
+type probe_op =
+  | P_read of operand * int  (* address, destination register *)
+  | P_write of operand * operand  (* address, value *)
+  | P_file_read of operand * operand * int  (* fd, offset, destination *)
+  | P_file_write of operand * operand * operand  (* fd, offset, value *)
+  | P_file_size of operand * int  (* fd, destination *)
+  | P_sweep of { fd : operand option; base : operand; n : int; write : bool }
+      (* [n] accesses to consecutive addresses, or offsets of [fd], from
+         [base]: long ones outgrow the tables or run out of fuel *)
+
+let probe_regs = 8
+
+(* Small addresses collide, so bodies read back what they wrote; the
+   rest reach the ends of the int range. *)
+let probe_int_gen =
+  Gen.(
+    frequency
+      [
+        (6, int_range (-4) 40);
+        (1, int);
+        ( 1,
+          oneofl
+            [ min_int; max_int; min_int + 1; max_int - 1; 1 lsl 40; -(1 lsl 40) ]
+        );
+      ])
+
+let operand_gen =
+  Gen.(
+    frequency
+      [
+        (2, map (fun r -> Reg r) (int_range 0 (probe_regs - 1)));
+        (5, map (fun k -> Imm k) probe_int_gen);
+      ])
+
+let probe_op_gen =
+  let reg = Gen.int_range 0 (probe_regs - 1) in
+  Gen.(
+    frequency
+      [
+        (4, map2 (fun a d -> P_read (a, d)) operand_gen reg);
+        (4, map2 (fun a v -> P_write (a, v)) operand_gen operand_gen);
+        (3, map3 (fun f o d -> P_file_read (f, o, d)) operand_gen operand_gen reg);
+        ( 3,
+          map3 (fun f o v -> P_file_write (f, o, v)) operand_gen operand_gen
+            operand_gen );
+        (1, map2 (fun f d -> P_file_size (f, d)) operand_gen reg);
+        ( 2,
+          map4
+            (fun fd base n write -> P_sweep { fd; base; n; write })
+            (opt operand_gen) operand_gen
+            (frequency
+               [ (4, int_range 1 200); (2, int_range 200 2000); (1, int_range 50_000 60_000) ])
+            bool );
+      ])
+
+(* A body that logs every value an operation returns, so two runs agree
+   on the values and on the operation at which [Out_of_fuel] cut them. *)
+let probe_body ops log (env : Vm.Env.t) =
+  let v = function Imm k -> k | Reg r -> env.Vm.Env.regs.(r) in
+  let ret dst x =
+    log := x :: !log;
+    env.Vm.Env.regs.(dst) <- x
+  in
+  List.iter
+    (function
+      | P_read (a, dst) -> ret dst (env.Vm.Env.read (v a))
+      | P_write (a, x) -> env.Vm.Env.write (v a) (v x)
+      | P_file_read (f, off, dst) -> ret dst (env.Vm.Env.file_read (v f) ~off:(v off))
+      | P_file_write (f, off, x) -> env.Vm.Env.file_write (v f) ~off:(v off) (v x)
+      | P_file_size (f, dst) -> ret dst (env.Vm.Env.file_size (v f))
+      | P_sweep { fd; base; n; write } ->
+        let base = v base in
+        for i = 0 to n - 1 do
+          match (fd, write) with
+          | None, true -> env.Vm.Env.write (base + i) (i * 7)
+          | None, false -> ret (i land 7) (env.Vm.Env.read (base + i))
+          | Some f, true -> env.Vm.Env.file_write (v f) ~off:(base + i) (i * 7)
+          | Some f, false -> ret (i land 7) (env.Vm.Env.file_read (v f) ~off:(base + i))
+        done)
+    ops
+
+let absval_gen =
+  Gen.(
+    frequency
+      [ (3, map (fun k -> Lint.Absval.Known k) probe_int_gen); (1, return Lint.Absval.Top) ])
+
+(* Probes run before the compared bodies on the same scratch, enough of
+   them to carry the one-byte stamps through their wrap at 255: the
+   first writes a block of memory and of a file, every later one reads
+   it back (after claiming the file table anew) and must not see it. *)
+let aging_body k =
+  let block write =
+    [
+      P_sweep { fd = None; base = Imm 10_000; n = 100; write };
+      P_sweep { fd = Some (Imm 1); base = Imm 10_000; n = 100; write };
+    ]
+  in
+  if k = 0 then block true else P_file_write (Imm 1, Imm (-1), Imm k) :: block false
+
+(* Both probes agree, through every table: returned values, the fuel
+   cut, post-state registers, the summary and the raw access sets. *)
+let probe_agrees sc ~record ~mem_words regs ops =
+  let log_flat = ref [] and log_ref = ref [] in
+  let p = Lint.Races.probe_work sc ~record ~mem_words regs (probe_body ops log_flat) in
+  let p', sets' =
+    Ref_models.Lint_probe.probe_work ~record ~mem_words regs (probe_body ops log_ref)
+  in
+  p = p' && Lint.Races.recorded sc = sets' && !log_flat = !log_ref
+
+let prop_lint_probe_model =
+  case ~count:100 "lint probe: flat scratch tables equal the Hashtbl sandbox"
+    Gen.(
+      tup5
+        (frequency [ (2, return 0); (1, int_range 200 300) ])
+        bool
+        (oneofl [ 0; 1; 64; 100; 1 lsl 20; 1 lsl 40 ])
+        (array_size (return probe_regs) absval_gen)
+        (list_size (int_range 1 4) (list_size (int_range 0 30) probe_op_gen)))
+    (fun (aging, record, mem_words, regs, bodies) ->
+      let sc = Lint.Races.scratch () in
+      List.for_all
+        (probe_agrees sc ~record ~mem_words regs)
+        (List.init aging aging_body @ bodies))
+
+(* A body that writes more entries than several growth steps hold, in
+   memory and in a file, then reads them all back. *)
+let lint_probe_growth () =
+  let n = 3000 in
+  let sweeps write =
+    [
+      P_sweep { fd = None; base = Imm 100; n; write };
+      P_sweep { fd = Some (Imm 2); base = Imm (-5); n; write };
+    ]
+  in
+  let regs = Array.make probe_regs (Lint.Absval.Known 3) in
+  let sc = Lint.Races.scratch () in
+  let log = ref [] in
+  ignore
+    (Lint.Races.probe_work sc ~mem_words:(1 lsl 20) regs
+       (probe_body (sweeps true @ sweeps false) log));
+  let written = List.init n (fun i -> i * 7) in
+  (* two probes, each reading both sweeps back, logged newest first *)
+  Alcotest.(check (list int)) "read back" (List.concat (List.init 4 (fun _ -> List.rev written)))
+    !log;
+  Alcotest.(check bool) "equals the Hashtbl sandbox" true
+    (probe_agrees sc ~record:true ~mem_words:(1 lsl 20) regs (sweeps true @ sweeps false))
+
 let suite =
   [
     prop_prng_bounds;
@@ -1199,4 +1350,7 @@ let suite =
     prop_wal_parse_damaged;
     prop_wal_parse_resealed;
     prop_order_model;
+    prop_lint_probe_model;
+    Alcotest.test_case "lint probe: writes read back across table growth" `Quick
+      lint_probe_growth;
   ]

@@ -406,3 +406,142 @@ module Order = struct
         t.budget <- t.groups.(t.gcursor).weight
       end
 end
+
+(* The lint probe sandbox and race probe on per-probe [Hashtbl]s, as
+   they were before the flat scratch tables: a fresh written-memory
+   table, per-fd file tables and four access sets for every probe, and
+   the linear [List.exists] membership in the classification. *)
+module Lint_probe = struct
+  open Lint
+
+  module Itbl = Hashtbl.Make (Int)
+
+  let sandbox_env ~on_read ~on_write ~salt regs =
+    let written : int Itbl.t = Itbl.create 16 in
+    let files : int Itbl.t Itbl.t = Itbl.create 4 in
+    let h x = ((x * 0x9E3779B9) + salt) land 0x3FFF_FFFF in
+    let fuel = ref Absval.probe_fuel in
+    let burn () =
+      decr fuel;
+      if !fuel < 0 then raise Absval.Out_of_fuel
+    in
+    {
+      Vm.Env.tid = salt land 0xFFF;
+      regs;
+      read =
+        (fun a ->
+          burn ();
+          on_read a;
+          match Itbl.find_opt written a with Some v -> v | None -> h (a + 1));
+      write =
+        (fun a v ->
+          burn ();
+          on_write a;
+          Itbl.replace written a v);
+      file_size =
+        (fun fd ->
+          burn ();
+          h (fd + 0x1001) land 0xFFF);
+      file_read =
+        (fun fd ~off ->
+          burn ();
+          match
+            Option.bind (Itbl.find_opt files fd) (fun f -> Itbl.find_opt f off)
+          with
+          | Some v -> v
+          | None -> h ((fd * 65599) + off));
+      file_write =
+        (fun fd ~off v ->
+          burn ();
+          let f =
+            match Itbl.find_opt files fd with
+            | Some f -> f
+            | None ->
+              let f = Itbl.create 16 in
+              Itbl.replace files fd f;
+              f
+          in
+          Itbl.replace f off v);
+    }
+
+  let sorted_of_tbl tbl =
+    Itbl.fold (fun a () acc -> a :: acc) tbl [] |> List.sort_uniq Int.compare
+
+  let mem_sorted x l = List.exists (fun y -> y = x) l
+
+  let classify ~mem_words sa sb =
+    let page_bits = Races.page_bits in
+    let words =
+      Races.inter sa sb |> List.filter (fun a -> a >= 0 && a < mem_words)
+    in
+    let leftover s = List.filter (fun a -> not (mem_sorted a words)) s in
+    let la = leftover sa and lb = leftover sb in
+    let max_page = (mem_words + (1 lsl page_bits) - 1) lsr page_bits in
+    let pages l =
+      List.map (fun a -> a lsr page_bits) l
+      |> List.sort_uniq Int.compare
+      |> List.filter (fun p -> p >= 0 && p < max_page)
+    in
+    let shared_pages = Races.inter (pages la) (pages lb) in
+    let unknown =
+      List.length
+        (List.filter
+           (fun a -> not (mem_sorted (a lsr page_bits) shared_pages))
+           la)
+    in
+    (words, shared_pages, unknown)
+
+  (* The probe and the sorted (reads, writes) of probes A and B. *)
+  let probe_work ~record ~mem_words regs run =
+    let ra = Absval.concretize regs Absval.filler_a
+    and rb = Absval.concretize regs Absval.filler_b in
+    let reads_a = Itbl.create 16
+    and writes_a = Itbl.create 16
+    and reads_b = Itbl.create 16
+    and writes_b = Itbl.create 16 in
+    let note tbl = if record then fun a -> Itbl.replace tbl a () else fun _ -> () in
+    let fuel = ref false in
+    let go salt cregs ~reads ~writes =
+      match
+        run
+          (sandbox_env ~on_read:(note reads) ~on_write:(note writes) ~salt
+             cregs)
+      with
+      | () -> true
+      | exception Absval.Out_of_fuel ->
+        fuel := true;
+        false
+      | exception _ -> false
+    in
+    let ok_a = go 0x5eed0 ra ~reads:reads_a ~writes:writes_a in
+    let ok_b = ok_a && go 0x7a110 rb ~reads:reads_b ~writes:writes_b in
+    let regs' =
+      if ok_a && ok_b then
+        Array.init (Array.length regs) (fun i ->
+            if ra.(i) = rb.(i) then Absval.Known ra.(i) else Absval.Top)
+      else Absval.top_regs (Array.length regs)
+    in
+    let summary =
+      if not record then Races.empty_summary
+      else if ok_a && ok_b then begin
+        let w_words, w_pages, unknown_writes =
+          classify ~mem_words (sorted_of_tbl writes_a) (sorted_of_tbl writes_b)
+        in
+        let r_words, r_pages, unknown_reads =
+          classify ~mem_words (sorted_of_tbl reads_a) (sorted_of_tbl reads_b)
+        in
+        { Races.w_words; r_words; w_pages; r_pages; unknown_writes;
+          unknown_reads; incomplete = false }
+      end
+      else
+        {
+          Races.empty_summary with
+          unknown_writes = Itbl.length writes_a;
+          unknown_reads = Itbl.length reads_a;
+          incomplete = true;
+        }
+    in
+    ( { Races.regs = regs'; summary; fuel_exhausted = !fuel },
+      ( (sorted_of_tbl reads_a, sorted_of_tbl writes_a),
+        (sorted_of_tbl reads_b, sorted_of_tbl writes_b) ) )
+end

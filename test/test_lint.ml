@@ -311,6 +311,27 @@ let renderer_smoke () =
   let clean = Format.asprintf "%a" (Lint.Render.pp ~title:"t") [] in
   checkb "empty findings render as clean" true (contains clean "clean")
 
+(* Each lint run owns its probe tables, so two domains linting every
+   workload at once, in opposite orders, get the sequential answers. *)
+let two_domains () =
+  let progs =
+    List.map
+      (fun (spec : Workloads.Workload.spec) ->
+        spec.Workloads.Workload.build ~n_contexts:4
+          ~grain:Workloads.Workload.Default ~scale:0.05)
+      Workloads.Suite.all
+  in
+  let lint_all ps =
+    List.map (fun p -> (Lint.Check.program p, Lint.Check.program_facts p)) ps
+  in
+  let want = lint_all progs in
+  let rounds f = Domain.spawn (fun () -> List.init 3 (fun _ -> f ())) in
+  let fwd = rounds (fun () -> lint_all progs)
+  and rev = rounds (fun () -> List.rev (lint_all (List.rev progs))) in
+  List.iteri
+    (fun i got -> checkb (Printf.sprintf "run %d equals the sequential lint" i) true (got = want))
+    (Domain.join fwd @ Domain.join rev)
+
 let suite =
   [
     Alcotest.test_case "double lock" `Quick double_lock;
@@ -340,4 +361,5 @@ let suite =
     Alcotest.test_case "lint off runs anyway" `Quick off_runs_anyway;
     Alcotest.test_case "strict mode accepts clean" `Quick strict_accepts_clean;
     Alcotest.test_case "renderer smoke" `Quick renderer_smoke;
+    Alcotest.test_case "two domains lint at once" `Quick two_domains;
   ]
