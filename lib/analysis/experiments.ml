@@ -142,17 +142,6 @@ let bar r label (res : Exec.State.run_result) =
 
 let cell r res = Report.fmt_bar (bar r "" res)
 
-(* ------------------------------------------------------------------ *)
-(* Engine front-ends: one-shot, each prepares its own program          *)
-(* ------------------------------------------------------------------ *)
-
-let run_pthreads cfg spec ~grain = pthreads_on (prepare cfg spec ~grain)
-
-let run_gprs ?costs ?rate cfg spec ~grain =
-  gprs_on ?costs ?rate (prepare cfg spec ~grain)
-
-let run_cpr ?rate cfg spec ~grain = cpr_on ?rate (prepare cfg spec ~grain)
-
 let costs_order_only =
   {
     Vm.Costs.default with

@@ -25,36 +25,6 @@ val default_cfg : cfg
 (** 24 contexts (the paper's machine), scale 1.0, seed 1, budget 30x,
     sequential ([jobs = 1]). *)
 
-(** {1 Engine front-ends}
-
-    One-shot runs for the bench and the tests: each call prepares its
-    program ({!Run.prepare}) and (for GPRS) lints it, then runs once.
-    The drivers below do not call them. They prepare each program once
-    per row (one workload x grain x context count) and run every engine
-    run of that row on it, with GPRS-lint paid once per program rather
-    than once per run. Engine configs come from {!Run}'s scenario map. *)
-
-val run_pthreads :
-  cfg -> Workloads.Workload.spec -> grain:Workloads.Workload.grain -> Exec.State.run_result
-
-val run_gprs :
-  ?costs:Vm.Costs.t ->
-  ?rate:float ->
-  cfg ->
-  Workloads.Workload.spec ->
-  grain:Workloads.Workload.grain ->
-  Exec.State.run_result
-(** Balance-aware ordering, selective restart. Defaults: full cost
-    model, no faults. *)
-
-val run_cpr :
-  ?rate:float ->
-  cfg ->
-  Workloads.Workload.spec ->
-  grain:Workloads.Workload.grain ->
-  Exec.State.run_result
-(** Checkpoint interval: 1/25 of the workload's fault-free duration. *)
-
 val costs_order_only : Vm.Costs.t
 (** Cost-accounting ablation: ROL management and checkpointing charges
     zeroed — isolates the ordering overhead (the figures' "-OR" bars).

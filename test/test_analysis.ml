@@ -1,5 +1,6 @@
 (* Analysis-layer tests: the closed-form penalty model, the report
-   renderer, and smoke tests of the experiment drivers at tiny scale. *)
+   renderer, smoke tests of the experiment drivers at tiny scale, and
+   the host allocation of one run per driver leg. *)
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -199,11 +200,30 @@ let test_prepared_once_per_row () =
   check "fig9 again: baselines cached" 4
     (analyses (fun () -> Analysis.Experiments.fig9 cfg))
 
+let scenario ?(grain = "default") ?(rate = 0.0) ~engine ~contexts ~scale
+    workload =
+  {
+    Run.id = "";
+    workload;
+    engine;
+    ordering = "balance-aware";
+    contexts;
+    scale;
+    grain;
+    seed = 1;
+    rate;
+    interval = 0.0;
+    want_stats = false;
+  }
+
 let test_cost_ablations_ordered () =
   (* With more cost components charged, execution can only get slower. *)
-  let spec = Workloads.Suite.find "re" in
+  let scn = scenario ~engine:"gprs" ~contexts:4 ~scale:0.05 "re" in
+  let p = Run.prepare scn in
   let t costs =
-    (Analysis.Experiments.run_gprs ~costs tiny_cfg spec ~grain:Workloads.Workload.Default)
+    (Gprs.Engine.run ~blocks:p.Run.blocks
+       { (Run.gprs_config scn) with costs }
+       p.Run.program)
       .Exec.State.sim_cycles
   in
   let or_only = t Analysis.Experiments.costs_order_only in
@@ -213,6 +233,68 @@ let test_cost_ablations_ordered () =
     (Printf.sprintf "or<=or+rol<=full (%d %d %d)" or_only or_rol full)
     true
     (or_only <= or_rol && or_rol <= full)
+
+(* Host allocation per run, counted exactly: minor-heap words allocated
+   on the main domain by one leg (prepare, GPRS lint, engine run) at 8
+   contexts, seed 1, after one warm-up run of the same leg. The
+   simulator is deterministic, so the count is the same in every
+   process. Each leg's bound is max(1.5 b, b + 2,000,000) words, with b
+   the leg's count when the gate was recorded. [Gc.minor_words] is read
+   rather than [Gc.quick_stat]: on OCaml 5 the latter's [minor_words]
+   moves only at minor collections, so it reads 0 for a leg that
+   allocates less than a minor heap. The cycle budget (30x the
+   scenario's fault-free Pthreads run) keeps a livelock a failure, not a
+   hang. *)
+let test_allocation_per_run () =
+  let leg name ~baseline scn =
+    (* The program's fault-free Pthreads cycles give the budget and
+       CPR's checkpoint interval (1/25 of them, as the drivers use). *)
+    let base =
+      let s = { scn with Run.engine = "pthreads" } in
+      let p = Run.prepare s in
+      (Run.exec ~blocks:p.Run.blocks s p.Run.program).Exec.State.sim_cycles
+    in
+    let max_cycles = Some (30 * base) in
+    let scn =
+      {
+        scn with
+        Run.interval =
+          Sim.Time.to_seconds
+            ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second
+            (Stdlib.max 1 (base / 25));
+      }
+    in
+    let run () =
+      let p = Run.prepare scn in
+      match scn.Run.engine with
+      | "cpr" ->
+        Cpr.run ~blocks:p.Run.blocks
+          { (Run.cpr_config scn) with max_cycles }
+          p.Run.program
+      | "gprs" ->
+        Gprs.Engine.run ~blocks:p.Run.blocks
+          { (Run.gprs_config scn) with max_cycles }
+          p.Run.program
+      | _ -> Run.exec ~blocks:p.Run.blocks scn p.Run.program
+    in
+    ignore (run ());
+    let before = Gc.minor_words () in
+    let r = run () in
+    let words = Gc.minor_words () -. before in
+    checkb (name ^ " completes") false r.Exec.State.dnc;
+    let bound = Float.max (1.5 *. baseline) (baseline +. 2_000_000.0) in
+    checkb
+      (Printf.sprintf "%s: %.0f minor words <= %.0f" name words bound)
+      true (words <= bound)
+  in
+  let at8 = scenario ~contexts:8 ~scale:0.05 in
+  leg "fig8a gprs(wordcount)" ~baseline:218180.0 (at8 ~engine:"gprs" "wordcount");
+  leg "fig8b gprs(canneal,fine)" ~baseline:297716.0
+    (at8 ~engine:"gprs" ~grain:"fine" "canneal");
+  leg "fig11 gprs(pbzip2,faults)" ~baseline:674427.0
+    (scenario ~engine:"gprs" ~contexts:8 ~scale:0.04 ~rate:60.0 "pbzip2");
+  leg "cpr(re,faults)" ~baseline:83531.0 (at8 ~engine:"cpr" ~rate:40.0 "re");
+  leg "pthreads(wordcount)" ~baseline:39429.0 (at8 ~engine:"pthreads" "wordcount")
 
 let suite =
   [
@@ -233,4 +315,6 @@ let suite =
       test_prepared_once_per_row;
     Alcotest.test_case "fig9 shape" `Slow test_fig9_shape;
     Alcotest.test_case "cost ablations ordered" `Slow test_cost_ablations_ordered;
+    Alcotest.test_case "allocation per run within the recorded bound" `Slow
+      test_allocation_per_run;
   ]

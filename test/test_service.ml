@@ -3,10 +3,11 @@
    cycles, DNC, every non-par stat) to the equivalent one-shot CLI run,
    for every workload x engine x fault leg. Plus the service plumbing
    itself: the JSON codec round-trips, the LRU cache evicts and
-   deduplicates in-flight builds, the shared pool survives concurrent
-   submitters and quiesce/respawn cycles, bounded admission sheds at a
-   deterministic point, identical queued scenarios coalesce into one
-   execution, and both idle watchdogs release their domains. *)
+   deduplicates in-flight builds, a warm request builds nothing, the
+   shared pool survives concurrent submitters and quiesce/respawn
+   cycles, bounded admission sheds at a deterministic point, identical
+   queued scenarios coalesce into one execution, and both idle watchdogs
+   release their domains. *)
 
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
@@ -321,6 +322,48 @@ let test_equivalence_sweep () =
         [ "pthreads"; "cpr"; "gprs" ])
     Workloads.Suite.names
 
+(* --- warm cache ----------------------------------------------------------- *)
+
+(* A warm request skips decode, superblock compilation and lint
+   admission. At the fig11 micro point (pbzip2, 4 contexts, scale 0.03,
+   60 faults/s), one priming request fills the cache; after it, requests
+   with distinct seeds (distinct work units, so coalescing cannot stand
+   in for the cache) neither analyze a program nor miss the cache. One
+   worker and no idle quiescing, so no respawn falls inside the warm
+   requests. *)
+let test_warm_cache () =
+  let cfg =
+    { Server.Daemon.default_config with jobs = 1; idle_quiesce_ms = 0 }
+  in
+  with_daemon ~cfg @@ fun _d c ->
+  let request i =
+    let scn =
+      {
+        (scenario ~rate:60.0 ~seed:(1 + i) ~id:(Printf.sprintf "w%d" i)
+           ~workload:"pbzip2" ())
+        with
+        Server.Scenario.scale = 0.03;
+        want_stats = false;
+      }
+    in
+    let j = Server.Client.run_sync c scn in
+    checks (scn.Server.Scenario.id ^ " done") "done" (jstr "event" j);
+    j
+  in
+  let misses () =
+    match J.member "cache" (Server.Client.stats c) with
+    | Some cache -> jint "misses" cache
+    | None -> Alcotest.fail "stats reply has no cache object"
+  in
+  checkb "priming request misses" false (jbool "cached" (request 0));
+  let analyses = Vm.Block.analyses () and missed = misses () in
+  for i = 1 to 20 do
+    checkb (Printf.sprintf "w%d served from cache" i) true
+      (jbool "cached" (request i))
+  done;
+  checki "no analysis on the warm path" analyses (Vm.Block.analyses ());
+  checki "no cache miss on the warm path" missed (misses ())
+
 (* --- bounded admission: deterministic shed ------------------------------ *)
 
 (* One connection, one pool worker: a sleep occupies the worker, then
@@ -632,6 +675,8 @@ let suite =
       `Quick test_shared_pool_quiesce_race;
     Alcotest.test_case "daemon == one-shot for every workload x engine x leg"
       `Quick test_equivalence_sweep;
+    Alcotest.test_case "warm requests skip decode, compile and lint" `Quick
+      test_warm_cache;
     Alcotest.test_case "admission: deterministic overflow shed" `Quick
       test_deterministic_shed;
     Alcotest.test_case "admission: identical scenarios coalesce" `Quick
