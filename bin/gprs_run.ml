@@ -24,15 +24,6 @@ let scenario ?(rate = 0.0) ?(ordering = "balance-aware")
     want_stats = false;
   }
 
-(* Lint at the CLI level (all engines, not just GPRS), then hand the
-   program to the engine with its own hook off so findings print once. *)
-let cli_lint ~strict_lint ~no_lint program =
-  if no_lint then `Run
-  else
-    match Lint.Check.admit `Warn ~title:"GPRS-lint" program with
-    | _ :: _ when strict_lint -> `Refuse
-    | _ -> `Run
-
 (* Dispatch-mix report (--profile): per-instruction-kind dispatch counts
    and the fused-hop-length histogram. *)
 let print_profile (r : Exec.State.run_result) =
@@ -75,20 +66,20 @@ let print_profile (r : Exec.State.run_result) =
   end
 
 let run workload engine contexts scale seed rate grain ordering interval
-    show_stats profile strict_lint no_lint =
+    show_stats profile =
   if profile then Vm.Block.set_profiling true;
   let scn =
     scenario ~rate ~ordering ~interval ~engine workload contexts scale seed grain
   in
   let spec, program = Run.build_program scn in
-  match cli_lint ~strict_lint ~no_lint program with
-  | `Refuse ->
+  (* Every engine runs only a program lint admits. *)
+  match Lint.Check.admit ~title:"GPRS-lint" program with
+  | _ :: _ ->
     Format.eprintf
-      "gprs_run: refusing to run %s: lint found error-severity issues \
-       (--strict-lint)@."
+      "gprs_run: refusing to run %s: lint found error-severity issues@."
       workload;
     Stdlib.exit 2
-  | `Run ->
+  | [] ->
     let result =
       try Run.exec scn program with
       | Faults.Points.Fault_error msg ->
@@ -585,21 +576,10 @@ let profile_flag =
               the fused-hop-length histogram, and trace-compiler and pool \
               counters.")
 
-let strict_lint =
-  Arg.(value & flag
-       & info [ "strict-lint" ]
-           ~doc:
-             "Refuse to run (exit 2) if GPRS-lint finds error-severity \
-              issues in the workload program.")
-
-let no_lint =
-  Arg.(value & flag
-       & info [ "no-lint" ] ~doc:"Skip the pre-execution GPRS-lint pass.")
-
 let run_term =
   Term.(
     const run $ workload $ engine $ contexts $ scale $ seed $ rate $ grain
-    $ ordering $ interval $ stats $ profile_flag $ strict_lint $ no_lint)
+    $ ordering $ interval $ stats $ profile_flag)
 
 let run_cmd =
   let doc = "run one workload under pthreads / CPR / GPRS" in

@@ -14,10 +14,10 @@ let default_cfg =
 (* ------------------------------------------------------------------ *)
 
 (* One workload x grain x context count: the row's scenario and its
-   program, built and analyzed once. The engine's [`Warn] lint runs at
-   most once, before the first GPRS run: the drivers hold a prepared
-   value for one row, inside one [Pool.map] task, so the lazy is never
-   forced from two domains. *)
+   program, built and analyzed once. Lint admission runs at most once,
+   before the first GPRS run, and raises [Failure] on error-severity
+   findings: the drivers hold a prepared value for one row, inside one
+   [Pool.map] task, so the lazy is never forced from two domains. *)
 type prepared = {
   cfg : cfg;
   scn : Run.t;
@@ -46,7 +46,14 @@ let prepare cfg (spec : Workloads.Workload.spec) ~grain =
     cfg;
     scn;
     run;
-    linted = lazy (Gprs.Engine.admit `Warn run.Run.program);
+    linted =
+      lazy
+        (if Lint.Check.admit ~title:"GPRS-lint (pre-execution)" run.Run.program
+            <> []
+         then
+           failwith
+             (spec.Workloads.Workload.name
+            ^ ": lint found error-severity issues"));
   }
 
 let pthreads_on ?max_cycles p =
@@ -56,7 +63,7 @@ let pthreads_on ?max_cycles p =
 
 let gprs_exec p config =
   Lazy.force p.linted;
-  Gprs.Engine.run ~lint:`Off ~blocks:p.run.Run.blocks config p.run.Run.program
+  Gprs.Engine.run ~blocks:p.run.Run.blocks config p.run.Run.program
 
 let gprs_on ?(ordering = "balance-aware") ?(costs = Vm.Costs.default)
     ?(rate = 0.0) ?(recovery = Gprs.Engine.Selective) ?max_cycles p =
@@ -398,14 +405,23 @@ let render_fig11 ppf r =
   render_series ppf ~name:"P-CPR" r.cpr_times;
   render_series ppf ~name:"GPRS " r.gprs_times;
   Format.fprintf ppf "Tipping rates (highest completing rate, exceptions/sec):@.";
-  let fmt_tip = function
-    | Some rate -> Printf.sprintf "%.2f" rate
-    | None -> "<min"
+  (* A series that completes its row's top rung only bounds the tipping
+     rate from below, so that rate prints as [>=]. *)
+  let fmt_tip series n tip =
+    let top =
+      match List.rev (List.assoc n series) with
+      | (rate, _) :: _ -> Some rate
+      | [] -> None
+    in
+    match tip with
+    | Some rate when Some rate = top -> Printf.sprintf ">=%.2f" rate
+    | Some rate -> Printf.sprintf "=%.2f" rate
+    | None -> "=<min"
   in
   List.iter
     (fun (n, c, g) ->
-      Format.fprintf ppf "  contexts=%-2d  P-CPR=%-8s GPRS=%s@." n (fmt_tip c)
-        (fmt_tip g))
+      Format.fprintf ppf "  contexts=%-2d  P-CPR%-9s GPRS%s@." n
+        (fmt_tip r.cpr_times n c) (fmt_tip r.gprs_times n g))
     r.tipping
 
 (* ------------------------------------------------------------------ *)
@@ -461,7 +477,6 @@ let ablation_latency cfg =
           {
             c with
             costs = { Vm.Costs.default with Vm.Costs.detection_latency = latency };
-            injector = { c.injector with Faults.Injector.detection_latency = latency };
             max_cycles = Some r.budget;
           }
       in

@@ -8,7 +8,11 @@
     the reproduction targets (see EXPERIMENTS.md).
 
     [scale] shrinks workload inputs for quick runs; 1.0 is the "large
-    input" configuration used for the recorded results. *)
+    input" configuration used for the recorded results.
+
+    Each row lints its program once ({!Lint.Check.admit}) before its
+    first GPRS run, and a driver raises [Failure] if lint finds
+    error-severity issues. *)
 
 type cfg = {
   n_contexts : int;

@@ -1494,14 +1494,7 @@ let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
   schedule_next_fault eng;
   fun () -> run_loop eng
 
-let admit lint program =
-  match lint with
-  | `Off -> ()
-  | (`Warn | `Strict) as mode ->
-    ignore (Lint.Check.admit mode ~title:"GPRS-lint (pre-execution)" program)
-
-let run ?(lint = `Warn) ?wal_out ?blocks ?events cfg program =
-  admit lint program;
+let run ?lint:(`Off = `Off) ?wal_out ?blocks ?events cfg program =
   let st =
     Exec.State.create ?blocks ~reference:cfg.reference ~program ~costs:cfg.costs
       ~n_contexts:cfg.n_contexts ~seed:cfg.seed ()

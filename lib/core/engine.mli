@@ -126,32 +126,18 @@ val cold_restart :
     the returned thunk only re-enters the event loop, so callers can time
     recovery separately from re-execution. *)
 
-val admit : [ `Off | `Warn | `Strict ] -> Vm.Isa.program -> unit
-(** The pre-execution lint {!run} performs, alone: for a caller that runs
-    one program many times, so it lints once and passes [~lint:`Off]. *)
-
 val run :
-  ?lint:[ `Off | `Warn | `Strict ] ->
+  ?lint:[ `Off ] ->
   ?wal_out:string ref ->
   ?blocks:Vm.Block.t ->
   ?events:Event_ring.t ->
   config ->
   Vm.Isa.program ->
   Exec.State.run_result
-(** Execute a program under GPRS.
-
-    Before execution the program is statically analyzed by GPRS-lint
-    ({!Lint.Check.program}) for lock discipline, deadlock-order cycles
-    and hybrid-recovery region soundness:
-
-    - [`Warn] (default): render any warning/error findings to stderr
-      once, then run anyway;
-    - [`Strict]: raise {!Lint.Check.Rejected} with the error-severity
-      findings instead of running — in particular a [Nonstd_atomic]
-      reachable outside a CPR region (which would make hybrid recovery
-      unsound, previously only counted at runtime under the
-      ["gprs.nonstd_unprotected"] stat) refuses to start;
-    - [`Off]: skip the analysis (for callers that linted already).
+(** Execute a program under GPRS. The engine does not lint: the caller
+    admits the program first (the lint library's [Check.admit]) and
+    refuses it on error-severity findings. [lint] accepts only [`Off] and
+    changes nothing; it stays for callers that still pass it.
 
     [wal_out], on normal completion with a stable WAL, receives the final
     serialized image (the fault-free pilot the crash sweep enumerates

@@ -6,14 +6,6 @@ type config = {
   injector : Faults.Injector.config;
   livelock_rollbacks : int;
   costs : Vm.Costs.t;
-  commit_progress_fraction : float;
-      (** a checkpoint only commits when every pre-existing computing
-          thread has advanced by at least this fraction of an interval of
-          its own work since the last committed checkpoint. This anchors
-          checkpoints to {e program} progress, as the paper's sync-point
-          barriers do — without it, time-triggered commits of arbitrary
-          quiesced states let CPR crawl through exception storms the
-          paper's scheme cannot survive. 0.0 disables the gate. *)
   crash_at : int option;
       (** whole-runtime crash at this simulated cycle: all work since the
           last committed global checkpoint is lost and the machine
@@ -31,7 +23,6 @@ let default_config =
     injector = Faults.Injector.default_config;
     livelock_rollbacks = 200;
     costs = Vm.Costs.default;
-    commit_progress_fraction = 0.5;
     crash_at = None;
     reference = false;
   }
@@ -217,10 +208,12 @@ let begin_recording eng =
 
 (* Progress gate: the commit is anchored to program progress, like the
    paper's sync-point barriers. Every thread that existed at the last
-   committed checkpoint and is still computing must have advanced by the
-   configured fraction of an interval of its own work; threads parked at
-   synchronization operations sit at a "checkpoint location" and
-   qualify. *)
+   committed checkpoint and is still computing must have advanced by half
+   an interval of its own work; threads parked at synchronization
+   operations sit at a "checkpoint location" and qualify. Without the
+   gate, time-triggered commits of arbitrary quiesced states would let
+   CPR crawl through exception storms the paper's scheme cannot
+   survive. *)
 let progressed_enough eng =
   match eng.snaps with
   | [] -> true
@@ -230,9 +223,7 @@ let progressed_enough eng =
         ~cycles_per_second:eng.cfg.costs.Vm.Costs.cycles_per_second
         eng.cfg.checkpoint_interval
     in
-    let threshold =
-      int_of_float (eng.cfg.commit_progress_fraction *. float_of_int interval_cycles)
-    in
+    let threshold = interval_cycles / 2 in
     threshold <= 0
     ||
     (* Commit when no computing thread is mid-replay: each either made a
@@ -425,7 +416,11 @@ let schedule_next_fault eng =
   match ev with
   | None -> eng.hk.next_report_time <- max_int
   | Some ev ->
-    let time = Stdlib.max ev.Faults.Injector.reported_at (now eng) in
+    let time =
+      Stdlib.max
+        (ev.Faults.Injector.occurred_at + eng.cfg.costs.Vm.Costs.detection_latency)
+        (now eng)
+    in
     eng.hk.next_report_time <- time;
     ignore
       (Sim.Event_queue.schedule eng.st.Exec.State.evq ~time

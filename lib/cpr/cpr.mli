@@ -8,6 +8,12 @@
     time} is restored (a checkpoint taken inside the detection-latency
     window is contaminated and skipped), and {e all} work since is lost.
 
+    A checkpoint commits only when every pre-existing computing thread
+    advanced by half an interval of its own work since the last commit
+    (threads parked at synchronization operations count as at a
+    checkpoint location). This progress gate anchors checkpoints to
+    program progress like the paper's sync-point barriers.
+
     P-CPR runs on {!Exec.Baseline}'s dispatch core itself — run queue,
     preemption, context-switch charges, fetch and fused dispatch — and
     adds only quiescing, recording, commit, restore and the fault and
@@ -28,15 +34,8 @@ type config = {
       (** consecutive rollbacks with no intervening committed checkpoint
           before the run is declared DNC *)
   costs : Vm.Costs.t;
-  commit_progress_fraction : float;
-      (** progress gate: a checkpoint commits only when every pre-existing
-          computing thread advanced by this fraction of an interval of its
-          own work since the last commit (threads parked at
-          synchronization operations count as at a checkpoint location).
-          Anchors checkpoints to program progress like the paper's
-          sync-point barriers; without it CPR would commit arbitrary
-          quiesced states and crawl through exception storms the paper's
-          scheme cannot survive. 0.0 disables. Default 0.5. *)
+      (** machine costs; [detection_latency] delays each exception's
+          report past its occurrence, as in GPRS *)
   crash_at : int option;
       (** whole-runtime crash at this simulated cycle: the machine loses
           all work since the last committed global checkpoint and restores

@@ -115,12 +115,9 @@ let dispatch c ctx (tcb : Vm.Tcb.t) =
     | Vm.Isa.Work { cost; run } | Vm.Isa.Opaque { cost; run } ->
       Sem.exec_work st tcb ~cost ~run
     | Vm.Isa.Lock { m } ->
-      let acquired, d = Sem.try_lock st tcb (m tcb.Vm.Tcb.regs) in
-      if acquired then tcb.Vm.Tcb.lock_depth <- tcb.Vm.Tcb.lock_depth + 1;
-      d
+      snd (Sem.try_lock st tcb (m tcb.Vm.Tcb.regs))
     | Vm.Isa.Unlock { m } ->
       let woken, d = Sem.unlock st tcb (m tcb.Vm.Tcb.regs) in
-      tcb.Vm.Tcb.lock_depth <- tcb.Vm.Tcb.lock_depth - 1;
       (match woken with Some w -> make_runnable c w | None -> ());
       d
     | Vm.Isa.Barrier { b } ->
@@ -129,7 +126,6 @@ let dispatch c ctx (tcb : Vm.Tcb.t) =
       d
     | Vm.Isa.Cond_wait { c = cv; m } ->
       let granted, d = Sem.cond_block st tcb ~c:cv ~m in
-      tcb.Vm.Tcb.lock_depth <- tcb.Vm.Tcb.lock_depth - 1;
       (match granted with Some w -> make_runnable c w | None -> ());
       d
     | Vm.Isa.Cond_signal { c = cv; all } ->

@@ -6,7 +6,6 @@ type kind =
 
 type event = {
   occurred_at : Sim.Time.cycles;
-  reported_at : Sim.Time.cycles;
   ctx : int;
   kind : kind;
   seq : int;
@@ -17,7 +16,6 @@ type process = Periodic | Poisson
 type config = {
   rate : float;
   process : process;
-  detection_latency : Sim.Time.cycles;
   kinds : kind list;
   seed : int;
 }
@@ -26,17 +24,10 @@ let all_kinds =
   [ Transient_fault; Voltage_emergency; Approx_recompute; Resource_revocation ]
 
 let default_config =
-  {
-    rate = 0.0;
-    process = Periodic;
-    detection_latency = 40_000;
-    kinds = all_kinds;
-    seed = 1;
-  }
+  { rate = 0.0; process = Periodic; kinds = all_kinds; seed = 1 }
 
-let config ?(process = Periodic) ?(detection_latency = 40_000)
-    ?(kinds = all_kinds) ?(seed = 1) rate =
-  { rate; process; detection_latency; kinds; seed }
+let config ?(process = Periodic) ?(kinds = all_kinds) ?(seed = 1) rate =
+  { rate; process; kinds; seed }
 
 type t = {
   cfg : config;
@@ -73,14 +64,6 @@ let next t =
     let ctx = Sim.Prng.int prng t.n_contexts in
     let kinds = Array.of_list t.cfg.kinds in
     let kind = Sim.Prng.choose prng kinds in
-    let ev =
-      {
-        occurred_at;
-        reported_at = occurred_at + t.cfg.detection_latency;
-        ctx;
-        kind;
-        seq = t.seq;
-      }
-    in
-    ({ t with prng; last = at_s; seq = t.seq + 1 }, Some ev)
+    ( { t with prng; last = at_s; seq = t.seq + 1 },
+      Some { occurred_at; ctx; kind; seq = t.seq } )
   end

@@ -2,12 +2,14 @@
 
     Models the paper's exception-raising thread (§4 "System Assumptions"):
     exceptions occur at a configured rate, each striking one uniformly
-    chosen hardware context, and are {e reported} to the recovery system
-    only after a detection latency (default 40,000 cycles — the paper's
-    400k-cycle latency rescaled with the rest of the machine constants;
-    see DESIGN.md §2). The arrival process is periodic or Poisson; the paper
-    stress-tests rates without emphasizing the distribution, and both are
-    provided.
+    chosen hardware context. The injector only says when and where an
+    exception occurs. Each engine reports it to its recovery system
+    [Vm.Costs.detection_latency] cycles later (default 40,000 — the
+    paper's 400k-cycle latency rescaled with the rest of the machine
+    constants; see DESIGN.md §2), the same latency that sets how long
+    GPRS holds a completed sub-thread before it retires. The arrival
+    process is periodic or Poisson; the paper stress-tests rates without
+    emphasizing the distribution, and both are provided.
 
     Exceptions carry a {!kind} reflecting the sources surveyed in §2.1.
     All kinds are {e global} exceptions from the recovery system's
@@ -24,7 +26,6 @@ type kind =
 
 type event = {
   occurred_at : Sim.Time.cycles;
-  reported_at : Sim.Time.cycles;  (** [occurred_at + detection latency] *)
   ctx : int;  (** stricken hardware context *)
   kind : kind;
   seq : int;  (** 0-based exception number *)
@@ -37,16 +38,14 @@ type process =
 type config = {
   rate : float;  (** exceptions per simulated second; [<= 0.] disables *)
   process : process;
-  detection_latency : Sim.Time.cycles;
   kinds : kind list;  (** drawn uniformly; default all four kinds *)
   seed : int;
 }
 
 val default_config : config
-(** Disabled (rate 0), periodic, 40k-cycle latency, seed 1. *)
+(** Disabled (rate 0), periodic, seed 1. *)
 
-val config :
-  ?process:process -> ?detection_latency:int -> ?kinds:kind list -> ?seed:int -> float -> config
+val config : ?process:process -> ?kinds:kind list -> ?seed:int -> float -> config
 (** [config rate] with optional overrides. *)
 
 type t

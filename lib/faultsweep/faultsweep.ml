@@ -191,7 +191,7 @@ let classify_gprs ~want ~budget cfg (p : Run.prepared) =
     ~finished:(fun r -> classify_finished ~want ~dnc:r.Exec.State.dnc (fun () -> dg r))
     (fun () ->
       match
-        Gprs.Engine.run ~lint:`Off ~blocks:p.Run.blocks
+        Gprs.Engine.run ~blocks:p.Run.blocks
           { cfg with Gprs.Engine.max_cycles = budget }
           p.Run.program
       with

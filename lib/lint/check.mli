@@ -24,10 +24,6 @@
     locks) do not produce false errors. Diagnostics are deduplicated per
     (proc, pc, kind) and sorted errors-first. *)
 
-exception Rejected of Diagnostic.t list
-(** Raised by strict-mode callers (see {!Gprs.Engine.run}) to refuse
-    executing a program with error-severity findings. *)
-
 type lock = Lk of int | Lunk
 (** An abstract lockset element: a statically-resolved mutex id, or a
     mutex whose id did not resolve (dynamically chosen). [Lunk] can never
@@ -51,13 +47,12 @@ val program_facts : Vm.Isa.program -> Diagnostic.t list * facts
 (** As {!program}, additionally collecting per-site access summaries and
     fork sites for the Eraser-style race pass ({!Race.program}). *)
 
-val admit :
-  [ `Warn | `Strict ] -> title:string -> Vm.Isa.program -> Diagnostic.t list
-(** The one lint admission ({!Gprs.Engine.run}'s hook, [gprs_run]'s
-    pre-run pass and the daemon's cache fill): analyze the program,
-    print its visible (non-info) findings to stderr under [title], and
-    return the error-severity ones. [`Strict] instead raises {!Rejected},
-    printing nothing, when there are errors. *)
+val admit : title:string -> Vm.Isa.program -> Diagnostic.t list
+(** The one lint admission ([gprs_run run]'s pre-run pass, the daemon's
+    cache fill and the paper drivers' once-per-row check): analyze the
+    program, print its visible (non-info) findings to stderr under
+    [title], and return the error-severity ones. Every caller refuses to
+    run the program when that list is non-empty. *)
 
 val errors : Diagnostic.t list -> Diagnostic.t list
 (** Just the [Error]-severity findings. *)

@@ -210,7 +210,7 @@ let leg_ok r = r.mismatches = []
 
 (* Every run of a sweep reuses the prepared program's analyzed blocks. *)
 let gprs_run ?wal_out cfg (p : Run.prepared) =
-  Gprs.Engine.run ~lint:`Off ?wal_out ~blocks:p.Run.blocks cfg p.Run.program
+  Gprs.Engine.run ?wal_out ~blocks:p.Run.blocks cfg p.Run.program
 
 let pilot ~cfg p =
   let out = ref "" in

@@ -118,13 +118,13 @@ type outcome = {
   stats : (string * float) list;  (* empty unless [want_stats] *)
 }
 
-(* GPRS's own lint hook stays off — callers admit first (the CLI before
-   the run, the daemon once at cache fill, the drivers once per row). *)
+(* No engine lints: callers admit first (the CLI before the run, the
+   daemon once at cache fill, the drivers once per row). *)
 let exec ?blocks s program =
   match s.engine with
   | "pthreads" -> Exec.Baseline.run ?blocks (pthreads_config s) program
   | "cpr" -> Cpr.run ?blocks (cpr_config s) program
-  | "gprs" -> Gprs.Engine.run ~lint:`Off ?blocks (gprs_config s) program
+  | "gprs" -> Gprs.Engine.run ?blocks (gprs_config s) program
   | other -> invalid_arg (unknown "engine" other)
 
 let run ~spec ~program ?blocks s =

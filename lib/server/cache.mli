@@ -11,9 +11,10 @@
 type entry = {
   prepared : Run.prepared;
   lint_errors : int;
-      (** error-severity GPRS-lint findings; a positive count makes the
-          daemon refuse runs against this program (the CLI's
-          [--strict-lint] behaviour, applied once at admission) *)
+      (** error-severity GPRS-lint findings ({!Lint.Check.admit}); a
+          positive count makes the daemon refuse runs against this
+          program, as [gprs_run run] does, with the verdict computed once
+          per entry *)
 }
 
 type t

@@ -149,16 +149,14 @@ let err_reply ~id code msg =
 
 (* Admission: the lint pass runs once per cached program, so its
    (deterministic) verdict is part of the entry and warm requests skip
-   it. Error-severity findings refuse execution, the CLI's --strict-lint
-   stance. *)
+   it. Error-severity findings refuse execution, as on the CLI. *)
 let build_entry scn () =
   let prepared = Run.prepare scn in
   {
     Cache.prepared;
     lint_errors =
       List.length
-        (Lint.Check.admit `Warn ~title:"GPRS-lint (admission)"
-           prepared.Run.program);
+        (Lint.Check.admit ~title:"GPRS-lint (admission)" prepared.Run.program);
   }
 
 let group_finished t key reply =

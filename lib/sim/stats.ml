@@ -93,18 +93,6 @@ let mean t k =
 let count t k =
   match Hashtbl.find_opt t.summaries k with Some s -> s.n | None -> 0
 
-let merge_into ~dst src =
-  Hashtbl.iter (fun k r -> add dst k !r) src.counters;
-  Hashtbl.iter (fun k r -> set_max dst k !r) src.maxima;
-  Hashtbl.iter
-    (fun k s ->
-      let d = summary dst k in
-      d.n <- d.n + s.n;
-      d.sum <- d.sum +. s.sum;
-      if s.min_v < d.min_v then d.min_v <- s.min_v;
-      if s.max_v > d.max_v then d.max_v <- s.max_v)
-    src.summaries
-
 let to_assoc t =
   let acc = ref [] in
   Hashtbl.iter (fun k r -> acc := (k, float_of_int !r) :: !acc) t.counters;

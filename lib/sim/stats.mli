@@ -52,9 +52,6 @@ val mean : t -> string -> float
 val count : t -> string -> int
 (** Number of samples fed into [observe]. *)
 
-val merge_into : dst:t -> t -> unit
-(** Fold counters and summaries of the source into [dst]. *)
-
 val to_assoc : t -> (string * float) list
 (** Flat snapshot, counters as floats, summaries as their means; sorted by
     key for stable output. *)

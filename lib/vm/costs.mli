@@ -45,7 +45,10 @@ type t = {
   wal_undo : int;  (** WAL: undo one logged operation *)
   steal : int;  (** load-balancing scheduler steal attempt *)
   pause_resume : int;  (** REX: pause/resume the program on recovery *)
-  detection_latency : int;  (** exception occurrence -> report delay *)
+  detection_latency : int;
+      (** exception occurrence -> report delay, read by GPRS and P-CPR
+          alike; GPRS also holds a completed sub-thread this long before
+          it retires *)
   io_setup : int;  (** per file operation *)
   io_per_word : int;  (** per word transferred *)
 }

@@ -25,7 +25,9 @@ type t = {
   mutable wait : wait;
   mutable joiners : int list;  (** tids blocked in [Join] on this thread *)
   mutable in_cpr_region : bool;  (** between [Cpr_begin] and [Cpr_end] *)
-  mutable lock_depth : int;  (** nested critical-section depth (flattening) *)
+  mutable lock_depth : int;
+      (** nested critical-section depth (flattening); kept by GPRS only,
+          the pthreads/P-CPR core leaves it at 0 *)
   mutable held_mutexes : int list;
       (** mutexes this thread currently holds, sorted by descending index.
           Maintained incrementally by {!hold}/{!unhold} at every holder

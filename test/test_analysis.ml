@@ -118,7 +118,6 @@ let tiny_cfg =
     Analysis.Experiments.default_cfg with
     Analysis.Experiments.n_contexts = 4;
     scale = 0.05;
-    dnc_factor = 40;
   }
 
 let test_table2_shape () =
@@ -272,6 +271,7 @@ let test_allocation_per_run () =
           { (Run.cpr_config scn) with max_cycles }
           p.Run.program
       | "gprs" ->
+        ignore (Lint.Check.admit ~title:"GPRS-lint" p.Run.program);
         Gprs.Engine.run ~blocks:p.Run.blocks
           { (Run.gprs_config scn) with max_cycles }
           p.Run.program

@@ -6,7 +6,7 @@ let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 let crun ?(n_contexts = 4) ?(seed = 1) ?(interval = 0.05) ?(rate = 0.0)
-    ?max_cycles ?(livelock = 50) program =
+    ?max_cycles ?(livelock = 50) ?(costs = Vm.Costs.default) program =
   Cpr.run
     {
       Cpr.default_config with
@@ -16,6 +16,7 @@ let crun ?(n_contexts = 4) ?(seed = 1) ?(interval = 0.05) ?(rate = 0.0)
       injector = Faults.Injector.config rate;
       max_cycles;
       livelock_rollbacks = livelock;
+      costs;
     }
     program
 
@@ -58,7 +59,7 @@ let test_checkpointing_adds_overhead () =
     (c.Exec.State.sim_cycles > b.Exec.State.sim_cycles)
 
 (* Long enough that exceptions actually strike mid-run (the detection
-   latency alone is 400k cycles = 40ms of simulated time). *)
+   latency alone is 40k cycles = 4ms of simulated time). *)
 let long_counter () = Tprog.locked_counter ~work:30_000 ~workers:4 ~iters:40 ()
 
 let test_recovers_correct_result () =
@@ -120,26 +121,22 @@ let test_progress_gate_blocks_commits_under_storm () =
   checkb "commits were skipped or absent" true
     (Sim.Stats.get r.Exec.State.run_stats "cpr.checkpoints" < 5)
 
-let test_progress_gate_disabled_crawls_further () =
-  (* Without the gate, CPR commits arbitrary quiesced states and banks
-     partial progress between exceptions. *)
-  let run fraction =
-    Cpr.run
-      {
-        Cpr.default_config with
-        n_contexts = 4;
-        checkpoint_interval = 0.02;
-        injector = Faults.Injector.config 300.0;
-        livelock_rollbacks = 30;
-        max_cycles = Some (200 * 1_000_000);
-        commit_progress_fraction = fraction;
-      }
-      (long_counter ())
+(* P-CPR reports each exception [Vm.Costs.detection_latency] cycles after
+   it occurs, the same latency GPRS reads: two runs that differ only in
+   that cost must differ in when reports land, and so in the run. *)
+let test_detection_latency_from_costs () =
+  let run latency =
+    let r =
+      crun ~interval:0.01 ~rate:10.0
+        ~costs:{ Vm.Costs.default with Vm.Costs.detection_latency = latency }
+        (long_counter ())
+    in
+    checkb "completed" false r.Exec.State.dnc;
+    check "exact count" 160 (mem0 r);
+    (r.Exec.State.sim_cycles, Sim.Stats.get r.Exec.State.run_stats "cpr.rollbacks")
   in
-  let gated = run 0.5 and ungated = run 0.0 in
-  checkb "ungated commits at least as many checkpoints" true
-    (Sim.Stats.get ungated.Exec.State.run_stats "cpr.checkpoints"
-    >= Sim.Stats.get gated.Exec.State.run_stats "cpr.checkpoints")
+  let short = run 40_000 and long = run 400_000 in
+  checkb "latency changes cycles or rollbacks" true (short <> long)
 
 let test_determinism () =
   let r1 = crun ~interval:0.01 ~rate:5.0 ~seed:3 (Tprog.atomic_adds ~workers:3 ~iters:8 ()) in
@@ -162,7 +159,7 @@ let suite =
     Alcotest.test_case "lost work grows with rate" `Quick test_lost_work_grows_with_rate;
     Alcotest.test_case "progress gate under storm" `Quick
       test_progress_gate_blocks_commits_under_storm;
-    Alcotest.test_case "progress gate ablation" `Quick
-      test_progress_gate_disabled_crawls_further;
+    Alcotest.test_case "detection latency read from costs" `Quick
+      test_detection_latency_from_costs;
     Alcotest.test_case "determinism" `Quick test_determinism;
   ]

@@ -89,9 +89,9 @@ let test_corrupt_image_detected () =
 
 let test_stable_invisible () =
   let spec, program = workload "pbzip2" 0.02 in
-  let off = Gprs.Engine.run ~lint:`Off (gprs_cfg ()) program in
+  let off = Gprs.Engine.run (gprs_cfg ()) program in
   let on =
-    Gprs.Engine.run ~lint:`Off
+    Gprs.Engine.run
       { (gprs_cfg ()) with Gprs.Engine.wal_stable = true }
       program
   in
@@ -105,7 +105,7 @@ let test_stable_invisible () =
 let test_mangled_wal_refused () =
   let _, program = workload "pbzip2" 0.02 in
   let cfg = { (gprs_cfg ()) with Gprs.Engine.crash_lsn = Some 60 } in
-  match Gprs.Engine.run ~lint:`Off cfg program with
+  match Gprs.Engine.run cfg program with
   | _ -> Alcotest.fail "crash never fired"
   | exception Gprs.Engine.Crashed dump ->
     let mangle s =

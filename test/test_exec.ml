@@ -539,7 +539,7 @@ let test_zero_contexts_refused () =
   refused "cpr" (fun () ->
       Cpr.run { Cpr.default_config with Cpr.n_contexts = 0 } (program ()));
   refused "gprs" (fun () ->
-      Gprs.Engine.run ~lint:`Off
+      Gprs.Engine.run
         { Gprs.Engine.default_config with Gprs.Engine.n_contexts = 0 }
         (program ()))
 

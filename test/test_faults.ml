@@ -3,10 +3,9 @@
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-let mk ?(rate = 2.0) ?(process = Faults.Injector.Periodic) ?(latency = 400_000)
-    ?(seed = 1) () =
+let mk ?(rate = 2.0) ?(process = Faults.Injector.Periodic) ?(seed = 1) () =
   Faults.Injector.create
-    (Faults.Injector.config ~process ~detection_latency:latency ~seed rate)
+    (Faults.Injector.config ~process ~seed rate)
     ~n_contexts:8 ~cycles_per_second:1_000_000
 
 let take n inj =
@@ -33,15 +32,6 @@ let test_periodic_spacing () =
     "every half second"
     [ 500_000; 1_000_000; 1_500_000; 2_000_000 ]
     (List.map (fun e -> e.Faults.Injector.occurred_at) evs)
-
-let test_latency_applied () =
-  let evs = take 2 (mk ~latency:1234 ()) in
-  List.iter
-    (fun e ->
-      check "reported = occurred + latency"
-        (e.Faults.Injector.occurred_at + 1234)
-        e.Faults.Injector.reported_at)
-    evs
 
 let test_ctx_in_range () =
   let evs = take 100 (mk ~process:Faults.Injector.Poisson ()) in
@@ -81,12 +71,11 @@ let test_monotonic_times () =
   checkb "monotonic" true (mono evs)
 
 (* Pins the documented default: injector.mli, DESIGN.md and the paper's
-   Â§3.3 sensitivity analysis all quote 40,000 cycles. *)
+   §3.3 sensitivity analysis all quote 40,000 cycles. Both engines read
+   the one latency in [Vm.Costs]. *)
 let test_default_latency () =
-  Alcotest.(check int) "default_config" 40_000
-    Faults.Injector.default_config.Faults.Injector.detection_latency;
-  Alcotest.(check int) "config 1.0" 40_000
-    (Faults.Injector.config 1.0).Faults.Injector.detection_latency
+  check "Vm.Costs.default" 40_000
+    Vm.Costs.default.Vm.Costs.detection_latency
 
 let suite =
   [
@@ -94,7 +83,6 @@ let suite =
     Alcotest.test_case "default detection latency is 40k" `Quick
       test_default_latency;
     Alcotest.test_case "periodic spacing" `Quick test_periodic_spacing;
-    Alcotest.test_case "latency applied" `Quick test_latency_applied;
     Alcotest.test_case "ctx in range" `Quick test_ctx_in_range;
     Alcotest.test_case "poisson rate" `Quick test_poisson_mean_rate;
     Alcotest.test_case "deterministic" `Quick test_deterministic;

@@ -244,7 +244,7 @@ let deep_wal (spec : Workloads.Workload.spec) rate =
   in
   let image = ref "" in
   ignore
-    (Gprs.Engine.run ~lint:`Off ~wal_out:image
+    (Gprs.Engine.run ~wal_out:image
        {
          Gprs.Engine.default_config with
          n_contexts = 8;
@@ -302,7 +302,7 @@ let crash_rows (name, contexts, scale) =
   in
   let resumed lsn cfg =
     match
-      Gprs.Engine.run ~lint:`Off
+      Gprs.Engine.run
         { cfg with Gprs.Engine.crash_lsn = Some lsn }
         program
     with

@@ -175,7 +175,7 @@ let test_event_ring_equivalence () =
               max_cycles = Some (300 * base);
             }
           in
-          let run ring = Gprs.Engine.run ~lint:`Off ~events:ring cfg (build spec) in
+          let run ring = Gprs.Engine.run ~events:ring cfg (build spec) in
           let off = run (Gprs.Event_ring.create ()) in
           let ring = Gprs.Event_ring.create () in
           Gprs.Event_ring.enable ring ~capacity:64;

@@ -1,7 +1,8 @@
 (* GPRS-lint tests: one deliberately-defective builder fixture per
    diagnostic kind, asserting the exact [Diagnostic.kind] fires; clean
    programs (including every shipped workload) must produce no
-   error-severity findings; strict mode must refuse unsound programs. *)
+   error-severity findings; admission must return an unsound program's
+   errors so its callers refuse it. *)
 
 open Vm.Builder
 
@@ -261,18 +262,18 @@ let workload_sweep () =
       expect_clean spec.Workloads.Workload.name p)
     Workloads.Suite.all
 
-(* --- engine hook ------------------------------------------------------ *)
+(* --- admission -------------------------------------------------------- *)
+
+(* The one admission is strict: [Lint.Check.admit] returns the
+   error-severity findings and every caller that would run the program
+   refuses when they are non-empty. The engine itself never lints. *)
 
 let strict_refuses () =
-  let p = unprotected_nonstd_prog () in
-  let raised =
-    try
-      ignore (Gprs.Engine.run ~lint:`Strict Gprs.Engine.default_config p);
-      false
-    with Lint.Check.Rejected diags ->
-      Lint.Check.has_kind Lint.Diagnostic.Unprotected_nonstd diags
-  in
-  checkb "strict mode rejects unprotected nonstd atomic" true raised
+  let errs = Lint.Check.admit ~title:"t" (unprotected_nonstd_prog ()) in
+  checkb "admission returns the unprotected nonstd atomic" true
+    (Lint.Check.has_kind Lint.Diagnostic.Unprotected_nonstd errs);
+  checkb "only error-severity findings" true
+    (List.for_all (fun d -> d.Lint.Diagnostic.severity = Lint.Diagnostic.Error) errs)
 
 let off_runs_anyway () =
   let p = unprotected_nonstd_prog () in
@@ -281,16 +282,14 @@ let off_runs_anyway () =
       { Gprs.Engine.default_config with n_contexts = 2 }
       p
   in
-  checkb "lint off still executes" false r.Exec.State.dnc
+  checkb "the engine runs a program lint rejects" false r.Exec.State.dnc
 
 let strict_accepts_clean () =
   let p = Tprog.locked_counter ~workers:2 ~iters:3 () in
-  let r =
-    Gprs.Engine.run ~lint:`Strict
-      { Gprs.Engine.default_config with n_contexts = 2 }
-      p
-  in
-  checkb "strict mode runs clean program" false r.Exec.State.dnc
+  Alcotest.(check int) "no error findings" 0
+    (List.length (Lint.Check.admit ~title:"t" p));
+  let r = Gprs.Engine.run { Gprs.Engine.default_config with n_contexts = 2 } p in
+  checkb "admitted program runs" false r.Exec.State.dnc
 
 (* --- renderer --------------------------------------------------------- *)
 

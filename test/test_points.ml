@@ -137,11 +137,11 @@ let test_delay_zero_invisible () =
      simulated state: digest AND cycle count must match the unarmed
      run — the faultsweep "no perturbation" contract (DESIGN.md §7). *)
   let spec, program = workload "wordcount" 0.05 in
-  let off = Gprs.Engine.run ~lint:`Off (gprs_cfg ()) program in
+  let off = Gprs.Engine.run (gprs_cfg ()) program in
   arm_ok ~delay_us:0 Points.Lock_handoff Points.Delay;
   arm_ok ~delay_us:0 Points.Wal_append Points.Delay;
   arm_ok ~delay_us:0 Points.Checkpoint_begin Points.Delay;
-  let on = Gprs.Engine.run ~lint:`Off (gprs_cfg ()) program in
+  let on = Gprs.Engine.run (gprs_cfg ()) program in
   checkb "seams were exercised" true
     ((Points.status Points.Lock_handoff).Points.s_fires > 0);
   checks "digest" (spec.Workloads.Workload.digest off)
@@ -165,7 +165,7 @@ let test_checkpoint_skip_invisible () =
   let run () =
     let image = ref "" in
     let r =
-      Gprs.Engine.run ~lint:`Off ~wal_out:image (gprs_cfg ~wal_stable:true ()) program
+      Gprs.Engine.run ~wal_out:image (gprs_cfg ~wal_stable:true ()) program
     in
     (r, !image)
   in
@@ -192,10 +192,10 @@ let test_crash_point_recovers () =
   let spec, program = workload "pbzip2" 0.02 in
   let want =
     spec.Workloads.Workload.digest
-      (Gprs.Engine.run ~lint:`Off (gprs_cfg ()) program)
+      (Gprs.Engine.run (gprs_cfg ()) program)
   in
   arm_ok ~start_hit:7 ~end_hit:7 Points.Wal_append Points.Crash;
-  match Gprs.Engine.run ~lint:`Off (gprs_cfg ~wal_stable:true ()) program with
+  match Gprs.Engine.run (gprs_cfg ~wal_stable:true ()) program with
   | _ -> Alcotest.fail "armed crash never fired"
   | exception Gprs.Engine.Crashed dump ->
     Points.reset_all ();
@@ -208,21 +208,21 @@ let test_error_points_surface () =
   let _, program = workload "wordcount" 0.05 in
   arm_ok Points.Lock_handoff Points.Error;
   checkb "lock timeout surfaces" true
-    (match Gprs.Engine.run ~lint:`Off (gprs_cfg ()) program with
+    (match Gprs.Engine.run (gprs_cfg ()) program with
     | _ -> false
     | exception Points.Fault_error _ -> true);
   Points.reset_all ();
   let _, program = workload "pbzip2" 0.02 in
   arm_ok Points.Alloc_grant Points.Error;
   checkb "allocator failure surfaces" true
-    (match Gprs.Engine.run ~lint:`Off (gprs_cfg ()) program with
+    (match Gprs.Engine.run (gprs_cfg ()) program with
     | _ -> false
     | exception Points.Fault_error _ -> true)
 
 let test_torn_write_refused () =
   let _, program = workload "pbzip2" 0.02 in
   arm_ok ~start_hit:6 ~end_hit:6 Points.Wal_append Points.Torn_write;
-  match Gprs.Engine.run ~lint:`Off (gprs_cfg ~wal_stable:true ()) program with
+  match Gprs.Engine.run (gprs_cfg ~wal_stable:true ()) program with
   | _ -> Alcotest.fail "torn write never fired"
   | exception Gprs.Engine.Crashed dump ->
     Points.reset_all ();
@@ -239,7 +239,7 @@ let test_torn_write_refused () =
 let test_truncation_boundaries () =
   let _, program = workload "histogram" 0.05 in
   let cfg = { (gprs_cfg ()) with Gprs.Engine.crash_lsn = Some 25 } in
-  match Gprs.Engine.run ~lint:`Off cfg program with
+  match Gprs.Engine.run cfg program with
   | _ -> Alcotest.fail "crash never fired"
   | exception Gprs.Engine.Crashed dump ->
     let image = Gprs.Engine.dump_wal_image dump in
@@ -293,7 +293,7 @@ let test_checkpoint_window_crash () =
   let spec, program = workload "histogram" 0.05 in
   let want =
     spec.Workloads.Workload.digest
-      (Gprs.Engine.run ~lint:`Off (gprs_cfg ()) program)
+      (Gprs.Engine.run (gprs_cfg ()) program)
   in
   arm_ok ~delay_us:0 Points.Checkpoint_begin Points.Delay;
   arm_ok ~start_hit:1 ~end_hit:1 Points.Checkpoint_end Points.Crash;
@@ -303,7 +303,7 @@ let test_checkpoint_window_crash () =
       (fun () ->
         outcome :=
           match
-            Gprs.Engine.run ~lint:`Off (gprs_cfg ~wal_stable:true ()) program
+            Gprs.Engine.run (gprs_cfg ~wal_stable:true ()) program
           with
           | _ -> `Completed
           | exception Gprs.Engine.Crashed d -> `Crashed d

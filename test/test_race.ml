@@ -29,7 +29,7 @@ let run_dyn ~engine ?(contexts = 4) p =
       | `Cpr ->
         Cpr.run { Cpr.default_config with n_contexts = contexts } p
       | `Gprs ->
-        Gprs.Engine.run ~lint:`Off
+        Gprs.Engine.run
           { Gprs.Engine.default_config with n_contexts = contexts }
           p)
 

@@ -239,9 +239,8 @@ let test_gprs_mid_block_fault_deopt () =
       {
         Gprs.Engine.default_config with
         n_contexts;
-        injector =
-          Faults.Injector.config ~detection_latency:1_500
-            ~process:Faults.Injector.Poisson 2_000.0;
+        costs = { Vm.Costs.default with Vm.Costs.detection_latency = 1_500 };
+        injector = Faults.Injector.config ~process:Faults.Injector.Poisson 2_000.0;
         max_cycles = Some 2_000_000_000;
         reference;
       }

@@ -235,16 +235,6 @@ let test_stats_max_and_mean () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Sim.Stats.mean s "x");
   check "count" 2 (Sim.Stats.count s "x")
 
-let test_stats_merge () =
-  let a = Sim.Stats.create () and b = Sim.Stats.create () in
-  Sim.Stats.add a "k" 2;
-  Sim.Stats.add b "k" 3;
-  Sim.Stats.observe a "o" 1.0;
-  Sim.Stats.observe b "o" 5.0;
-  Sim.Stats.merge_into ~dst:a b;
-  check "merged counter" 5 (Sim.Stats.get a "k");
-  Alcotest.(check (float 1e-9)) "merged mean" 3.0 (Sim.Stats.mean a "o")
-
 (* Resolving a handle creates nothing; the key appears at the first bump
    and the handle then shares the table's cell. *)
 let test_stats_handles_lazy () =
@@ -292,7 +282,6 @@ let suite =
     Alcotest.test_case "evq live/size invariant" `Quick test_evq_live_size_invariant;
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
     Alcotest.test_case "stats max/mean" `Quick test_stats_max_and_mean;
-    Alcotest.test_case "stats merge" `Quick test_stats_merge;
     Alcotest.test_case "stats handles are lazy" `Quick test_stats_handles_lazy;
     Alcotest.test_case "time conversions" `Quick test_time_conversions;
   ]
