@@ -57,6 +57,11 @@ val fig9 : cfg -> Report.figure
 (** Fine-grained Pthreads vs fine-grained GPRS (Barnes-Hut,
     Blackscholes, Swaptions, Canneal). *)
 
+val fig10_exceptions : string -> float * float
+(** Fig. 10's expected exceptions per fault-free run, (low, high), of the
+    named workload; the driver's rate is that count over the run's
+    fault-free Pthreads seconds. *)
+
 val fig10 : cfg -> Report.figure
 (** Recovery at per-workload low/high exception rates: P-CPR-L, GPRS-L,
     P-CPR-H, GPRS-H. *)

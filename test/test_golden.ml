@@ -351,6 +351,88 @@ let crash () =
   check_text ~fixture:"fixtures/golden_crash.txt" ~actual:"golden_crash.actual"
     (render_crash ())
 
+(* The paper's machine size. The tables above run at 4 and 8 contexts,
+   but the paper and the drivers run at 24, where the engines' per-event
+   work over the contexts is widest. [golden_n24.txt] pins, at scale
+   0.05, seed 1 and the drivers' budget (30x the fault-free Pthreads
+   cycles), P-CPR and GPRS at Fig. 10's high rate on every workload and
+   pbzip2 GPRS at Fig. 11's top rung (64 exceptions per run) at 1 and 24
+   contexts: digest, sim cycles, DNC and the run-stats MD5. Rates and the
+   CPR interval follow the drivers: [k] exceptions and 25 checkpoints per
+   fault-free run. Like the crash table, it pins today's output, wrong
+   rows included (barnes-hut under GPRS differs from Pthreads here). *)
+
+let n24_row name ~engine ~contexts ~k =
+  let scn =
+    {
+      Run.id = "";
+      workload = name;
+      engine = "pthreads";
+      ordering = "balance-aware";
+      contexts;
+      scale = 0.05;
+      grain = "default";
+      seed = 1;
+      rate = 0.0;
+      interval = 0.0;
+      want_stats = true;
+    }
+  in
+  let p = Run.prepare scn in
+  let base =
+    (Run.exec ~blocks:p.Run.blocks scn p.Run.program).Exec.State.sim_cycles
+  in
+  let seconds =
+    Sim.Time.to_seconds
+      ~cycles_per_second:Vm.Costs.default.Vm.Costs.cycles_per_second
+  in
+  let scn =
+    {
+      scn with
+      engine;
+      rate = k /. seconds base;
+      interval = seconds (Stdlib.max 1 (base / 25));
+    }
+  in
+  let max_cycles =
+    Some (Analysis.Experiments.default_cfg.Analysis.Experiments.dnc_factor * base)
+  in
+  let r =
+    match engine with
+    | "cpr" ->
+      Cpr.run ~blocks:p.Run.blocks
+        { (Run.cpr_config scn) with max_cycles }
+        p.Run.program
+    | _ ->
+      Gprs.Engine.run ~blocks:p.Run.blocks
+        { (Run.gprs_config scn) with max_cycles }
+        p.Run.program
+  in
+  Printf.sprintf "n24 %s %s %d %g %s %d %b %s\n" name engine contexts k
+    (p.Run.spec.Workloads.Workload.digest r)
+    r.Exec.State.sim_cycles r.Exec.State.dnc
+    (stats_hash (Sim.Stats.to_assoc r.Exec.State.run_stats))
+
+let render_n24 () =
+  "# n24 workload engine contexts exceptions_per_run digest sim_cycles dnc \
+   stats_md5 (scale 0.05, seed 1, budget 30x)\n"
+  ^ String.concat ""
+      (List.concat_map
+         (fun name ->
+           let k = snd (Analysis.Experiments.fig10_exceptions name) in
+           List.map
+             (fun engine -> n24_row name ~engine ~contexts:24 ~k)
+             [ "cpr"; "gprs" ])
+         Workloads.Suite.names)
+  ^ String.concat ""
+      (List.map
+         (fun contexts -> n24_row "pbzip2" ~engine:"gprs" ~contexts ~k:64.0)
+         [ 1; 24 ])
+
+let n24 () =
+  check_text ~fixture:"fixtures/golden_n24.txt" ~actual:"golden_n24.actual"
+    (render_n24 ())
+
 let suite =
   [
     Alcotest.test_case "runs match the committed table" `Quick golden;
@@ -360,4 +442,5 @@ let suite =
     Alcotest.test_case "deep-ROL runs and WAL images match the committed digests"
       `Quick deep;
     Alcotest.test_case "cold restarts match the committed digests" `Quick crash;
+    Alcotest.test_case "24-context runs match the committed digests" `Quick n24;
   ]
