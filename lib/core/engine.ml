@@ -94,6 +94,7 @@ type eng = {
   tick_handle : Sim.Event_queue.handle option array;
   busy_until : int array;
   dead_ctx : bool array;  (* permanently revoked contexts *)
+  mutable n_dead : int;  (* count of [true] in [dead_ctx] *)
   order : Order.t;
   rol : Rol.t;
   wal : Wal.t;
@@ -714,8 +715,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
     let first = ctrl + d + take_delay eng tid in
     if
       (not eng.cfg.reference) && tcb.Vm.Tcb.wait = Vm.Tcb.Runnable
-      && (not eng.recovering)
-      && Rol.size eng.rol < 4096
+      && not eng.recovering
     then begin
       (* Non-preemptive pool: the only events that can deopt a running
          thread are fault occurrences/reports, so the horizon is the
@@ -1147,17 +1147,16 @@ let recover eng (victim : Subthread.t) =
       eng.ctx_of
   end;
   (* Take the squashed sub-threads off their contexts and out of the ROL,
-     and their records out of the live WAL. *)
-  let squashed_ids : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+     and their records out of the live WAL ([squash] is ascending by id:
+     the victim, then younger entries oldest first). *)
   List.iter
     (fun (s : Subthread.t) ->
-      Hashtbl.replace squashed_ids s.Subthread.id ();
       cancel_ctx_of_thread eng s.Subthread.tid;
       Rol.remove eng.rol s.Subthread.id)
     squash;
-  let in_squash o = Hashtbl.mem squashed_ids o in
-  let ops = Wal.entries_for eng.wal ~orders:in_squash in
-  ignore (Wal.drop_for eng.wal ~orders:in_squash);
+  let ops =
+    Wal.squash eng.wal (List.map (fun (s : Subthread.t) -> s.Subthread.id) squash)
+  in
   (* Threads reset in restart-table order (ascending sub-thread order
      would move results; see DESIGN.md). *)
   let words, wal_undone, restarts =
@@ -1249,6 +1248,7 @@ let fault_occur eng ctx kind =
 let revoke_context eng ctx =
   if not eng.dead_ctx.(ctx) then begin
     eng.dead_ctx.(ctx) <- true;
+    eng.n_dead <- eng.n_dead + 1;
     Sim.Stats.incr eng.st.Exec.State.stats "gprs.contexts_revoked";
     (match eng.tick_handle.(ctx) with
     | Some h -> Sim.Event_queue.cancel eng.st.Exec.State.evq h
@@ -1262,7 +1262,7 @@ let revoke_context eng ctx =
     | None -> ()
   end
 
-let all_contexts_dead eng = Array.for_all Fun.id eng.dead_ctx
+let all_contexts_dead eng = eng.n_dead = Array.length eng.dead_ctx
 
 let finished eng = Exec.State.all_exited eng.st && Rol.is_empty eng.rol
 
@@ -1321,6 +1321,7 @@ let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable
     tick_handle = Array.make cfg.n_contexts None;
     busy_until = Array.make cfg.n_contexts 0;
     dead_ctx;
+    n_dead = Array.fold_left (fun n d -> if d then n + 1 else n) 0 dead_ctx;
     order;
     rol = Rol.create ();
     wal = Wal.create ~stable ();

@@ -211,9 +211,10 @@ let fill c ctx =
     else schedule_tick c ctx ~after:extra
 
 let fill_all c =
-  for ctx = 0 to Array.length c.ctx_of - 1 do
-    if c.ctx_of.(ctx) = None then fill c ctx
-  done
+  if not (Sched.Deque.is_empty c.runq) then
+    for ctx = 0 to Array.length c.ctx_of - 1 do
+      if c.ctx_of.(ctx) = None then fill c ctx
+    done
 
 let tick c ctx =
   let st = c.st in

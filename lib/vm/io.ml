@@ -1,13 +1,20 @@
 type file = int
 
-type entry = { fname : string; mutable data : int array; mutable len : int }
+(* [data] is the caller's initial array, shared (not copied) until the
+   first [write] or [truncate]; [owned] says it has been copied since. *)
+type entry = {
+  fname : string;
+  mutable data : int array;
+  mutable len : int;
+  mutable owned : bool;
+}
 
 type t = { mutable files : entry array; mutable count : int }
 
 let create () = { files = [||]; count = 0 }
 
 let add_file t ~name init =
-  let e = { fname = name; data = Array.copy init; len = Array.length init } in
+  let e = { fname = name; data = init; len = Array.length init; owned = false } in
   if t.count = Array.length t.files then begin
     let cap = Stdlib.max 4 (2 * Array.length t.files) in
     let files' = Array.make cap e in
@@ -37,6 +44,7 @@ let read t f ~off =
   if off < 0 then invalid_arg "Io.read: negative offset";
   if off >= e.len then 0 else e.data.(off)
 
+(* Make [e.data] private and at least [needed] words long. *)
 let grow e needed =
   if needed > Array.length e.data then begin
     let cap = Stdlib.max needed (Stdlib.max 16 (2 * Array.length e.data)) in
@@ -44,6 +52,8 @@ let grow e needed =
     Array.blit e.data 0 data' 0 e.len;
     e.data <- data'
   end
+  else if not e.owned then e.data <- Array.copy e.data;
+  e.owned <- true
 
 let write t f ~off v =
   let e = entry t f in

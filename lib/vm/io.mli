@@ -19,7 +19,9 @@ val create : unit -> t
 
 val add_file : t -> name:string -> int array -> file
 (** Registers a file with initial contents. Input files are added by the
-    program loader; output files typically start empty. *)
+    program loader; output files typically start empty. The array is
+    shared, not copied, until the file's first {!write} or {!truncate},
+    so the caller must not mutate it afterwards. *)
 
 val lookup : t -> string -> file option
 

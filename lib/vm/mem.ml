@@ -15,10 +15,13 @@ type t = {
   (* Monotone clock for dirty tracking. Bumped by [capture] and
      [restore_image]; never by plain writes. *)
   mutable epoch : int;
-  (* Per-page epoch of the last write (or restore) landing in the page. *)
+  (* Per-page epoch of the last write (or restore) landing in the page;
+     0 until the page is first written, so such a page holds zeros. *)
   page_epoch : int array;
-  (* Per-word epoch of the last counted first-touch; see [touch]. *)
-  word_epoch : int array;
+  (* Per-word epoch of the last counted first-touch; see [touch]. Only
+     the checkpointing engine's undo log touches, so the array is
+     allocated at the first [touch] ([[||]] until then). *)
+  mutable word_epoch : int array;
 }
 
 let n_pages words = (words + page_words - 1) lsr page_bits
@@ -31,7 +34,7 @@ let create ~words =
     allocated = Hashtbl.create 64;
     epoch = 1;
     page_epoch = Array.make (n_pages words) 0;
-    word_epoch = Array.make words 0;
+    word_epoch = [||];
   }
 
 let words t = Array.length t.data
@@ -43,40 +46,63 @@ let write t a v =
   t.page_epoch.(a lsr page_bits) <- t.epoch
 
 let touch t a =
+  if Array.length t.word_epoch = 0 then
+    t.word_epoch <- Array.make (words t) 0;
   if t.word_epoch.(a) < t.epoch then begin
     t.word_epoch.(a) <- t.epoch;
     true
   end
   else false
 
+(* An image holds one array per page. A page whose memory page was never
+   written is the shared [zero_page] and costs nothing to capture; a
+   page gets its own array the first time it is captured written. The
+   partial last page is shorter than [zero_page], so copies go by the
+   memory page's length, never the array's. *)
 type image = {
-  img_data : int array;
+  pages : int array array;
   (* Epoch the image was last synced at; -1 means never (full copy). *)
   mutable synced_at : int;
 }
 
-let alloc_image t = { img_data = Array.make (words t) 0; synced_at = -1 }
+let zero_page = Array.make page_words 0
 
-(* Copy every page stamped after [img.synced_at] from [src] to [dst],
-   re-stamping it with the current epoch if [restamp]; returns the number
-   of words copied. A never-synced image has [synced_at = -1], so every
-   page is due. *)
-let sync_pages t img ~src ~dst ~restamp =
+let alloc_image t =
+  { pages = Array.make (Array.length t.page_epoch) zero_page; synced_at = -1 }
+
+(* Copy every page stamped after [img.synced_at] between memory and the
+   image ([to_image] chooses the direction), re-stamping it with the
+   current epoch when restoring; returns the number of words synced,
+   zero pages included. A never-synced image has [synced_at = -1], so
+   every page is due. *)
+let sync_pages t img ~to_image =
   let total = words t in
-  let copied = ref 0 in
+  let synced = ref 0 in
   for p = 0 to Array.length t.page_epoch - 1 do
-    if t.page_epoch.(p) > img.synced_at then begin
+    let e = t.page_epoch.(p) in
+    if e > img.synced_at then begin
       let off = p lsl page_bits in
-      let len = min page_words (total - off) in
-      Array.blit src off dst off len;
-      if restamp then t.page_epoch.(p) <- t.epoch;
-      copied := !copied + len
+      let len = Stdlib.min page_words (total - off) in
+      let page = img.pages.(p) in
+      if to_image then begin
+        (* A never-written page ([e = 0]) is only due in a never-synced
+           image, whose pages are all [zero_page] already. *)
+        if e = 0 then ()
+        else if page == zero_page then img.pages.(p) <- Array.sub t.data off len
+        else Array.blit t.data off page 0 len
+      end
+      else begin
+        if page == zero_page then Array.fill t.data off len 0
+        else Array.blit page 0 t.data off len;
+        t.page_epoch.(p) <- t.epoch
+      end;
+      synced := !synced + len
     end
   done;
-  !copied
+  !synced
 
 let capture t img =
-  let copied = sync_pages t img ~src:t.data ~dst:img.img_data ~restamp:false in
+  let copied = sync_pages t img ~to_image:true in
   img.synced_at <- t.epoch;
   t.epoch <- t.epoch + 1;
   copied
@@ -85,9 +111,7 @@ let restore_image t img =
   (* Every page written since the image was synced differs (or may
      differ) from the image; copy those back and re-stamp them, so other
      retained images see them as dirty too. *)
-  let copied =
-    sync_pages t img ~src:img.img_data ~dst:t.data ~restamp:true
-  in
+  let copied = sync_pages t img ~to_image:false in
   t.epoch <- t.epoch + 1;
   copied
 

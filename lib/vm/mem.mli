@@ -53,23 +53,27 @@ val touch : t -> addr -> bool
 (** First-touch test for checkpoint-interval write accounting: [true]
     exactly once per word per dirty-tracking epoch (epochs advance at
     {!capture}/{!restore_image}). Lets undo logs count unique dirtied
-    words without materializing per-word entries. *)
+    words without materializing per-word entries. A memory that is never
+    touched allocates no per-word state. *)
 
 type image
 (** A page-granular snapshot of the data words, dirty-tracked: every
     write stamps its page with the current epoch, and after the first
     (full) sync, re-syncing through {!capture} copies only the pages
     stamped since — found by one scan of the page table, one compare
-    per page. Allocator metadata is not included — pair with
+    per page. Pages never written since {!create} hold zeros and share
+    one zero page, so an image's host cost follows the pages written,
+    not the memory size. Allocator metadata is not included — pair with
     {!alloc_parts}. *)
 
 val alloc_image : t -> image
-(** A fresh, never-synced image: the next {!capture} into it copies every
+(** A fresh, never-synced image: the next {!capture} into it syncs every
     page (the full-copy fallback lives behind the same interface). *)
 
 val capture : t -> image -> int
 (** Sync [image] to the current memory contents and advance the dirty
-    epoch. Returns the number of words copied. Images may be reused
+    epoch. Returns the number of words synced, never-written pages
+    included (a logical count: those cost no copy). Images may be reused
     across checkpoints; a dropped snapshot's image can be recycled with
     the dirty tracking doing the right thing. *)
 
@@ -77,7 +81,7 @@ val restore_image : t -> image -> int
 (** Overwrite memory with the image's contents: copies back exactly the
     pages written since the image was synced, re-stamps them dirty (so
     other retained images stay coherent), and advances the epoch.
-    Returns the number of words copied. *)
+    Returns the number of words synced, counted as {!capture} does. *)
 
 val redo_alloc : t -> addr -> size:int -> unit
 (** ARIES conditional redo of a logged [Alloc]: carve exactly

@@ -296,38 +296,29 @@ let take_bucket t order =
   end;
   es
 
-let by_lsn_desc a b = compare b.lsn a.lsn
-
-let entries_for t ~orders =
-  let acc = ref [] in
-  for o = t.lo to t.hi - 1 do
-    if orders o then acc := List.rev_append t.buckets.(o land t.mask) !acc
-  done;
-  List.sort by_lsn_desc !acc
-
-let drop_for t ~orders =
-  let n = ref 0 and os = ref [] in
-  for o = t.hi - 1 downto t.lo do
-    if orders o then begin
-      let k = List.length (take_bucket t o) in
-      if k > 0 then begin
-        n := !n + k;
-        os := o :: !os
-      end
-    end
-  done;
+let squash t ids =
+  let es = ref [] and os = ref [] in
+  List.iter
+    (fun o ->
+      if o >= t.lo && o < t.hi then
+        match take_bucket t o with
+        | [] -> ()
+        | b ->
+          es := List.rev_append b !es;
+          os := o :: !os)
+    ids;
   advance_oldest t;
   (* Squash-undo is a durable decision: without a drop marker, cold
      recovery would count the squashed sub-threads' operations a second
      time (their undo already ran in the live engine). *)
   (match t.stable with
-  | Some img when !n > 0 ->
+  | Some img when !os <> [] ->
     let start = open_line img 'D' in
     put_field img t.next_lsn;
-    put_list img put_int !os;
+    put_list img put_int (List.rev !os);
     seal img start
   | Some _ | None -> ());
-  !n
+  List.sort (fun a b -> compare b.lsn a.lsn) !es
 
 let prune_below t ~order =
   let n = ref 0 in
@@ -577,4 +568,9 @@ let parse_image s =
   done;
   List.rev !recs
 
-let all t = List.rev (entries_for t ~orders:(fun _ -> true))
+let all t =
+  let acc = ref [] in
+  for o = t.lo to t.hi - 1 do
+    acc := List.rev_append t.buckets.(o land t.mask) !acc
+  done;
+  List.sort (fun a b -> compare a.lsn b.lsn) !acc

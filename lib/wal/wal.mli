@@ -51,15 +51,12 @@ val size : t -> int
 val high_water : t -> int
 (** Maximum live size ever observed. *)
 
-val entries_for : t -> orders:(int -> bool) -> entry list
-(** Entries whose sub-thread order satisfies the predicate, newest first —
-    the order in which recovery must undo them. The predicate is applied
-    per order, not per entry. *)
-
-val drop_for : t -> orders:(int -> bool) -> int
-(** Remove those entries (they were undone); returns how many. Writes a
-    drop marker naming the squashed orders to the stable image so cold
-    recovery does not undo them a second time. *)
+val squash : t -> int list -> entry list
+(** Recovery: remove the entries of the given sub-thread orders, which
+    must be ascending, and return them newest first — the order in which
+    recovery must undo them. Writes a drop marker naming the orders that
+    had entries to the stable image, so cold recovery does not undo them
+    a second time. Walks only the given orders' buckets. *)
 
 val prune_below : t -> order:int -> int
 (** Retirement: drop all entries with [order < order]; returns how many.

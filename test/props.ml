@@ -241,6 +241,49 @@ let prop_mem_image_equiv =
             Array.init 512 (Vm.Mem.read m) = model)
         ops)
 
+(* Per-page images against the flat-copy model: a memory with a short
+   last page, zero writes (a page written only with zeros is still
+   dirty), and captures into and restores from two recycled images, the
+   model's words and both returned counts checked after every step. *)
+let prop_mem_image_model =
+  let words = 300 in
+  case "mem: page images equal the flat-copy model"
+    Gen.(
+      list_size (int_range 1 300)
+        (frequency
+           [
+             ( 6,
+               map2
+                 (fun a v -> IWrite (a, v))
+                 (oneof [ int_range 0 (words - 1); int_range 256 (words - 1) ])
+                 (oneof [ pure 0; int_range 1 9999 ]) );
+             (1, map (fun k -> ICapture k) (int_range 0 1));
+             (1, map (fun k -> IRestore k) (int_range 0 1));
+           ]))
+    (fun ops ->
+      let m = Vm.Mem.create ~words and r = Ref_models.Mem_image.create ~words in
+      let imgs = Array.init 2 (fun _ -> Vm.Mem.alloc_image m) in
+      let rimgs = Array.init 2 (fun _ -> Ref_models.Mem_image.alloc_image r) in
+      List.for_all
+        (fun op ->
+          let counts_agree =
+            match op with
+            | IWrite (a, v) ->
+              Vm.Mem.write m a v;
+              Ref_models.Mem_image.write r a v;
+              true
+            | ICapture k ->
+              Vm.Mem.capture m imgs.(k)
+              = Ref_models.Mem_image.capture r rimgs.(k)
+            | IRestore k ->
+              Vm.Mem.restore_image m imgs.(k)
+              = Ref_models.Mem_image.restore_image r rimgs.(k)
+          in
+          counts_agree
+          && Array.init words (Vm.Mem.read m)
+             = Array.init words (Ref_models.Mem_image.read r))
+        ops)
+
 (* --- Undo log: random writes restore exactly ------------------------ *)
 
 let prop_undo_restores =
@@ -593,8 +636,8 @@ let prop_cpr_recovery_exact =
 (* --- WAL: pruning and dropping never strand or invent entries -------- *)
 
 (* A plan is a list of appends (by order id) followed by interleaved
-   prune/drop operations; the live set must always be exactly the
-   appended entries minus the pruned and dropped ones. *)
+   prune/squash operations; the live set must always be exactly the
+   appended entries minus the pruned and squashed ones. *)
 let wal_plan_gen =
   QCheck2.Gen.(
     pair
@@ -602,7 +645,7 @@ let wal_plan_gen =
       (list_size (int_range 0 8) (pair bool (int_range 0 9))))
 
 let prop_wal_no_stranding =
-  case "wal: prune_below + drop_for never strand entries" wal_plan_gen
+  case "wal: prune_below + squash never strand entries" wal_plan_gen
     (fun (orders, cuts) ->
       let w = Wal.create () in
       List.iter
@@ -619,7 +662,7 @@ let prop_wal_no_stranding =
             gone_below := Stdlib.max !gone_below o
           end
           else begin
-            let n = Wal.drop_for w ~orders:(fun o' -> o' = o) in
+            let n = List.length (Wal.squash w [ o ]) in
             live := !live - n;
             if o >= !gone_below then Hashtbl.replace dropped o ()
           end)
@@ -632,10 +675,10 @@ let prop_wal_no_stranding =
       in
       Wal.size w = !live && !live = expect
       && Wal.high_water w = List.length orders
-      && List.length (Wal.entries_for w ~orders:(fun _ -> true)) = expect)
+      && List.length (Wal.all w) = expect)
 
 let prop_wal_entries_newest_first =
-  case "wal: entries_for is strictly newest-first in LSN"
+  case "wal: squash is strictly newest-first in LSN"
     (QCheck2.Gen.list_size
        (QCheck2.Gen.int_range 1 100)
        (QCheck2.Gen.int_range 0 5))
@@ -649,7 +692,7 @@ let prop_wal_entries_newest_first =
           a.Wal.lsn > b.Wal.lsn && strictly_desc rest
         | _ -> true
       in
-      strictly_desc (Wal.entries_for w ~orders:(fun o -> o mod 2 = 0)))
+      strictly_desc (Wal.squash w [ 0; 2; 4 ]))
 
 (* --- Differential: the flat structures against their reference models *)
 
@@ -844,12 +887,15 @@ let wal_op_of k a b : Wal.op =
   | 4 -> Sched_enqueue { sub = a }
   | _ -> Io_op { file = a; words = b }
 
+(* The ascending orders [o mod m = rem] of the generator's range, live
+   or not: recovery squashes sub-threads that may have logged nothing. *)
+let squash_ids m rem = List.filter (fun o -> o mod m = rem) (List.init 46 Fun.id)
+
 let prop_wal_model =
   case "wal: order-bucketed log equals the list reference model"
     Gen.(pair bool (list_size (int_range 1 200) wal_op_gen))
     (fun (stable, ops) ->
       let w = Wal.create ~stable () and r = Ref_models.Wal.create ~stable () in
-      let all _ = true in
       List.for_all
         (fun op ->
           let counts_agree =
@@ -860,8 +906,8 @@ let prop_wal_model =
             | W_prune order ->
               Wal.prune_below w ~order = Ref_models.Wal.prune_below r ~order
             | W_drop (m, rem) ->
-              let orders o = o mod m = rem in
-              Wal.drop_for w ~orders = Ref_models.Wal.drop_for r ~orders
+              let ids = squash_ids m rem in
+              Wal.squash w ids = Ref_models.Wal.squash r ids
             | W_checkpoint { min_retired; brk; active; free; used } ->
               Wal.log_checkpoint w ~min_retired ~active ~brk ~free ~used;
               Ref_models.Wal.log_checkpoint r ~min_retired ~active ~brk ~free ~used;
@@ -870,9 +916,7 @@ let prop_wal_model =
           counts_agree
           && Wal.size w = Ref_models.Wal.size r
           && Wal.high_water w = Ref_models.Wal.high_water r
-          && Wal.entries_for w ~orders:all = Ref_models.Wal.entries_for r ~orders:all
-          && Wal.entries_for w ~orders:(fun o -> o mod 3 = 1)
-             = Ref_models.Wal.entries_for r ~orders:(fun o -> o mod 3 = 1)
+          && Wal.all w = Ref_models.Wal.all r
           && Wal.stable_image w = Ref_models.Wal.stable_image r)
         ops)
 
@@ -889,7 +933,7 @@ let wal_image ops =
       | W_append { order; kind; at; a; b } ->
         ignore (Wal.append w ~at ~order (wal_op_of kind a b))
       | W_prune order -> ignore (Wal.prune_below w ~order)
-      | W_drop (m, rem) -> ignore (Wal.drop_for w ~orders:(fun o -> o mod m = rem))
+      | W_drop (m, rem) -> ignore (Wal.squash w (squash_ids m rem))
       | W_checkpoint { min_retired; brk; active; free; used } ->
         Wal.log_checkpoint w ~min_retired ~active ~brk ~free ~used)
     ops;
@@ -1326,6 +1370,7 @@ let suite =
     prop_alloc_free_roundtrip;
     prop_alloc_coalesce;
     prop_mem_image_equiv;
+    prop_mem_image_model;
     prop_undo_restores;
     prop_paged_undo_equiv;
     prop_rol_head_is_min;

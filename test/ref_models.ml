@@ -1,9 +1,9 @@
 (* Reference models for the differential properties in [props.ml]: the
    list-and-Hashtbl implementations of the undo log, the live WAL and
    the token order that the flat, order-indexed and memoized versions in
-   the library replaced, and the WAL image reader that the in-place
-   scanner replaced. They define the required behaviour; they are not
-   tuned. *)
+   the library replaced, the WAL image reader that the in-place scanner
+   replaced, and the flat-copy memory images that per-page images
+   replaced. They define the required behaviour; they are not tuned. *)
 
 module Undo_log = struct
   type key = Exec.Undo_log.key =
@@ -71,6 +71,57 @@ module Undo_log = struct
     n
 
   let keys t = List.map fst t.entries
+end
+
+(* Memory with dirty-tracked flat-copy images: every image is a full
+   copy of the words, and capture/restore copy the pages (64 words, as
+   in [Vm.Mem]) stamped since the image was synced. The returned counts
+   are the words of those pages. *)
+module Mem_image = struct
+  let page_words = 64
+
+  type t = { data : int array; page_epoch : int array; mutable epoch : int }
+  type image = { img : int array; mutable synced_at : int }
+
+  let create ~words =
+    {
+      data = Array.make words 0;
+      page_epoch = Array.make ((words + page_words - 1) / page_words) 0;
+      epoch = 1;
+    }
+
+  let read t a = t.data.(a)
+
+  let write t a v =
+    t.data.(a) <- v;
+    t.page_epoch.(a / page_words) <- t.epoch
+
+  let alloc_image t = { img = Array.make (Array.length t.data) 0; synced_at = -1 }
+
+  let sync_pages t img ~src ~dst ~restamp =
+    let copied = ref 0 in
+    Array.iteri
+      (fun p e ->
+        if e > img.synced_at then begin
+          let off = p * page_words in
+          let len = min page_words (Array.length t.data - off) in
+          Array.blit src off dst off len;
+          if restamp then t.page_epoch.(p) <- t.epoch;
+          copied := !copied + len
+        end)
+      t.page_epoch;
+    !copied
+
+  let capture t img =
+    let n = sync_pages t img ~src:t.data ~dst:img.img ~restamp:false in
+    img.synced_at <- t.epoch;
+    t.epoch <- t.epoch + 1;
+    n
+
+  let restore_image t img =
+    let n = sync_pages t img ~src:img.img ~dst:t.data ~restamp:true in
+    t.epoch <- t.epoch + 1;
+    n
 end
 
 module Wal = struct
@@ -148,17 +199,16 @@ module Wal = struct
   let size t = t.live
   let high_water t = t.hw
 
-  let entries_for t ~orders = List.filter (fun e -> orders e.order) t.entries
+  let all t = List.rev t.entries
 
-  let drop_for t ~orders =
-    let kept, dropped = List.partition (fun e -> not (orders e.order)) t.entries in
+  let squash t ids =
+    let dropped, kept = List.partition (fun e -> List.mem e.order ids) t.entries in
     t.entries <- kept;
-    let n = List.length dropped in
-    t.live <- t.live - n;
+    t.live <- t.live - List.length dropped;
     (* Squash-undo is a durable decision: without a drop marker, cold
        recovery would count the squashed sub-threads' operations a second
        time (their undo already ran in the live engine). *)
-    if n > 0 && t.stable <> None then begin
+    if dropped <> [] && t.stable <> None then begin
       let os =
         List.sort_uniq compare (List.map (fun e -> e.order) dropped)
       in
@@ -166,7 +216,7 @@ module Wal = struct
         (Printf.sprintf "D %d %s" t.next_lsn
            (String.concat "," (List.map string_of_int os)))
     end;
-    n
+    dropped
 
   let prune_below t ~order =
     let kept, dropped = List.partition (fun e -> e.order >= order) t.entries in

@@ -39,7 +39,7 @@ let test_stable_roundtrip () =
     ~used:[ (64, 8) ];
   ignore (Wal.append w ~at:9 ~order:2 (Wal.Free { addr = 64; size = 8 }));
   ignore (Wal.prune_below w ~order:1);
-  ignore (Wal.drop_for w ~orders:(fun o -> o = 2));
+  ignore (Wal.squash w [ 2 ]);
   let image =
     match Wal.stable_image w with
     | Some s -> s

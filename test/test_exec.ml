@@ -254,6 +254,74 @@ let test_file_io () =
   | [ ("out", data) ] -> Alcotest.(check (array int)) "doubled" [| 2; 4; 6; 8; 10 |] data
   | _ -> Alcotest.fail "expected one output file"
 
+(* A program that rewrites its own input file in place and copies the
+   new words out. The file store shares a program's input arrays until a
+   file's first write, so a second run of the same program value must
+   read the original input again on every engine, rollbacks included. *)
+let test_input_file_rewrite () =
+  let open Vm.Builder in
+  let n = 40 in
+  let main = proc "main" in
+  for_up main ~reg:0 ~from:(fun _ -> 0) ~until:(fun _ -> n) (fun () ->
+      work_const main 5_000 (fun env ->
+          let i = Vm.Env.get env 0 in
+          env.Vm.Env.file_write 0 ~off:i (2 * env.Vm.Env.file_read 0 ~off:i);
+          env.Vm.Env.file_write 1 ~off:i (env.Vm.Env.file_read 0 ~off:i + 1)));
+  exit_ main;
+  let p =
+    program ~mem_words:64 ~entry:"main"
+      ~input_files:[ ("in", Array.init n (fun i -> i + 1)) ]
+      ~output_files:[ "out" ] [ finish main ]
+  in
+  let want = Array.init n (fun i -> (2 * (i + 1)) + 1) in
+  let engines =
+    [
+      ("pthreads", None, fun () -> run p);
+      ( "cpr",
+        Some "cpr.rollbacks",
+        fun () ->
+          Cpr.run
+            {
+              Cpr.default_config with
+              n_contexts = 2;
+              checkpoint_interval = 0.002;
+              injector = Faults.Injector.config ~seed:1 200.0;
+            }
+            p );
+      ( "gprs",
+        Some "gprs.recoveries",
+        fun () ->
+          Gprs.Engine.run
+            {
+              Gprs.Engine.default_config with
+              n_contexts = 2;
+              injector = Faults.Injector.config ~seed:1 200.0;
+            }
+            p );
+    ]
+  in
+  List.iter
+    (fun (name, rolled_back, go) ->
+      let r1 = go () in
+      let r2 = go () in
+      checkb (name ^ " completes") false r1.Exec.State.dnc;
+      Option.iter
+        (fun stat ->
+          checkb (name ^ " rolled back") true
+            (Sim.Stats.get r1.Exec.State.run_stats stat > 0))
+        rolled_back;
+      Alcotest.(check (list (pair string (array int))))
+        (name ^ " output") [ ("out", want) ] r1.Exec.State.outputs;
+      Alcotest.(check (list (pair string (array int))))
+        (name ^ " second run") r1.Exec.State.outputs r2.Exec.State.outputs;
+      check (name ^ " same cycles") r1.Exec.State.sim_cycles
+        r2.Exec.State.sim_cycles;
+      Alcotest.(check (list (pair string (array int))))
+        (name ^ " input untouched")
+        [ ("in", Array.init n (fun i -> i + 1)) ]
+        p.Vm.Isa.input_files)
+    engines
+
 let test_deadlock_detected () =
   let open Vm.Builder in
   (* Two threads lock two mutexes in opposite orders with a barrier in
@@ -634,6 +702,8 @@ let suite =
     Alcotest.test_case "atomic rmw" `Quick test_atomic_rmw;
     Alcotest.test_case "alloc/free in threads" `Quick test_alloc_free_in_threads;
     Alcotest.test_case "file io" `Quick test_file_io;
+    Alcotest.test_case "a run that rewrites its input leaves the program intact"
+      `Quick test_input_file_rewrite;
     Alcotest.test_case "deadlock detected" `Quick test_deadlock_detected;
     Alcotest.test_case "dnc budget" `Quick test_dnc_budget;
     Alcotest.test_case "determinism" `Quick test_determinism_same_seed;

@@ -124,6 +124,15 @@ let test_mem_touch_epochs () =
   ignore (Vm.Mem.capture m img);
   checkb "capture opens a new epoch" true (Vm.Mem.touch m 3)
 
+let test_mem_touch_untouched () =
+  (* No capture, no earlier touch: the first touch of each word counts,
+     the last word included. *)
+  let m = Vm.Mem.create ~words:100 in
+  Vm.Mem.write m 99 5;
+  checkb "first touch" true (Vm.Mem.touch m 99);
+  checkb "again" false (Vm.Mem.touch m 99);
+  checkb "another word" true (Vm.Mem.touch m 0)
+
 let test_io_basics () =
   let io = Vm.Io.create () in
   let f = Vm.Io.add_file io ~name:"in" [| 1; 2; 3 |] in
@@ -146,6 +155,19 @@ let test_io_truncate () =
   Vm.Io.truncate io f 1;
   check "shorter" 1 (Vm.Io.size io f);
   Alcotest.(check (array int)) "contents" [| 5 |] (Vm.Io.contents io f)
+
+let test_io_initial_array_shared () =
+  let init = [| 1; 2; 3 |] in
+  let io = Vm.Io.create () in
+  let f = Vm.Io.add_file io ~name:"in" init in
+  let g = Vm.Io.add_file io ~name:"in2" init in
+  Vm.Io.write io f ~off:0 9;
+  Vm.Io.truncate io g 1;
+  Vm.Io.truncate io g 3;
+  Alcotest.(check (array int)) "initial array intact" [| 1; 2; 3 |] init;
+  Alcotest.(check (array int)) "written" [| 9; 2; 3 |] (Vm.Io.contents io f);
+  Alcotest.(check (array int)) "truncated and regrown" [| 1; 0; 0 |]
+    (Vm.Io.contents io g)
 
 let test_tcb_save_restore () =
   let proc = { Vm.Isa.pname = "p"; code = [| Vm.Isa.Exit |] } in
@@ -213,9 +235,13 @@ let suite =
     Alcotest.test_case "mem undo_free from coalesced block" `Quick test_mem_undo_free_coalesced;
     Alcotest.test_case "mem image roundtrip" `Quick test_mem_image_roundtrip;
     Alcotest.test_case "mem touch epochs" `Quick test_mem_touch_epochs;
+    Alcotest.test_case "mem touch on a never-touched memory" `Quick
+      test_mem_touch_untouched;
     Alcotest.test_case "io basics" `Quick test_io_basics;
     Alcotest.test_case "io write grows" `Quick test_io_write_grows;
     Alcotest.test_case "io truncate" `Quick test_io_truncate;
+    Alcotest.test_case "io copies the initial array on first write" `Quick
+      test_io_initial_array_shared;
     Alcotest.test_case "tcb save/restore" `Quick test_tcb_save_restore;
     Alcotest.test_case "builder labels" `Quick test_builder_labels;
     Alcotest.test_case "builder unbound label" `Quick test_builder_unbound_label;

@@ -10,26 +10,30 @@ let test_lsn_monotonic () =
   let l3 = Wal.append w ~order:1 (Wal.Thread_create { tid = 5 }) in
   checkb "increasing" true (l1 < l2 && l2 < l3)
 
-let test_entries_for_newest_first () =
+let test_squash_newest_first () =
   let w = Wal.create () in
   ignore (Wal.append w ~order:0 (Wal.Alloc { addr = 1; size = 1 }));
   ignore (Wal.append w ~order:1 (Wal.Alloc { addr = 2; size = 1 }));
   ignore (Wal.append w ~order:1 (Wal.Alloc { addr = 3; size = 1 }));
   ignore (Wal.append w ~order:2 (Wal.Alloc { addr = 4; size = 1 }));
-  let entries = Wal.entries_for w ~orders:(fun o -> o = 1) in
+  let entries = Wal.squash w [ 1 ] in
   check "two entries" 2 (List.length entries);
   match entries with
   | [ a; b ] ->
     checkb "newest first" true (a.Wal.lsn > b.Wal.lsn)
   | _ -> Alcotest.fail "unexpected shape"
 
-let test_drop_for () =
+let test_squash () =
   let w = Wal.create () in
   for i = 0 to 9 do
     ignore (Wal.append w ~order:(i mod 3) (Wal.Rol_insert { sub = i }))
   done;
-  check "dropped order-1 entries" 3 (Wal.drop_for w ~orders:(fun o -> o = 1));
-  check "rest live" 7 (Wal.size w)
+  check "dropped order-1 entries" 3 (List.length (Wal.squash w [ 1 ]));
+  check "rest live" 7 (Wal.size w);
+  (* Orders with no live entries, inside the span or past it, drop
+     nothing. *)
+  check "nothing left of order 1" 0 (List.length (Wal.squash w [ 1; 7 ]));
+  check "still live" 7 (Wal.size w)
 
 let test_prune_below () =
   let w = Wal.create () in
@@ -67,7 +71,7 @@ let test_armed_matches_unarmed () =
       ignore (Wal.append w ~at:(10 * i) ~order:(order i) (op i))
     done;
     ignore (Wal.prune_below w ~order:1);
-    ignore (Wal.drop_for w ~orders:(fun o -> o = 3));
+    ignore (Wal.squash w [ 3 ]);
     for i = 12 to 15 do
       ignore (Wal.append w ~at:(10 * i) ~order:(order i) (op i))
     done;
@@ -161,8 +165,8 @@ let test_undo_keys () =
 let suite =
   [
     Alcotest.test_case "lsn monotonic" `Quick test_lsn_monotonic;
-    Alcotest.test_case "entries_for newest first" `Quick test_entries_for_newest_first;
-    Alcotest.test_case "drop_for" `Quick test_drop_for;
+    Alcotest.test_case "squash returns newest first" `Quick test_squash_newest_first;
+    Alcotest.test_case "squash" `Quick test_squash;
     Alcotest.test_case "prune_below" `Quick test_prune_below;
     Alcotest.test_case "all oldest first" `Quick test_all_oldest_first;
     Alcotest.test_case "armed image matches unarmed" `Quick test_armed_matches_unarmed;
