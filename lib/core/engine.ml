@@ -99,8 +99,17 @@ type eng = {
   rol : Rol.t;
   wal : Wal.t;
   mutable next_sub_id : int;
-  pool : Subthread.pool;  (* recycled sub-thread records (saved + undo) *)
+  pool : Subthread.pool;  (* recycled sub-thread records *)
   cur_sub : Subthread.t option Tidtab.t;  (* tid -> current sub-thread *)
+  (* tid -> the thread's history buffer: one copy-on-write undo log per
+     thread, marked at each of its sub-threads' starts. The buffer of an
+     exited thread goes to [spare_journals] when its last sub-thread
+     retires. *)
+  journals : Exec.Undo_log.t option Tidtab.t;
+  mutable spare_journals : Exec.Undo_log.t list;
+  (* Id of the sub-thread whose epoch the armed undo hook
+     ([Exec.State.current_undo]) records, or -1 when disarmed. *)
+  mutable undo_owner : int;
   pending_delay : int Tidtab.t;  (* tid -> cycles owed at next dispatch *)
   queued : bool Tidtab.t;
   destroyed : bool Tidtab.t;  (* tids removed by recovery *)
@@ -178,8 +187,9 @@ let append eng ~order op =
    pending event, per-context assignments. Durable: the serialized WAL,
    the architectural state in [d_st] (memory words, atomics, file
    contents, TCBs), the history-buffer checkpoints of the in-flight
-   sub-threads (their [saved] registers and copy-on-write undo logs live
-   on stable storage until replaced, §3.2), the order-enforcer rotation
+   sub-threads (their [saved] registers, and the per-thread copy-on-write
+   undo logs their positions index, live on stable storage until
+   replaced, §3.2), the order-enforcer rotation
    (part of the checkpoint's active-order table), the revoked-context and
    destroyed-thread maps, and the injector stream position. *)
 type crash_dump = {
@@ -188,6 +198,7 @@ type crash_dump = {
   d_image : string;  (* serialized WAL at the instant of the crash *)
   d_cycle : int;
   d_subs : Subthread.t list;  (* in-flight sub-threads, oldest first *)
+  d_journals : Exec.Undo_log.t option Tidtab.t;
   d_destroyed : bool Tidtab.t;
   d_order : Order.t;
   d_injector : Faults.Injector.t;
@@ -205,6 +216,7 @@ let capture eng =
     d_image = Option.value ~default:"" (Wal.stable_image eng.wal);
     d_cycle = now eng;
     d_subs = Rol.to_list eng.rol;
+    d_journals = eng.journals;
     d_destroyed = eng.destroyed;
     d_order = eng.order;
     d_injector = eng.injector;
@@ -238,6 +250,36 @@ let cur_sub eng tid =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Gprs: thread %d has no current sub" tid)
 
+(* The thread's history buffer, taken from the spares on first use; the
+   table's [Some] cell is what the undo hook holds, so arming it
+   allocates nothing. *)
+let journal_cell eng tid =
+  match Tidtab.get eng.journals tid with
+  | Some _ as cell -> cell
+  | None ->
+    let cell =
+      match eng.spare_journals with
+      | j :: rest ->
+        eng.spare_journals <- rest;
+        Some j
+      | [] -> Some (Exec.Undo_log.create ())
+    in
+    Tidtab.set eng.journals tid cell;
+    cell
+
+let journal eng tid = Option.get (journal_cell eng tid)
+
+(* Point the tracked-write hook at [sub]'s epoch: its thread's buffer,
+   whose newest mark is [sub]'s while [sub] is the thread's current
+   sub-thread. *)
+let arm_undo eng (sub : Subthread.t) =
+  eng.st.Exec.State.current_undo <- journal_cell eng sub.Subthread.tid;
+  eng.undo_owner <- sub.Subthread.id
+
+let disarm_undo eng =
+  eng.st.Exec.State.current_undo <- None;
+  eng.undo_owner <- -1
+
 (* Cost of generating a sub-thread: token handling, generation, register
    checkpoint, ROL insertion and the WAL appends — the paper's t_g. *)
 let boundary_cost eng =
@@ -251,6 +293,7 @@ let new_sub eng (tcb : Vm.Tcb.t) =
   let sub =
     Subthread.acquire eng.pool ~id ~tid:tcb.Vm.Tcb.tid ~now:(now eng) ~tcb
   in
+  sub.Subthread.undo_at <- Exec.Undo_log.mark (journal eng tcb.Vm.Tcb.tid);
   (* The checkpoint may sit inside critical sections: record the held
      mutexes so a restore re-grants them. The TCB maintains its held set
      incrementally at every holder transition (descending index order,
@@ -276,9 +319,7 @@ let release_sub eng (sub : Subthread.t) =
   (match Tidtab.get eng.cur_sub sub.Subthread.tid with
   | Some s when s == sub -> Tidtab.set eng.cur_sub sub.Subthread.tid None
   | Some _ | None -> ());
-  (match eng.st.Exec.State.current_undo with
-  | Some u when u == sub.Subthread.undo -> eng.st.Exec.State.current_undo <- None
-  | Some _ | None -> ());
+  if eng.undo_owner = sub.Subthread.id then disarm_undo eng;
   Subthread.release eng.pool sub
 
 let add_delay eng tid d =
@@ -358,8 +399,7 @@ let grant eng tid =
   (match instr with
   | Vm.Isa.Exit -> ()
   | _ ->
-    let sub = new_sub eng tcb in
-    st.Exec.State.current_undo <- Some sub.Subthread.undo;
+    arm_undo eng (new_sub eng tcb);
     add_delay eng tid (boundary_cost eng);
     tcb.Vm.Tcb.pc <- tcb.Vm.Tcb.pc + 1);
   tcb.Vm.Tcb.wait <- Vm.Tcb.Runnable;
@@ -515,8 +555,8 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
   let t0 = now eng in
   eng.io_tid <- tid;
   (match cur_sub_opt eng tid with
-  | Some sub -> st.Exec.State.current_undo <- Some sub.Subthread.undo
-  | None -> st.Exec.State.current_undo <- None);
+  | Some sub -> arm_undo eng sub
+  | None -> disarm_undo eng);
   let pr = Exec.Fuse.fetch tcb in
   let instr = pr.Vm.Block.p_instr and ctrl = pr.Vm.Block.p_ctrl in
   incr eng.instrs;
@@ -526,8 +566,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
      one lazily so its writes stay squashable. *)
   let ensure_sub () =
     if cur_sub_opt eng tid = None then begin
-      let sub = new_sub eng tcb in
-      st.Exec.State.current_undo <- Some sub.Subthread.undo;
+      arm_undo eng (new_sub eng tcb);
       add_delay eng tid (boundary_cost eng - eng.cfg.costs.Vm.Costs.token_pass);
       Sim.Stats.bump eng.ctrs.restart_subs
     end
@@ -798,6 +837,19 @@ let retire eng =
             if Vm.Mem.block_size st.Exec.State.mem a = Some size then
               Vm.Mem.free st.Exec.State.mem a)
           sub.Subthread.freed_blocks;
+        (* The thread's buffer forgets the spans of its sub-threads
+           retired before this one; a thread's last sub-thread (it
+           exited) hands the whole buffer back to the spares. *)
+        (let tid = sub.Subthread.tid in
+         match Tidtab.get eng.journals tid with
+         | None -> ()
+         | Some j -> (
+           match cur_sub_opt eng tid with
+           | Some c when c == sub ->
+             Exec.Undo_log.reset j;
+             Tidtab.set eng.journals tid None;
+             eng.spare_journals <- j :: eng.spare_journals
+           | Some _ | None -> Exec.Undo_log.drop_before j sub.Subthread.undo_at));
         (* Retirement drops the last internal reference (the ROL slot);
            the record can go back to the pool. *)
         release_sub eng sub)
@@ -934,16 +986,18 @@ let rollback eng ~losers ~ops ~restores =
   let st = eng.st in
   (* Undo architectural state newest-sub first. For conflicting memory
      accesses in a race-free program, sub-thread order agrees with
-     chronology, so per-sub copy-on-write replay is sound. *)
+     chronology, so per-sub copy-on-write replay is sound. A thread's
+     losers are a suffix of its sub-threads, so each replay is the
+     suffix of its thread's buffer from the loser's mark. *)
   let words = ref 0 in
   List.iter
     (fun (s : Subthread.t) ->
       s.Subthread.status <- Subthread.Squashed;
       words :=
         !words
-        + Exec.Undo_log.replay ~mem:st.Exec.State.mem
+        + Exec.Undo_log.replay_from ~mem:st.Exec.State.mem
             ~atomics:st.Exec.State.atomics ~io:st.Exec.State.io
-            s.Subthread.undo)
+            (journal eng s.Subthread.tid) ~from:s.Subthread.undo_at)
     (List.sort
        (fun (a : Subthread.t) b -> compare b.Subthread.id a.Subthread.id)
        losers);
@@ -1311,8 +1365,8 @@ let finalize eng ~dnc =
   end;
   Exec.State.mk_result st ~dnc
 
-let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable
-    ~ring =
+let mk_eng cfg st ~order ~injector ~destroyed ~journals ~dead_ctx ~next_sub_id
+    ~stable ~ring =
   {
     cfg;
     st;
@@ -1328,6 +1382,9 @@ let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable
     next_sub_id;
     pool = Subthread.pool_create ~reuse:(not cfg.reference) ();
     cur_sub = Tidtab.create None;
+    journals;
+    spare_journals = [];
+    undo_owner = -1;
     pending_delay = Tidtab.create 0;
     queued = Tidtab.create false;
     destroyed;
@@ -1446,7 +1503,8 @@ let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
   st.Exec.State.on_io_grow <- None;
   let eng =
     mk_eng cfg st ~order:d.d_order ~injector:d.d_injector
-      ~destroyed:d.d_destroyed ~dead_ctx:d.d_dead_ctx ~next_sub_id:next_sub
+      ~destroyed:d.d_destroyed ~journals:d.d_journals ~dead_ctx:d.d_dead_ctx
+      ~next_sub_id:next_sub
       ~stable:cfg.wal_stable ~ring:d.d_ring
   in
   install_hooks eng;
@@ -1507,7 +1565,7 @@ let run ?lint:(`Off = `Off) ?wal_out ?blocks ?events cfg program =
       ~injector:
         (Faults.Injector.create cfg.injector ~n_contexts:cfg.n_contexts
            ~cycles_per_second:cfg.costs.Vm.Costs.cycles_per_second)
-      ~destroyed:(Tidtab.create false)
+      ~destroyed:(Tidtab.create false) ~journals:(Tidtab.create None)
       ~dead_ctx:(Array.make cfg.n_contexts false)
       ~next_sub_id:0 ~stable
       ~ring:(match events with Some r -> r | None -> default_ring ())

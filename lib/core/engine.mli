@@ -90,7 +90,8 @@ val default_config : config
     serialized WAL image, the architectural state (memory words,
     atomics, files, TCBs — protected by the history buffers of in-flight
     sub-threads), those in-flight sub-threads' history-buffer checkpoints
-    and undo logs, the ordering state, and the fault injector's stream.
+    and the per-thread undo logs they index, the ordering state, and the
+    fault injector's stream.
     {!cold_restart} rebuilds a running engine from those remains after
     {!Recovery} has performed ARIES analysis/redo planning over the WAL
     image. *)

@@ -21,7 +21,7 @@ type t = {
   mutable global_dep : bool;
   saved : Vm.Tcb.saved;
   mutable held_locks : int list;
-  undo : Exec.Undo_log.t;
+  mutable undo_at : int;
   mutable forked : int list;
   mutable pending_mutex : int option;
   mutable freed_blocks : (int * int) list;
@@ -61,7 +61,7 @@ let make ~id ~tid ~now ~saved =
     global_dep = false;
     saved;
     held_locks = [];
-    undo = Exec.Undo_log.create ();
+    undo_at = 0;
     forked = [];
     pending_mutex = None;
     freed_blocks = [];
@@ -175,13 +175,12 @@ let release p sub =
   p.live <- p.live - 1;
   if p.reuse then begin
     (* Scrub at release, not acquire: a parked record must reference
-       nothing from its previous life (undo pre-images, freed blocks,
-       forked tids), so squashed state can never be resurrected through
-       the pool. *)
+       nothing from its previous life (freed blocks, forked tids), so
+       squashed state can never be resurrected through the pool. *)
     clear_aliases sub;
     sub.global_dep <- false;
     sub.held_locks <- [];
-    Exec.Undo_log.reset sub.undo;
+    sub.undo_at <- 0;
     sub.forked <- [];
     sub.pending_mutex <- None;
     sub.freed_blocks <- [];

@@ -5,8 +5,11 @@
 
     - a checkpoint of its thread's restartable state taken at its start
       (registers, pc — the paper's "call stack and processor registers");
-    - a copy-on-write undo log of every architectural write it performs
-      (the mod-set state in the history buffer);
+    - the position in its thread's history buffer where its mod-set
+      starts ([undo_at]): one copy-on-write {!Exec.Undo_log} per thread,
+      owned by the engine, holds the pre-image of every architectural
+      write, and a sub-thread's span runs from its mark to the next
+      sub-thread's of the same thread;
     - the {e aliases} of the shared data it touched: the dynamic identity
       of locks acquired, atomic variables accessed, condition variables,
       barriers and thread join/exit edges. Aliases drive selective
@@ -19,8 +22,7 @@
     The [id] doubles as the sub-thread's position in the deterministic
     total order: ids are allocated in token-grant order.
 
-    Sub-thread records (with their [saved] register buffer and undo log)
-    are pooled: {!acquire} recycles a record retired or squashed earlier
+    Sub-thread records (with their [saved] register buffer) are pooled: {!acquire} recycles a record retired or squashed earlier
     in the run instead of heap-allocating one per boundary — the host-side
     analogue of keeping the paper's per-boundary generation cost t_g
     small. A reference run ([Engine.config.reference]) creates its pool
@@ -57,7 +59,10 @@ type t = {
           taken (a checkpoint can sit inside a critical section — e.g. a
           cond_wait boundary), sorted by descending index. Restoring the
           checkpoint must re-grant them, not release them. *)
-  undo : Exec.Undo_log.t;
+  mutable undo_at : int;
+      (** position of this sub-thread's epoch in its thread's history
+          buffer ({!Exec.Undo_log.mark}); squashing replays the buffer
+          from here, retiring forgets what lies before it *)
   mutable forked : int list;  (** tids of threads this sub-thread created *)
   mutable pending_mutex : int option;
       (** set when the checkpoint was taken while the thread was queued to
@@ -115,10 +120,10 @@ val acquire :
 
 val release : pool -> t -> unit
 (** Return a retired or squashed record to the pool. The record is
-    scrubbed immediately — alias bits, undo log, freed blocks, fork and
-    lock lists — so no squashed state can survive into its next life.
-    The caller must have dropped every external reference (ROL slot,
-    current-sub table, [current_undo]). *)
+    scrubbed immediately — alias bits, history-buffer position, freed
+    blocks, fork and lock lists — so no squashed state can survive into
+    its next life. The caller must have dropped every external reference
+    (ROL slot, current-sub table, the armed undo hook). *)
 
 val pool_stats : pool -> int * int * int
 (** [(hits, misses, live high-water)] — recycled vs allocated acquires

@@ -45,6 +45,13 @@ type snapshot = {
   image : Vm.Mem.image;
   n_threads : int;
   live_threads : int;
+  live : int array;
+      (** tids of the threads not [Done] at the snapshot, ascending. A
+          [Done] thread's TCB, wait, joiners, barrier counters and work
+          cannot change while this snapshot is retained (only a restore
+          to an older snapshot revives it, and that drops this one), so
+          the per-thread arrays below hold the [live] threads only, in
+          [live] order. *)
   tcbs : Vm.Tcb.saved array;
   waits : Vm.Tcb.wait array;
   joiners : int list array;
@@ -72,7 +79,7 @@ type mode = Normal | Quiescing | Recording | Restoring
 type hooks = {
   mutable alarm_time : int;
   mutable next_report_time : int;
-  mutable work_done : int Exec.Tidtab.t;
+  work_done : int Exec.Tidtab.t;
 }
 
 type eng = {
@@ -116,16 +123,28 @@ let take_snapshot eng =
   let image = grab_image eng in
   let copied = Vm.Mem.capture st.Exec.State.mem image in
   Sim.Stats.add st.Exec.State.stats "cpr.snap_words_copied" copied;
+  let live =
+    let tids = Array.make n 0 and k = ref 0 in
+    for tid = 0 to n - 1 do
+      if st.Exec.State.threads.(tid).Vm.Tcb.wait <> Vm.Tcb.Done then begin
+        tids.(!k) <- tid;
+        incr k
+      end
+    done;
+    Array.sub tids 0 !k
+  in
+  let thread k = st.Exec.State.threads.(live.(k)) in
+  let per_live f = Array.init (Array.length live) (fun k -> f (thread k)) in
   {
     taken_at = now eng;
     image;
     n_threads = n;
     live_threads = st.Exec.State.live_threads;
-    tcbs = Array.init n (fun i -> Vm.Tcb.copy_state st.Exec.State.threads.(i));
-    waits = Array.init n (fun i -> st.Exec.State.threads.(i).Vm.Tcb.wait);
-    joiners = Array.init n (fun i -> st.Exec.State.threads.(i).Vm.Tcb.joiners);
-    barrier_done =
-      Array.init n (fun i -> Array.copy st.Exec.State.threads.(i).Vm.Tcb.barrier_done);
+    live;
+    tcbs = per_live Vm.Tcb.copy_state;
+    waits = per_live (fun t -> t.Vm.Tcb.wait);
+    joiners = per_live (fun t -> t.Vm.Tcb.joiners);
+    barrier_done = per_live (fun t -> Array.copy t.Vm.Tcb.barrier_done);
     mutex_state =
       Array.map
         (fun (m : Exec.State.mutex) -> (m.Exec.State.holder, m.Exec.State.mwaiters))
@@ -135,21 +154,28 @@ let take_snapshot eng =
     barrier_state =
       Array.map (fun (b : Exec.State.barrier) -> b.Exec.State.arrived) st.Exec.State.barriers;
     alloc = Vm.Mem.alloc_parts st.Exec.State.mem;
-    work_done = Array.init n (Exec.Tidtab.get eng.hk.work_done);
+    work_done = Array.map (Exec.Tidtab.get eng.hk.work_done) live;
   }
 
 let restore_snapshot eng snap =
   let st = eng.st in
+  (* Threads created since the snapshot are gone: their work restarts
+     from 0 when their tids are spawned again. *)
+  for tid = snap.n_threads to st.Exec.State.n_threads - 1 do
+    Exec.Tidtab.set eng.hk.work_done tid 0
+  done;
   st.Exec.State.n_threads <- snap.n_threads;
   st.Exec.State.live_threads <- snap.live_threads;
-  for i = 0 to snap.n_threads - 1 do
-    let tcb = st.Exec.State.threads.(i) in
-    Vm.Tcb.restore_state tcb snap.tcbs.(i);
-    tcb.Vm.Tcb.wait <- snap.waits.(i);
-    tcb.Vm.Tcb.joiners <- snap.joiners.(i);
-    Array.blit snap.barrier_done.(i) 0 tcb.Vm.Tcb.barrier_done 0
-      (Array.length tcb.Vm.Tcb.barrier_done)
-  done;
+  Array.iteri
+    (fun k tid ->
+      let tcb = st.Exec.State.threads.(tid) in
+      Vm.Tcb.restore_state tcb snap.tcbs.(k);
+      tcb.Vm.Tcb.wait <- snap.waits.(k);
+      tcb.Vm.Tcb.joiners <- snap.joiners.(k);
+      Array.blit snap.barrier_done.(k) 0 tcb.Vm.Tcb.barrier_done 0
+        (Array.length tcb.Vm.Tcb.barrier_done);
+      Exec.Tidtab.set eng.hk.work_done tid snap.work_done.(k))
+    snap.live;
   (* The holder map is restored wholesale, so rebuild the TCBs'
      incremental held-mutex sets rather than replaying transitions. *)
   for i = 0 to snap.n_threads - 1 do
@@ -173,10 +199,7 @@ let restore_snapshot eng snap =
   let copied = Vm.Mem.restore_image st.Exec.State.mem snap.image in
   Sim.Stats.add st.Exec.State.stats "cpr.snap_words_uncopied" copied;
   let brk, free, used = snap.alloc in
-  Vm.Mem.restore_alloc_parts st.Exec.State.mem ~brk ~free ~used;
-  let work = Exec.Tidtab.create 0 in
-  Array.iteri (Exec.Tidtab.set work) snap.work_done;
-  eng.hk.work_done <- work
+  Vm.Mem.restore_alloc_parts st.Exec.State.mem ~brk ~free ~used
 
 let all_ctx_idle eng = Array.for_all Option.is_none (Exec.Baseline.ctx_of eng.core)
 
@@ -233,9 +256,11 @@ let progressed_enough eng =
        real stride — otherwise the commit would bank nothing yet reset
        the livelock detector. *)
     let all_ok = ref true and any_stride = ref false in
-    for tid = 0 to last.n_threads - 1 do
+    (* Threads [Done] at the last checkpoint have not moved since. *)
+    for k = 0 to Array.length last.live - 1 do
+      let tid = last.live.(k) in
       let tcb = Exec.State.thread eng.st tid in
-      let before = if tid < Array.length last.work_done then last.work_done.(tid) else 0 in
+      let before = last.work_done.(k) in
       let now_w = Exec.Tidtab.get eng.hk.work_done tid in
       let delta = now_w - before in
       if delta >= threshold then any_stride := true;
@@ -268,8 +293,12 @@ let commit_checkpoint eng =
   | s1 :: dropped ->
     List.iter (fun s -> eng.image_pool <- s.image :: eng.image_pool) dropped;
     eng.snaps <- [ snap; s1 ];
-    eng.prev_log <- eng.cur_log);
-  eng.cur_log <- Exec.Undo_log.create ~paged:st.Exec.State.mem ();
+    let dropped_log = eng.prev_log in
+    eng.prev_log <- eng.cur_log;
+    eng.cur_log <- dropped_log);
+  (* The capture advanced the memory's dirty epoch: the interval log
+     starts afresh, reusing the dropped log's capacity. *)
+  Exec.Undo_log.reset eng.cur_log;
   st.Exec.State.current_undo <- Some eng.cur_log;
   (* A rollback only resets the livelock counter when the program has
      banked genuinely new progress, which a gated commit certifies. *)

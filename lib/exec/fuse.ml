@@ -19,7 +19,7 @@ let run_chain (type ev) (st : ev State.t) (tcb : Vm.Tcb.t) ~instrs ~horizon
   let vnow = ref vstart in
   let fused = ref 0 in
   let stop = ref false in
-  let info = State.decode_of st proc in
+  let info = Vm.Block.proc_info st.State.blocks proc in
   (* One interpreted probe/commit iteration: the guard-deopt fallback,
      and the step for a pc with no entry cell. *)
   let interpret_one () =

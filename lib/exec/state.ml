@@ -24,7 +24,6 @@ type 'ev t = {
   tsan : Tsan.t option;
   mutable envs : Vm.Env.t option array;
   mutable cursor : Vm.Block.cursor option;
-  mutable last_decode : (Vm.Isa.proc * Vm.Block.proc_blocks) option;
 }
 
 and mutex = { mutable holder : int option; mutable mwaiters : Fifo.t }
@@ -107,7 +106,6 @@ let create ?blocks ~reference ~program ~costs ~n_contexts ~seed () =
        else None);
     envs = Array.make 16 None;
     cursor = None;
-    last_decode = None;
   }
 
 let thread t tid =
@@ -257,17 +255,6 @@ let cursor t (tcb : Vm.Tcb.t) =
     in
     t.cursor <- Some cu;
     cu
-
-(* Per-proc fused-block decode with a one-entry memo: consecutive hops
-   overwhelmingly stay in one proc, so the common case skips the
-   name-keyed hashtable lookup. *)
-let decode_of t (proc : Vm.Isa.proc) =
-  match t.last_decode with
-  | Some (p, info) when p == proc -> info
-  | _ ->
-    let info = Vm.Block.proc_info t.blocks proc in
-    t.last_decode <- Some (proc, info);
-    info
 
 let read_atomic t v = t.atomics.(v)
 

@@ -9,8 +9,8 @@
 
     The [current_undo] slot is the hook through which tracked writes
     capture pre-images: the CPR engine points it at the epoch log, the
-    GPRS engine repoints it at each sub-thread's log, and the baseline
-    leaves it empty. *)
+    GPRS engine repoints it at the running sub-thread's thread's history
+    buffer, and the baseline leaves it empty. *)
 
 type 'ev t = {
   program : Vm.Isa.program;
@@ -51,8 +51,6 @@ type 'ev t = {
       (** per-tid memoized tracked envs (see {!env_of}); grows *)
   mutable cursor : Vm.Block.cursor option;
       (** lazily created trace-compiler cursor (see {!cursor}) *)
-  mutable last_decode : (Vm.Isa.proc * Vm.Block.proc_blocks) option;
-      (** one-entry per-proc decode memo (see {!decode_of}) *)
 }
 
 and mutex = { mutable holder : int option; mutable mwaiters : Fifo.t }
@@ -100,9 +98,6 @@ val cursor : 'ev t -> Vm.Tcb.t -> Vm.Block.cursor
 (** The state's trace-compiler cursor, retargeted at [tcb] (TCB + cached
     env installed; the caller seeds clock, horizon and accumulators).
     Allocated once per state. *)
-
-val decode_of : 'ev t -> Vm.Isa.proc -> Vm.Block.proc_blocks
-(** {!Vm.Block.proc_info} with a one-entry physical-equality memo. *)
 
 val take_acc_cost : 'ev t -> int
 (** Drain the accrued tracked-access cost (reset to 0). *)

@@ -30,18 +30,22 @@ let decode code =
   | _ -> K_file_len (code asr 2)
 
 type t = {
-  (* Open-addressed set of the encoded keys noted in this epoch: slot [i]
-     is occupied iff [stamps.(i) = gen], so [reset] is one increment.
-     Linear probing, kept at most half full. Allocated at the first
-     entry, so a paged log that only ever sees memory keys allocates
-     none of it. *)
+  (* Open-addressed set of the encoded keys noted in the open epoch: slot
+     [i] is occupied iff [stamps.(i) = gen], so opening an epoch is one
+     increment. Linear probing, kept at most half full ([set_count]
+     keys). Allocated at the first entry, so a paged log that only ever
+     sees memory keys allocates none of it. *)
   mutable set_keys : int array;
   mutable stamps : int array;
   mutable gen : int;
   mutable shift : int;  (* Sys.int_size - log2 (Array.length set_keys) *)
-  (* (key, pre-image) pairs, oldest first; [n] in use. *)
+  mutable set_count : int;
+  (* (key, pre-image) pairs, oldest first. Live entries sit at indices
+     [lo, n); index [i] holds absolute position [base + i]. *)
   mutable codes : int array;
   mutable olds : int array;
+  mutable base : int;
+  mutable lo : int;
   mutable n : int;
   (* When [paged] is set, memory keys are not materialized as entries:
      first-writes are detected through the memory's per-word dirty epoch
@@ -58,8 +62,11 @@ let create ?paged () =
     stamps = [||];
     gen = 1;
     shift = Sys.int_size;
+    set_count = 0;
     codes = [||];
     olds = [||];
+    base = 0;
+    lo = 0;
     n = 0;
     paged;
     mem_touches = 0;
@@ -78,34 +85,51 @@ let insert t code i =
   t.set_keys.(i) <- code;
   t.stamps.(i) <- t.gen
 
-(* Double the entry arrays and rebuild the set at twice their size: it
-   holds exactly the [n] entry keys, so it stays at most half full. *)
-let grow t =
-  let cap = Stdlib.max 8 (2 * Array.length t.codes) in
-  let codes = Array.make cap 0 and olds = Array.make cap 0 in
-  Array.blit t.codes 0 codes 0 t.n;
-  Array.blit t.olds 0 olds 0 t.n;
-  t.codes <- codes;
-  t.olds <- olds;
-  t.set_keys <- Array.make (2 * cap) 0;
-  t.stamps <- Array.make (2 * cap) 0;
-  let bits = ref 0 in
-  while 1 lsl !bits < 2 * cap do
-    incr bits
-  done;
-  t.shift <- Sys.int_size - !bits;
-  for j = 0 to t.n - 1 do
-    let c = codes.(j) in
-    insert t c (probe t c (slot t c))
+(* Double the set and rehash the open epoch's keys from the old table
+   (not from the entries: a dropped prefix may hold some of them). *)
+let grow_set t =
+  let old_keys = t.set_keys and old_stamps = t.stamps and gen = t.gen in
+  let size = Stdlib.max 16 (2 * Array.length old_keys) in
+  t.set_keys <- Array.make size 0;
+  t.stamps <- Array.make size 0;
+  t.shift <- t.shift - (if Array.length old_keys = 0 then 4 else 1);
+  for i = 0 to Array.length old_keys - 1 do
+    if old_stamps.(i) = gen then begin
+      let c = old_keys.(i) in
+      insert t c (probe t c (slot t c))
+    end
   done
+
+(* Make room for one entry at index [n]: slide the live entries down
+   when the dropped prefix frees at least half the arrays, else double
+   them. *)
+let make_room t =
+  let cap = Array.length t.codes and live = t.n - t.lo in
+  if t.lo > 0 && 2 * live <= cap then begin
+    Array.blit t.codes t.lo t.codes 0 live;
+    Array.blit t.olds t.lo t.olds 0 live
+  end
+  else begin
+    let cap = Stdlib.max 8 (2 * cap) in
+    let codes = Array.make cap 0 and olds = Array.make cap 0 in
+    Array.blit t.codes t.lo codes 0 live;
+    Array.blit t.olds t.lo olds 0 live;
+    t.codes <- codes;
+    t.olds <- olds
+  end;
+  t.base <- t.base + t.lo;
+  t.lo <- 0;
+  t.n <- live
 
 let note_entry t key ~old =
   let code = encode key in
-  if t.n = Array.length t.codes then grow t;
+  if 2 * (t.set_count + 1) > Array.length t.set_keys then grow_set t;
   let i = probe t code (slot t code) in
   if i < 0 then false
   else begin
     insert t code i;
+    t.set_count <- t.set_count + 1;
+    if t.n = Array.length t.codes then make_room t;
     t.codes.(t.n) <- code;
     t.olds.(t.n) <- old;
     t.n <- t.n + 1;
@@ -122,20 +146,38 @@ let note t key ~old =
     else false
   | _ -> note_entry t key ~old
 
+let open_epoch t =
+  t.gen <- t.gen + 1;
+  t.set_count <- 0
+
+let position t = t.base + t.n
+
+let mark t =
+  open_epoch t;
+  position t
+
 (* O(1): bumping the generation empties the set; the arrays keep their
    capacity, so a recycled log does not re-pay its growth. *)
 let reset t =
-  t.gen <- t.gen + 1;
+  open_epoch t;
+  t.base <- t.base + t.n;
+  t.lo <- 0;
   t.n <- 0;
   t.mem_touches <- 0
 
-let size t = t.mem_touches + t.n
-let is_empty t = t.mem_touches = 0 && t.n = 0
+let size t = t.mem_touches + (t.n - t.lo)
+let is_empty t = t.mem_touches = 0 && t.n = t.lo
 
-let replay ~mem ~atomics ~io t =
-  let total = size t in
+let check_pos t fn pos =
+  if pos < t.base + t.lo || pos > position t then
+    invalid_arg (Printf.sprintf "Undo_log.%s: position %d outside the log" fn pos)
+
+let replay_from ~mem ~atomics ~io t ~from =
+  check_pos t "replay_from" from;
+  let stop = from - t.base in
+  let undone = t.n - stop in
   (* Newest first, so the oldest pre-image of a location lands last. *)
-  for j = t.n - 1 downto 0 do
+  for j = t.n - 1 downto stop do
     let old = t.olds.(j) in
     match decode t.codes.(j) with
     | K_mem a -> Vm.Mem.write mem a old
@@ -143,7 +185,18 @@ let replay ~mem ~atomics ~io t =
     | K_file (f, off) -> Vm.Io.write io f ~off old
     | K_file_len f -> Vm.Io.truncate io f old
   done;
-  reset t;
-  total
+  t.n <- stop;
+  open_epoch t;
+  undone
 
-let keys t = List.init t.n (fun j -> decode t.codes.(t.n - 1 - j))
+let replay ~mem ~atomics ~io t =
+  let touches = t.mem_touches in
+  let undone = replay_from ~mem ~atomics ~io t ~from:(t.base + t.lo) in
+  reset t;
+  touches + undone
+
+let drop_before t pos =
+  check_pos t "drop_before" pos;
+  t.lo <- pos - t.base
+
+let keys t = List.init (t.n - t.lo) (fun j -> decode t.codes.(t.n - 1 - j))

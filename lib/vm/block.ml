@@ -119,7 +119,10 @@ type proc_blocks = {
   n_compiled : int;
 }
 
-type t = (string, proc_blocks) Hashtbl.t
+(* The analyzed procs in program order, beside their blocks: lookup is
+   by proc identity, a scan of a few pointers (programs have a handful
+   of procs), so a fused chain pays no string hash. *)
+type t = { procs : Isa.proc array; infos : proc_blocks array }
 
 (* Compile the superblock DAG for one proc: one cell per boundary pc,
    each cell's body a closure executing the control prefix (statically
@@ -220,19 +223,27 @@ let analyses () = Atomic.get analyze_count
 
 let analyze (p : Isa.program) : t =
   Atomic.incr analyze_count;
-  let t = Hashtbl.create (List.length p.Isa.procs) in
-  List.iter
-    (fun (name, proc) -> Hashtbl.replace t name (analyze_proc proc))
-    p.Isa.procs;
-  t
+  let procs = Array.of_list (List.map snd p.Isa.procs) in
+  { procs; infos = Array.map analyze_proc procs }
 
-let proc_info (t : t) (p : Isa.proc) =
-  match Hashtbl.find_opt t p.Isa.pname with
-  | Some info -> info
-  | None -> invalid_arg ("Block.proc_info: unknown proc " ^ p.Isa.pname)
+(* A proc equal by name but not identity (a second build of the same
+   program) falls back to the first proc of that name, as
+   [Isa.find_proc] resolves names. Top-level loops: a local closure
+   would be allocated on every fused chain. *)
+let rec by_name t (p : Isa.proc) i =
+  if i = Array.length t.procs then
+    invalid_arg ("Block.proc_info: unknown proc " ^ p.Isa.pname)
+  else if String.equal t.procs.(i).Isa.pname p.Isa.pname then t.infos.(i)
+  else by_name t p (i + 1)
 
-let n_compiled (t : t) =
-  Hashtbl.fold (fun _ info acc -> acc + info.n_compiled) t 0
+let rec by_identity t p i =
+  if i = Array.length t.procs then by_name t p 0
+  else if t.procs.(i) == p then t.infos.(i)
+  else by_identity t p (i + 1)
+
+let proc_info t p = by_identity t p 0
+
+let n_compiled t = Array.fold_left (fun acc info -> acc + info.n_compiled) 0 t.infos
 
 let trace_at info pc =
   if pc < 0 || pc >= Array.length info.cells then None

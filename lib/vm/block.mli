@@ -113,7 +113,9 @@ val analyses : unit -> int
     delta across its warm-dispatch phase. *)
 
 val proc_info : t -> Isa.proc -> proc_blocks
-(** Raises [Invalid_argument] for a proc not in the analyzed program. *)
+(** The blocks of [proc], found by identity among the analyzed procs (a
+    short pointer scan, no string hash), else by name. Raises
+    [Invalid_argument] for a proc not in the analyzed program. *)
 
 val n_compiled : t -> int
 (** Program-wide count of compiled superblock cells (the

@@ -6,8 +6,18 @@ type addr = int
 let page_bits = 6
 let page_words = 1 lsl page_bits
 
+(* The data array covers the words written so far, not the declared
+   size: it starts at [initial_words] (or the declared size, if smaller)
+   and grows by doubling to cover the highest word written; a word above
+   it reads 0. A program declares the heap it may need; a run pays for
+   the heap it uses. The start size spares small programs any growth
+   copies: every shipped workload but dedup and pbzip2 (which declare
+   65,536-word heaps and write a few thousand words) fits in it. *)
+let initial_words = 1 lsl 14
+
 type t = {
-  data : int array;
+  words : int;  (* declared size: addresses [0, words) are valid *)
+  mutable data : int array;
   mutable static_brk : int;
   (* Free blocks sorted by address; first-fit with splitting. *)
   mutable free_list : (addr * int) list;
@@ -20,15 +30,19 @@ type t = {
   page_epoch : int array;
   (* Per-word epoch of the last counted first-touch; see [touch]. Only
      the checkpointing engine's undo log touches, so the array is
-     allocated at the first [touch] ([[||]] until then). *)
+     allocated at the first [touch] ([[||]] until then), at [data]'s
+     start size, and grows like [data] to cover the highest word
+     touched. *)
   mutable word_epoch : int array;
 }
 
 let n_pages words = (words + page_words - 1) lsr page_bits
 
 let create ~words =
+  if words < 0 then invalid_arg "Mem.create: negative size";
   {
-    data = Array.make words 0;
+    words;
+    data = Array.make (Stdlib.min words initial_words) 0;
     static_brk = 0;
     free_list = [ (0, words) ];
     allocated = Hashtbl.create 64;
@@ -37,17 +51,37 @@ let create ~words =
     word_epoch = [||];
   }
 
-let words t = Array.length t.data
+let words t = t.words
 
-let read t a = t.data.(a)
+let out_of_range () = invalid_arg "index out of bounds"
+
+(* [arr] grown to cover address [a]: doubled from its length (at least
+   [initial_words]) until it does, capped at the declared size.
+   Addresses outside [0, words) raise as a flat array's bounds check
+   would. *)
+let cover t arr a =
+  if a < 0 || a >= t.words then out_of_range ();
+  let cap = ref (Stdlib.max initial_words (Array.length arr)) in
+  while !cap <= a do
+    cap := 2 * !cap
+  done;
+  let grown = Array.make (Stdlib.min !cap t.words) 0 in
+  Array.blit arr 0 grown 0 (Array.length arr);
+  grown
+
+let read t a =
+  if a < Array.length t.data then t.data.(a)
+  else if a < t.words then 0
+  else out_of_range ()
 
 let write t a v =
+  if a >= Array.length t.data then t.data <- cover t t.data a;
   t.data.(a) <- v;
   t.page_epoch.(a lsr page_bits) <- t.epoch
 
 let touch t a =
-  if Array.length t.word_epoch = 0 then
-    t.word_epoch <- Array.make (words t) 0;
+  if a >= Array.length t.word_epoch then
+    t.word_epoch <- cover t t.word_epoch a;
   if t.word_epoch.(a) < t.epoch then begin
     t.word_epoch.(a) <- t.epoch;
     true
@@ -74,7 +108,9 @@ let alloc_image t =
    image ([to_image] chooses the direction), re-stamping it with the
    current epoch when restoring; returns the number of words synced,
    zero pages included. A never-synced image has [synced_at = -1], so
-   every page is due. *)
+   every page is due. A stamped page was written or restored, so
+   [data] covers it whole (it grows in whole pages, or to the declared
+   size); restoring grows [data] over the pages it stamps. *)
 let sync_pages t img ~to_image =
   let total = words t in
   let synced = ref 0 in
@@ -92,6 +128,8 @@ let sync_pages t img ~to_image =
         else Array.blit t.data off page 0 len
       end
       else begin
+        if off + len > Array.length t.data then
+          t.data <- cover t t.data (off + len - 1);
         if page == zero_page then Array.fill t.data off len 0
         else Array.blit page 0 t.data off len;
         t.page_epoch.(p) <- t.epoch

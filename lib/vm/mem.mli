@@ -1,6 +1,8 @@
 (** Simulated shared memory with a deterministic word allocator.
 
-    Memory is a flat array of integer words. Workloads obtain regions
+    Memory is a flat array of integer words, sized to what a run writes:
+    it starts at 16,384 words (or the declared size, if smaller) and
+    doubles to cover the highest word written. Words above it read 0. Workloads obtain regions
     through {!alloc}/{!free} — the simulated runtime allocator whose
     operations GPRS logs in its write-ahead log — or through static
     reservations made by the program builder.
@@ -23,6 +25,8 @@ val create : words:int -> t
 
 val read : t -> addr -> int
 val write : t -> addr -> int -> unit
+(** [read] and [write] raise [Invalid_argument] outside [0, words), as a
+    flat array of [words] words would. *)
 
 val reserve : t -> int -> addr
 (** Static carve-out used by program setup (inputs, result areas); never
@@ -54,7 +58,8 @@ val touch : t -> addr -> bool
     exactly once per word per dirty-tracking epoch (epochs advance at
     {!capture}/{!restore_image}). Lets undo logs count unique dirtied
     words without materializing per-word entries. A memory that is never
-    touched allocates no per-word state. *)
+    touched allocates no per-word state; the per-word epochs grow like
+    the data words, to cover the highest word touched. *)
 
 type image
 (** A page-granular snapshot of the data words, dirty-tracked: every

@@ -739,6 +739,49 @@ let machine_state (mem, atomics, io) =
     Array.copy atomics,
     List.init 3 (Vm.Io.contents io) )
 
+(* One tracked write of kind [k] (memory word, atomic, file word,
+   file length) applied to both machines, its pre-images noted through
+   [note] first; [true] when every note agreed. *)
+let undo_write ~(note : Exec.Undo_log.key -> old:int -> rold:int -> bool)
+    (mem, atomics, io) (rmem, ratomics, rio) (k, a, x, v) =
+  match k with
+  | 0 ->
+    let ok = note (K_mem a) ~old:(Vm.Mem.read mem a) ~rold:(Vm.Mem.read rmem a) in
+    Vm.Mem.write mem a v;
+    Vm.Mem.write rmem a v;
+    ok
+  | 1 ->
+    let a = a mod 12 in
+    let ok = note (K_atomic a) ~old:atomics.(a) ~rold:ratomics.(a) in
+    atomics.(a) <- v;
+    ratomics.(a) <- v;
+    ok
+  | 2 ->
+    let f = a mod 3 and off = x in
+    let grow io =
+      let len = Vm.Io.size io f in
+      if off >= len then Some len else None
+    in
+    let ok_len =
+      match (grow io, grow rio) with
+      | Some len, Some rlen -> note (K_file_len f) ~old:len ~rold:rlen
+      | None, None -> true
+      | _ -> false
+    in
+    let ok =
+      note (K_file (f, off)) ~old:(Vm.Io.read io f ~off)
+        ~rold:(Vm.Io.read rio f ~off)
+    in
+    Vm.Io.write io f ~off v;
+    Vm.Io.write rio f ~off v;
+    ok_len && ok
+  | _ ->
+    let f = a mod 3 and len = x in
+    let ok = note (K_file_len f) ~old:(Vm.Io.size io f) ~rold:(Vm.Io.size rio f) in
+    Vm.Io.truncate io f len;
+    Vm.Io.truncate rio f len;
+    ok
+
 let prop_undo_log_model =
   case "undo log: flat log equals the Hashtbl reference model"
     Gen.(list_size (int_range 1 150) undo_op_gen)
@@ -761,42 +804,7 @@ let prop_undo_log_model =
         (fun op ->
           let ok =
             match op with
-            | U_write (0, a, _, v) ->
-              let ok = note (K_mem a) ~old:(Vm.Mem.read mem a) ~rold:(Vm.Mem.read rmem a) in
-              Vm.Mem.write mem a v;
-              Vm.Mem.write rmem a v;
-              ok
-            | U_write (1, a, _, v) ->
-              let a = a mod 12 in
-              let ok = note (K_atomic a) ~old:atomics.(a) ~rold:ratomics.(a) in
-              atomics.(a) <- v;
-              ratomics.(a) <- v;
-              ok
-            | U_write (2, f, off, v) ->
-              let f = f mod 3 in
-              let grow io =
-                let len = Vm.Io.size io f in
-                if off >= len then Some len else None
-              in
-              let ok_len =
-                match (grow io, grow rio) with
-                | Some len, Some rlen -> note (K_file_len f) ~old:len ~rold:rlen
-                | None, None -> true
-                | _ -> false
-              in
-              let ok =
-                note (K_file (f, off)) ~old:(Vm.Io.read io f ~off)
-                  ~rold:(Vm.Io.read rio f ~off)
-              in
-              Vm.Io.write io f ~off v;
-              Vm.Io.write rio f ~off v;
-              ok_len && ok
-            | U_write (_, f, len, _) ->
-              let f = f mod 3 in
-              let ok = note (K_file_len f) ~old:(Vm.Io.size io f) ~rold:(Vm.Io.size rio f) in
-              Vm.Io.truncate io f len;
-              Vm.Io.truncate rio f len;
-              ok
+            | U_write (k, a, x, v) -> undo_write ~note m rm (k, a, x, v)
             | U_bound (f, off) ->
               let key = Exec.Undo_log.K_file (f, off) in
               let in_range =
@@ -821,6 +829,174 @@ let prop_undo_log_model =
               Exec.Undo_log.reset log;
               Ref_models.Undo_log.reset rlog;
               true
+          in
+          ok && same ())
+        ops)
+
+(* --- Memory sized to the words written ---------------------------------- *)
+
+type grow_op =
+  | G_write of int * int
+  | G_read of int
+  | G_touch of int
+  | G_capture of int
+  | G_restore of int
+
+(* A memory declared well above its start size (with a short last page)
+   against a flat array: writes in bands below and above each doubling,
+   reads and first-touch tests anywhere, out-of-range addresses
+   included, and captures into and restores from two images while the
+   array grows. Values, raised [Invalid_argument]s and word counts must
+   agree at every step, and every word at the end. *)
+let prop_mem_growth_model =
+  let words = (1 lsl 16) + 100 in
+  let inside =
+    Gen.oneof
+      [
+        Gen.int_range 0 127;
+        Gen.int_range 16_300 16_500;
+        Gen.int_range 32_700 33_000;
+        Gen.int_range (words - 200) (words - 1);
+      ]
+  in
+  let any = Gen.(frequency [ (4, inside); (1, oneofl [ -1; -64; words; words + 1; max_int ]) ]) in
+  case ~count:100
+    "mem: grown memory equals a flat array (reads above the written words, bounds, images across growth)"
+    Gen.(
+      list_size (int_range 1 120)
+        (frequency
+           [
+             (5, map2 (fun a v -> G_write (a, v)) any (int_range 0 9999));
+             (3, map (fun a -> G_read a) any);
+             (2, map (fun a -> G_touch a) any);
+             (1, map (fun k -> G_capture k) (int_range 0 1));
+             (1, map (fun k -> G_restore k) (int_range 0 1));
+           ]))
+    (fun ops ->
+      let module R = Ref_models.Mem_image in
+      let m = Vm.Mem.create ~words and r = R.create ~words in
+      let touched = Array.make words 0 in
+      let imgs = Array.init 2 (fun _ -> Vm.Mem.alloc_image m) in
+      let rimgs = Array.init 2 (fun _ -> R.alloc_image r) in
+      (* Both return the same value, or both raise [Invalid_argument]. *)
+      let agree f g =
+        match f () with
+        | v -> ( match g () with w -> v = w | exception Invalid_argument _ -> false)
+        | exception Invalid_argument _ -> raises_invalid g
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | G_write (a, v) ->
+            agree (fun () -> Vm.Mem.write m a v) (fun () -> R.write r a v)
+          | G_read a -> agree (fun () -> Vm.Mem.read m a) (fun () -> R.read r a)
+          | G_touch a ->
+            agree
+              (fun () -> Vm.Mem.touch m a)
+              (fun () ->
+                if touched.(a) < r.R.epoch then begin
+                  touched.(a) <- r.R.epoch;
+                  true
+                end
+                else false)
+          | G_capture k -> Vm.Mem.capture m imgs.(k) = R.capture r rimgs.(k)
+          | G_restore k ->
+            Vm.Mem.restore_image m imgs.(k) = R.restore_image r rimgs.(k))
+        ops
+      && Array.init words (Vm.Mem.read m) = Array.init words (R.read r))
+
+(* --- Undo log as a per-thread history buffer -------------------------- *)
+
+type journal_op =
+  | J_write of int * int * int * int  (* as [U_write] *)
+  | J_mark
+  | J_replay of int  (* from the start of a kept epoch, picked mod their count *)
+  | J_drop of int  (* before the start of a kept epoch *)
+  | J_bad  (* a position outside the kept entries *)
+
+let journal_op_gen =
+  Gen.(
+    frequency
+      [
+        ( 10,
+          map
+            (fun (k, (a, (x, v))) -> J_write (k, a, x, v))
+            (pair (int_range 0 3)
+               (pair (int_range 0 15) (pair (int_range 0 11) (int_range 0 99))))
+        );
+        (3, return J_mark);
+        (1, map (fun k -> J_replay k) (int_range 0 7));
+        (1, map (fun k -> J_drop k) (int_range 0 7));
+        (1, return J_bad);
+      ])
+
+(* One journal against the per-sub-thread logs it replaced: the model
+   keeps one reference log per epoch, with its start position. A mark
+   opens the next epoch; a suffix replay replays the epochs it covers
+   newest first and opens a fresh one at its start; a dropped prefix
+   forgets whole epochs. Sizes, kept keys (newest first), every note's
+   verdict, replay counts and the replayed machines must agree. *)
+let prop_journal_model =
+  case "undo log: one journal equals per-epoch logs under mark, replay_from and drop_before"
+    Gen.(list_size (int_range 1 200) journal_op_gen)
+    (fun ops ->
+      let ((mem, atomics, io) as m) = undo_machine () in
+      let ((rmem, ratomics, rio) as rm) = undo_machine () in
+      let j = Exec.Undo_log.create () in
+      let epochs = ref [ (0, Ref_models.Undo_log.create ()) ] in
+      (* newest first *)
+      let open_log () = snd (List.hd !epochs) in
+      let end_pos () =
+        let start, log = List.hd !epochs in
+        start + Ref_models.Undo_log.size log
+      in
+      let first_pos () = fst (List.nth !epochs (List.length !epochs - 1)) in
+      let pick k = List.nth !epochs (k mod List.length !epochs) in
+      let note key ~old ~rold =
+        Exec.Undo_log.note j key ~old = Ref_models.Undo_log.note (open_log ()) key ~old:rold
+      in
+      let same () =
+        Exec.Undo_log.size j
+        = List.fold_left (fun n (_, l) -> n + Ref_models.Undo_log.size l) 0 !epochs
+        && Exec.Undo_log.keys j
+           = List.concat_map (fun (_, l) -> Ref_models.Undo_log.keys l) !epochs
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | J_write (k, a, x, v) -> undo_write ~note m rm (k, a, x, v)
+            | J_mark ->
+              let pos = end_pos () in
+              epochs := (pos, Ref_models.Undo_log.create ()) :: !epochs;
+              Exec.Undo_log.mark j = pos
+            | J_replay k ->
+              let from = fst (pick k) in
+              let undone =
+                Exec.Undo_log.replay_from ~mem ~atomics ~io j ~from
+              in
+              let gone, kept = List.partition (fun (p, _) -> p >= from) !epochs in
+              let rundone =
+                List.fold_left
+                  (fun n (_, l) ->
+                    n
+                    + Ref_models.Undo_log.replay ~mem:rmem ~atomics:ratomics ~io:rio l)
+                  0 gone
+              in
+              epochs := (from, Ref_models.Undo_log.create ()) :: kept;
+              undone = rundone && machine_state m = machine_state rm
+            | J_drop k ->
+              let pos = fst (pick k) in
+              Exec.Undo_log.drop_before j pos;
+              epochs := List.filter (fun (p, _) -> p >= pos) !epochs;
+              true
+            | J_bad ->
+              let before = first_pos () - 1 and past = end_pos () + 1 in
+              raises_invalid (fun () -> Exec.Undo_log.drop_before j past)
+              && raises_invalid (fun () ->
+                     Exec.Undo_log.replay_from ~mem ~atomics ~io j ~from:past)
+              && raises_invalid (fun () ->
+                     Exec.Undo_log.replay_from ~mem ~atomics ~io j ~from:before)
           in
           ok && same ())
         ops)
@@ -1371,6 +1547,7 @@ let suite =
     prop_alloc_coalesce;
     prop_mem_image_equiv;
     prop_mem_image_model;
+    prop_mem_growth_model;
     prop_undo_restores;
     prop_paged_undo_equiv;
     prop_rol_head_is_min;
@@ -1390,6 +1567,7 @@ let suite =
     prop_alloc_undo_exact;
     prop_fetch_model;
     prop_undo_log_model;
+    prop_journal_model;
     prop_wal_model;
     prop_wal_parse_model;
     prop_wal_parse_damaged;

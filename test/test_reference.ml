@@ -454,10 +454,10 @@ let mk_tcb ?(regs = [||]) () =
 
 (* A sub-thread observed through everything the engine ever reads. *)
 let sub_fingerprint (s : Gprs.Subthread.t) =
-  Format.asprintf "%a|gd=%b held=%s undo=%d forked=%s pend=%s freed=%d"
+  Format.asprintf "%a|gd=%b held=%s undo_at=%d forked=%s pend=%s freed=%d"
     Gprs.Subthread.pp s s.Gprs.Subthread.global_dep
     (String.concat "," (List.map string_of_int s.Gprs.Subthread.held_locks))
-    (Exec.Undo_log.size s.Gprs.Subthread.undo)
+    s.Gprs.Subthread.undo_at
     (String.concat "," (List.map string_of_int s.Gprs.Subthread.forked))
     (match s.Gprs.Subthread.pending_mutex with
     | None -> "-"
@@ -477,7 +477,7 @@ let test_recycled_sub_is_fresh () =
   s.Gprs.Subthread.forked <- [ 9 ];
   s.Gprs.Subthread.pending_mutex <- Some 2;
   s.Gprs.Subthread.freed_blocks <- [ (100, 16) ];
-  ignore (Exec.Undo_log.note s.Gprs.Subthread.undo (Exec.Undo_log.K_mem 8) ~old:1);
+  s.Gprs.Subthread.undo_at <- 8;
   s.Gprs.Subthread.status <- Gprs.Subthread.Squashed;
   Gprs.Subthread.release pool s;
   (* Re-acquire (the pool hands the same record back) with a distinct
@@ -525,10 +525,7 @@ let prop_recycled_sub_carries_nothing =
       if salt mod 2 = 0 then s.Gprs.Subthread.global_dep <- true;
       s.Gprs.Subthread.held_locks <- codes;
       s.Gprs.Subthread.forked <- [ salt ];
-      ignore
-        (Exec.Undo_log.note s.Gprs.Subthread.undo
-           (Exec.Undo_log.K_atomic (salt mod 7))
-           ~old:salt);
+      s.Gprs.Subthread.undo_at <- salt;
       Gprs.Subthread.release pool s;
       let tcb2 = mk_tcb () in
       let r = Gprs.Subthread.acquire pool ~id:1 ~tid:1 ~now:9 ~tcb:tcb2 in
