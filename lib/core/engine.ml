@@ -99,6 +99,9 @@ type eng = {
   rol : Rol.t;
   wal : Wal.t;
   mutable next_sub_id : int;
+  (* mutex -> the youngest sub-thread id that released it (see
+     [flattens]); after a cold restart, the youngest id before it. *)
+  released_by : int array;
   pool : Subthread.pool;  (* recycled sub-thread records *)
   cur_sub : Subthread.t option Tidtab.t;  (* tid -> current sub-thread *)
   (* tid -> the thread's history buffer: one copy-on-write undo log per
@@ -322,6 +325,25 @@ let release_sub eng (sub : Subthread.t) =
   if eng.undo_owner = sub.Subthread.id then disarm_undo eng;
   Subthread.release eng.pool sub
 
+(* [tid]'s current sub-thread released mutex [m]. *)
+let note_release eng tid m =
+  eng.released_by.(m) <- Stdlib.max eng.released_by.(m) (cur_sub eng tid).Subthread.id
+
+(* Every sync point is a sub-thread boundary but one: a lock taken inside
+   a critical section joins the enclosing sub-thread (nested-lock
+   flattening, §3.2). Recovery squashes only sub-threads younger than a
+   victim, so flattening is sound only while data under the mutex flows
+   from older sub-threads to younger ones: the mutex must be free, and
+   every sub-thread that released it older than the taker's. Otherwise
+   the nested lock is a boundary too. *)
+let flattens eng (tcb : Vm.Tcb.t) m =
+  tcb.Vm.Tcb.held_mutexes <> []
+  && eng.st.Exec.State.mutexes.(m).Exec.State.holder = None
+  &&
+  match cur_sub_opt eng tcb.Vm.Tcb.tid with
+  | Some sub -> eng.released_by.(m) < sub.Subthread.id
+  | None -> false
+
 let add_delay eng tid d =
   Tidtab.set eng.pending_delay tid (Tidtab.get eng.pending_delay tid + d)
 
@@ -418,10 +440,7 @@ let grant eng tid =
     Subthread.add_alias sub (Subthread.Mutex m);
     let acquired, d = Exec.Sem.try_lock st tcb m in
     add_delay eng tid d;
-    if acquired then begin
-      tcb.Vm.Tcb.lock_depth <- tcb.Vm.Tcb.lock_depth + 1;
-      resume ()
-    end
+    if acquired then resume ()
     else
       (* Queued on the mutex in token order; the unlock hands it over (no
          further turn needed). Until then the thread passes its turns —
@@ -442,7 +461,7 @@ let grant eng tid =
     Subthread.add_alias sub (Subthread.Condvar c);
     Subthread.add_alias sub (Subthread.Mutex m);
     let granted, d = Exec.Sem.cond_block st tcb ~c ~m in
-    tcb.Vm.Tcb.lock_depth <- tcb.Vm.Tcb.lock_depth - 1;
+    note_release eng tid m;
     add_delay eng tid d;
     Order.set_eligible eng.order tid false;
     (match granted with
@@ -512,14 +531,7 @@ let grant eng tid =
   (* Only communication operations consume a rotation turn; fork/join/
      exit boundaries are processed on arrival and must not steal turns
      from the threads the rotation is balancing. *)
-  match instr with
-  | Vm.Isa.Lock _ | Vm.Isa.Barrier _ | Vm.Isa.Cond_wait _ | Vm.Isa.Cond_signal _
-  | Vm.Isa.Atomic _ ->
-    Order.advance eng.order ~granted:tid
-  | Vm.Isa.Fork _ | Vm.Isa.Join _ | Vm.Isa.Exit | Vm.Isa.Work _ | Vm.Isa.Opaque _
-  | Vm.Isa.Goto _ | Vm.Isa.If _ | Vm.Isa.Unlock _ | Vm.Isa.Nonstd_atomic _
-  | Vm.Isa.Alloc _ | Vm.Isa.Free _ | Vm.Isa.Cpr_begin | Vm.Isa.Cpr_end ->
-    ()
+  if Vm.Isa.is_communication instr then Order.advance eng.order ~granted:tid
 
 (* Grant every turn that can be taken right now. Filling contexts can park
    further threads at sync points (their nested [try_grant] calls are
@@ -571,9 +583,11 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
       Sim.Stats.bump eng.ctrs.restart_subs
     end
   in
-  (* Interception is suppressed inside critical sections (nested-lock
-     flattening) and inside hybrid-recovery regions. *)
-  let suppressed = tcb.Vm.Tcb.lock_depth > 0 || tcb.Vm.Tcb.in_cpr_region in
+  let nested_lock =
+    match instr with
+    | Vm.Isa.Lock { m } -> flattens eng tcb (m tcb.Vm.Tcb.regs)
+    | _ -> false
+  in
   let completed_episode_skip =
     match instr with
     | Vm.Isa.Barrier { b } ->
@@ -592,7 +606,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
     schedule_tick eng ctx
       ~after:(ctrl + eng.cfg.costs.Vm.Costs.barrier_entry + take_delay eng tid)
   end
-  else if Vm.Isa.is_sync_point instr && not suppressed then begin
+  else if Vm.Isa.is_sync_point instr && not nested_lock then begin
     (* Sub-thread boundary: park for the deterministic turn. *)
     tcb.Vm.Tcb.wait <- Vm.Tcb.On_token;
     eng.ctx_of.(ctx) <- None;
@@ -609,15 +623,8 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
        recorded (nondeterministic) scheme, where arrival order is the
        recorded order. *)
     let immediate =
-      match instr with
-      | Vm.Isa.Fork _ | Vm.Isa.Join _ | Vm.Isa.Exit -> true
-      | Vm.Isa.Lock _ | Vm.Isa.Barrier _ | Vm.Isa.Cond_wait _
-      | Vm.Isa.Cond_signal _ | Vm.Isa.Atomic _ ->
-        Order.scheme eng.order = Order.Recorded
-      | Vm.Isa.Work _ | Vm.Isa.Opaque _ | Vm.Isa.Goto _ | Vm.Isa.If _
-      | Vm.Isa.Unlock _ | Vm.Isa.Nonstd_atomic _ | Vm.Isa.Alloc _
-      | Vm.Isa.Free _ | Vm.Isa.Cpr_begin | Vm.Isa.Cpr_end ->
-        false
+      (not (Vm.Isa.is_communication instr))
+      || Order.scheme eng.order = Order.Recorded
     in
     if immediate then grant eng tid else try_grant eng;
     fill eng ctx
@@ -625,13 +632,6 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
   else begin
     ensure_sub ();
     tcb.Vm.Tcb.pc <- tcb.Vm.Tcb.pc + 1;
-    let wake tids =
-      List.iter
-        (fun w ->
-          Order.set_eligible eng.order w true;
-          make_runnable eng ~ctx_hint:ctx w)
-        tids
-    in
     let d =
       match instr with
       | Vm.Isa.Work { cost; run } -> Exec.Sem.exec_work st tcb ~cost ~run
@@ -658,9 +658,14 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
       | Vm.Isa.Unlock { m } ->
         (* [Error] here models a lock-release/handoff timeout. *)
         ignore (fire_point eng Faults.Points.Lock_handoff);
-        let woken, d = Exec.Sem.unlock st tcb (m tcb.Vm.Tcb.regs) in
-        tcb.Vm.Tcb.lock_depth <- tcb.Vm.Tcb.lock_depth - 1;
-        (match woken with Some w -> wake [ w ] | None -> ());
+        let m = m tcb.Vm.Tcb.regs in
+        let woken, d = Exec.Sem.unlock st tcb m in
+        note_release eng tid m;
+        (match woken with
+        | Some w ->
+          Order.set_eligible eng.order w true;
+          make_runnable eng ~ctx_hint:ctx w
+        | None -> ());
         d
       | Vm.Isa.Alloc { size; dst } ->
         (* [Error] here models allocator failure. *)
@@ -692,62 +697,15 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
           | None -> Vm.Mem.free st.Exec.State.mem a));
         eng.cfg.costs.Vm.Costs.free + eng.cfg.costs.Vm.Costs.wal_append
       | Vm.Isa.Lock { m } ->
-        (* Nested lock inside a critical section or a CPR region. *)
+        (* Nested lock on a free mutex, flattened ([flattens]). *)
         let m = m tcb.Vm.Tcb.regs in
-        (match cur_sub_opt eng tid with
-        | Some sub -> Subthread.add_alias sub (Subthread.Mutex m)
-        | None -> ());
+        Subthread.add_alias (cur_sub eng tid) (Subthread.Mutex m);
         let acquired, d = Exec.Sem.try_lock st tcb m in
-        if acquired then tcb.Vm.Tcb.lock_depth <- tcb.Vm.Tcb.lock_depth + 1
-        else Order.set_eligible eng.order tid false;
+        assert acquired;
         Sim.Stats.bump eng.ctrs.flattened_locks;
         d
-      | Vm.Isa.Barrier { b } ->
-        (* Only reachable inside a CPR region. *)
-        let released, d = Exec.Sem.barrier_arrive st tcb b in
-        if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then
-          ignore (fire_point eng Faults.Points.Barrier_release);
-        wake released;
-        d
-      | Vm.Isa.Cond_wait { c; m } ->
-        let granted, d = Exec.Sem.cond_block st tcb ~c ~m in
-        tcb.Vm.Tcb.lock_depth <- tcb.Vm.Tcb.lock_depth - 1;
-        (match granted with Some w -> wake [ w ] | None -> ());
-        Order.set_eligible eng.order tid false;
-        d
-      | Vm.Isa.Cond_signal { c; all } ->
-        let _woken, runnable, d = Exec.Sem.cond_wake st ~c ~all in
-        wake runnable;
-        d
-      | Vm.Isa.Atomic { var; rmw; dst } ->
-        let v = var tcb.Vm.Tcb.regs in
-        (match cur_sub_opt eng tid with
-        | Some sub -> Subthread.add_alias sub (Subthread.Atomic_var v)
-        | None -> ());
-        Exec.Sem.atomic_rmw st tcb ~var:v ~rmw ~dst
-      | Vm.Isa.Join { tid = target } ->
-        let ready, d = Exec.Sem.join st tcb ~target:(target tcb.Vm.Tcb.regs) in
-        if not ready then Order.set_eligible eng.order tid false;
-        d
-      | Vm.Isa.Fork { group; proc; args; dst } ->
-        (* Fork inside a CPR region: still intercepted for bookkeeping. *)
-        let child, _ = Exec.Sem.fork st tcb ~group ~proc ~args ~dst in
-        let ctid = child.Vm.Tcb.tid in
-        (match cur_sub_opt eng tid with
-        | Some sub ->
-          sub.Subthread.forked <- ctid :: sub.Subthread.forked;
-          append eng ~order:sub.Subthread.id (Wal.Thread_create { tid = ctid })
-        | None -> ());
-        Order.add_thread eng.order ~tid:ctid ~group;
-        ignore (new_sub eng child);
-        wake [ ctid ];
-        eng.cfg.costs.Vm.Costs.subthread_create
-      | Vm.Isa.Exit ->
-        complete_current eng tid;
-        let joiners, d = Exec.Sem.exit_thread st tcb in
-        wake joiners;
-        Order.remove_thread eng.order tid;
-        d
+      | Vm.Isa.Barrier _ | Vm.Isa.Cond_wait _ | Vm.Isa.Cond_signal _
+      | Vm.Isa.Atomic _ | Vm.Isa.Join _ | Vm.Isa.Fork _ | Vm.Isa.Exit
       | Vm.Isa.Goto _ | Vm.Isa.If _ | Vm.Isa.Cpr_begin | Vm.Isa.Cpr_end ->
         assert false
     in
@@ -1380,6 +1338,7 @@ let mk_eng cfg st ~order ~injector ~destroyed ~journals ~dead_ctx ~next_sub_id
     rol = Rol.create ();
     wal = Wal.create ~stable ();
     next_sub_id;
+    released_by = Array.make (Array.length st.Exec.State.mutexes) (next_sub_id - 1);
     pool = Subthread.pool_create ~reuse:(not cfg.reference) ();
     cur_sub = Tidtab.create None;
     journals;

@@ -72,3 +72,9 @@ let is_sync_point = function
   | Work _ | Goto _ | If _ | Unlock _ | Nonstd_atomic _ | Alloc _ | Free _
   | Cpr_begin | Cpr_end | Opaque _ ->
     false
+
+let is_communication = function
+  | Lock _ | Barrier _ | Cond_wait _ | Cond_signal _ | Atomic _ -> true
+  | Fork _ | Join _ | Exit | Work _ | Goto _ | If _ | Unlock _ | Nonstd_atomic _
+  | Alloc _ | Free _ | Cpr_begin | Cpr_end | Opaque _ ->
+    false

@@ -79,3 +79,9 @@ val is_sync_point : instr -> bool
     sub-threads end/begin): fork, join, lock, barrier, cond wait/signal,
     atomics, exit. Note [Unlock] is deliberately {e not} one — the paper's
     critical-section optimization (§3.2). *)
+
+val is_communication : instr -> bool
+(** The sync points that communicate through a shared object: lock,
+    barrier, cond wait/signal, atomics. GPRS orders each by a
+    deterministic turn; the other sync points (fork, join, exit) pair
+    through the thread edge itself and are processed on arrival. *)

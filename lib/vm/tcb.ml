@@ -17,20 +17,19 @@ type t = {
   mutable wait : wait;
   mutable joiners : int list;
   mutable in_cpr_region : bool;
-  mutable lock_depth : int;
   mutable held_mutexes : int list;
   barrier_seq : int array;
   barrier_done : int array;
 }
 
 (* Flat unboxed snapshot: one int array, blit-copied whole. Layout:
-   [0] pc, [1] CPR flag (0/1), [2] lock depth, [3 .. 3+R) registers,
-   [3+R ..) barrier_seq. Register and barrier array lengths are fixed
+   [0] pc, [1] CPR flag (0/1), [2 .. 2+R) registers, [2+R ..)
+   barrier_seq. Register and barrier array lengths are fixed
    per program, so the offsets are stable across every snapshot of a
    run. *)
 type saved = int array
 
-let regs_off = 3
+let regs_off = 2
 
 let create ~n_barriers ~tid ~group ~proc ~args =
   let regs = Array.make Isa.n_registers 0 in
@@ -44,7 +43,6 @@ let create ~n_barriers ~tid ~group ~proc ~args =
     wait = Runnable;
     joiners = [];
     in_cpr_region = false;
-    lock_depth = 0;
     held_mutexes = [];
     barrier_seq = Array.make n_barriers 0;
     barrier_done = Array.make n_barriers 0;
@@ -59,7 +57,6 @@ let copy_state_into t s =
   let r = Array.length t.regs in
   s.(0) <- t.pc;
   s.(1) <- (if t.in_cpr_region then 1 else 0);
-  s.(2) <- t.lock_depth;
   Array.blit t.regs 0 s regs_off r;
   Array.blit t.barrier_seq 0 s (regs_off + r) (Array.length t.barrier_seq)
 
@@ -93,7 +90,6 @@ let restore_state t s =
   let r = Array.length t.regs in
   t.pc <- s.(0);
   t.in_cpr_region <- s.(1) <> 0;
-  t.lock_depth <- s.(2);
   Array.blit s regs_off t.regs 0 r;
   Array.blit s (regs_off + r) t.barrier_seq 0 (Array.length t.barrier_seq)
 

@@ -25,9 +25,6 @@ type t = {
   mutable wait : wait;
   mutable joiners : int list;  (** tids blocked in [Join] on this thread *)
   mutable in_cpr_region : bool;  (** between [Cpr_begin] and [Cpr_end] *)
-  mutable lock_depth : int;
-      (** nested critical-section depth (flattening); kept by GPRS only,
-          the pthreads/P-CPR core leaves it at 0 *)
   mutable held_mutexes : int list;
       (** mutexes this thread currently holds, sorted by descending index.
           Maintained incrementally by {!hold}/{!unhold} at every holder
@@ -46,8 +43,8 @@ type t = {
 }
 
 type saved
-(** Opaque snapshot of the restartable state (pc + registers + region and
-    nesting flags), stored as one flat unboxed [int array] so recycling
+(** Opaque snapshot of the restartable state (pc + registers + region
+    flag + barrier arrivals), stored as one flat unboxed [int array] so recycling
     a snapshot is two [Array.blit]s with no per-field boxing. *)
 
 val create :

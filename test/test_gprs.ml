@@ -261,6 +261,48 @@ let test_no_steals_key_without_steals () =
        [ "gprs.subthreads"; "gprs.tokens"; "gprs.sync_parks"; "gprs.retired";
          "gprs.sub_cycles.mean" ])
 
+(* The one sub-thread boundary rule, counted: every sync point a
+   fault-free run dispatches either parks for its turn, is a nested lock
+   flattened into its critical section, or passes a barrier episode that
+   already released. *)
+let test_every_sync_point_accounted () =
+  Vm.Block.set_profiling true;
+  Fun.protect ~finally:(fun () -> Vm.Block.set_profiling false) @@ fun () ->
+  List.iter
+    (fun workload ->
+      let scn =
+        {
+          Run.id = "";
+          workload;
+          engine = "gprs";
+          ordering = "balance-aware";
+          contexts = 8;
+          scale = 0.2;
+          grain = "default";
+          seed = 1;
+          rate = 0.0;
+          interval = 0.0;
+          want_stats = false;
+        }
+      in
+      let p = Run.prepare scn in
+      let r = Run.exec ~blocks:p.Run.blocks scn p.Run.program in
+      let get k = Sim.Stats.get r.Exec.State.run_stats k in
+      let sum keys = List.fold_left (fun acc k -> acc + get k) 0 keys in
+      let dispatched =
+        sum
+          (List.map
+             (fun op -> "dispatch." ^ op)
+             [ "lock"; "barrier"; "cond_wait"; "cond_signal"; "cond_broadcast";
+               "atomic"; "fork"; "join"; "exit" ])
+      in
+      checkb (workload ^ " completes") false r.Exec.State.dnc;
+      check
+        (workload ^ ": sync points dispatched = parks + flattened + skips")
+        dispatched
+        (sum [ "gprs.sync_parks"; "gprs.flattened_locks"; "gprs.barrier_skips" ]))
+    Workloads.Suite.names
+
 let suite =
   [
     Alcotest.test_case "fork/join" `Quick test_fork_join;
@@ -286,6 +328,8 @@ let suite =
     Alcotest.test_case "recorded cheaper than rr" `Quick test_recorded_cheaper_than_round_robin;
     Alcotest.test_case "dnc budget" `Quick test_dnc_budget;
     Alcotest.test_case "rol drains" `Quick test_rol_drains;
+    Alcotest.test_case "every sync point is accounted for" `Quick
+      test_every_sync_point_accounted;
     Alcotest.test_case "fork cheap under DEX" `Quick test_fork_cheap_under_gprs;
     Alcotest.test_case "event ring: off by default" `Quick test_ring_off_by_default;
     Alcotest.test_case "event ring: disabled run" `Quick test_ring_disabled_run;

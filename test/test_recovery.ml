@@ -69,6 +69,60 @@ let test_hybrid_region () =
   checkb "completed" false r.Exec.State.dnc;
   check "exact" 40 (mem0 r)
 
+(* The final memory of a fault-free Pthreads run, addresses [0, n). *)
+let pthreads_mem p n =
+  let b = Exec.Baseline.run { Exec.Baseline.default_config with n_contexts = 4 } p in
+  List.init n (Vm.Mem.read b.Exec.State.final_mem)
+
+(* Runs [p] under Poisson exceptions at [rate] for each seed in [seeds],
+   checks each run against the Pthreads memory [want], and returns the
+   runs' [gprs.flattened_locks] total. *)
+let against_pthreads ~rate ~seeds ~want p =
+  List.fold_left
+    (fun flattened seed ->
+      let r =
+        Gprs.Engine.run
+          {
+            Gprs.Engine.default_config with
+            n_contexts = 4;
+            injector =
+              Faults.Injector.config ~process:Faults.Injector.Poisson ~seed rate;
+          }
+          p
+      in
+      let tag = Printf.sprintf "seed %d: " seed in
+      let stats = r.Exec.State.run_stats in
+      checkb (tag ^ "completed") false r.Exec.State.dnc;
+      checkb (tag ^ "recovered") true (recoveries r > 0);
+      Alcotest.(check (list int))
+        (tag ^ "pthreads result") want
+        (List.init (List.length want) (Vm.Mem.read r.Exec.State.final_mem));
+      flattened + Sim.Stats.get stats "gprs.flattened_locks")
+    0 seeds
+
+let test_nested_lock_under_faults () =
+  (* A lock taken while another is held is the one sync point that can
+     join its enclosing sub-thread. The inner mutex is also taken on its
+     own, so a flattened lock can follow a younger sub-thread's release:
+     that lock must be a boundary, or a squash of the releaser loses the
+     nested section's update. *)
+  let p = Tprog.nested_locks ~workers:3 ~iters:8 () in
+  let want = pthreads_mem p 2 in
+  Alcotest.(check (list int)) "pthreads counts" [ 24; 48 ] want;
+  let flattened =
+    against_pthreads ~rate:2000.0 ~seeds:(List.init 20 succ) ~want p
+  in
+  checkb "nested locks flattened" true (flattened > 0)
+
+let test_lock_in_region_under_faults () =
+  (* A lock inside a hybrid-recovery region is a sub-thread boundary like
+     any other. *)
+  let p = Tprog.locked_region ~workers:4 ~iters:10 () in
+  let want = pthreads_mem p 1 in
+  Alcotest.(check (list int)) "pthreads count" [ 40 ] want;
+  check "no lock flattened" 0
+    (against_pthreads ~rate:2000.0 ~seeds:(List.init 20 succ) ~want p)
+
 let test_basic_recovery () =
   let r =
     grun ~rate:15.0 ~recovery:Gprs.Engine.Basic
@@ -226,6 +280,8 @@ let suite =
     Alcotest.test_case "selective: allocator" `Quick test_selective_alloc;
     Alcotest.test_case "selective: file output" `Quick test_selective_file_output;
     Alcotest.test_case "hybrid region" `Quick test_hybrid_region;
+    Alcotest.test_case "nested lock under faults" `Quick test_nested_lock_under_faults;
+    Alcotest.test_case "lock in region under faults" `Quick test_lock_in_region_under_faults;
     Alcotest.test_case "basic recovery" `Quick test_basic_recovery;
     Alcotest.test_case "basic squashes more" `Quick test_basic_squashes_more;
     Alcotest.test_case "poisson arrivals" `Quick test_poisson_process;

@@ -252,3 +252,60 @@ let file_transform ~n () =
   program ~mem_words:64 ~entry:"main"
     ~input_files:[ ("in", input) ]
     ~output_files:[ "out" ] [ finish main ]
+
+(* Nested critical sections: "outer" workers take mutex 0 and, inside it,
+   mutex 1; "inner" workers contend for mutex 1 alone, so a nested lock
+   can queue behind them. Address 0 counts outer sections, address 1
+   every mutex-1 section. *)
+let nested_locks ~workers ~iters () =
+  let bump a env = env.Vm.Env.write a (env.Vm.Env.read a + 1) in
+  let outer = proc "outer" in
+  for_up outer ~reg:1 ~from:(fun _ -> 0) ~until:(fun _ -> iters) (fun () ->
+      lock_const outer 0;
+      work_const outer 50 (bump 0);
+      lock_const outer 1;
+      work_const outer 50 (bump 1);
+      unlock_const outer 1;
+      unlock_const outer 0);
+  exit_ outer;
+  let inner = proc "inner" in
+  for_up inner ~reg:1 ~from:(fun _ -> 0) ~until:(fun _ -> iters) (fun () ->
+      compute inner 120;
+      lock_const inner 1;
+      work_const inner 50 (bump 1);
+      unlock_const inner 1);
+  exit_ inner;
+  let main = proc "main" in
+  for i = 0 to (2 * workers) - 1 do
+    let body = if i mod 2 = 0 then "outer" else "inner" in
+    fork main ~group:1 ~proc:body ~dst:(10 + i) (fun _ -> [||])
+  done;
+  for i = 0 to (2 * workers) - 1 do
+    join_reg main (10 + i)
+  done;
+  exit_ main;
+  program ~mem_words:64 ~n_mutexes:2 ~n_groups:2 ~entry:"main"
+    [ finish main; finish outer; finish inner ]
+
+(* [locked_counter] with each worker's loop inside a hybrid-recovery
+   region, so every lock is taken between [Cpr_begin] and [Cpr_end]. *)
+let locked_region ~workers ~iters () =
+  let worker = proc "worker" in
+  cpr_begin worker;
+  for_up worker ~reg:1 ~from:(fun _ -> 0) ~until:(fun _ -> iters) (fun () ->
+      compute worker 200;
+      lock_const worker 0;
+      work_const worker 50 (fun env -> env.Vm.Env.write 0 (env.Vm.Env.read 0 + 1));
+      unlock_const worker 0);
+  cpr_end worker;
+  exit_ worker;
+  let main = proc "main" in
+  for i = 0 to workers - 1 do
+    fork main ~group:1 ~proc:"worker" ~dst:(10 + i) (fun _ -> [||])
+  done;
+  for i = 0 to workers - 1 do
+    join_reg main (10 + i)
+  done;
+  exit_ main;
+  program ~mem_words:64 ~n_mutexes:1 ~n_groups:2 ~entry:"main"
+    [ finish main; finish worker ]
