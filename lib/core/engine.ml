@@ -63,7 +63,6 @@ type counters = {
   opaque_calls : Sim.Stats.handle;
   flattened_locks : Sim.Stats.handle;
   restart_subs : Sim.Stats.handle;
-  barrier_skips : Sim.Stats.handle;
   nonstd_unprotected : Sim.Stats.handle;
   stale_frees : Sim.Stats.handle;
   sub_cycles : Sim.Stats.sampler;
@@ -80,7 +79,6 @@ let counters stats =
     opaque_calls = h "gprs.opaque_calls";
     flattened_locks = h "gprs.flattened_locks";
     restart_subs = h "gprs.restart_subs";
-    barrier_skips = h "gprs.barrier_skips";
     nonstd_unprotected = h "gprs.nonstd_unprotected";
     stale_frees = h "gprs.stale_frees";
     sub_cycles = Sim.Stats.sampler stats "gprs.sub_cycles";
@@ -339,10 +337,7 @@ let note_release eng tid m =
 let flattens eng (tcb : Vm.Tcb.t) m =
   tcb.Vm.Tcb.held_mutexes <> []
   && eng.st.Exec.State.mutexes.(m).Exec.State.holder = None
-  &&
-  match cur_sub_opt eng tcb.Vm.Tcb.tid with
-  | Some sub -> eng.released_by.(m) < sub.Subthread.id
-  | None -> false
+  && eng.released_by.(m) < (cur_sub eng tcb.Vm.Tcb.tid).Subthread.id
 
 let add_delay eng tid d =
   Tidtab.set eng.pending_delay tid (Tidtab.get eng.pending_delay tid + d)
@@ -366,13 +361,9 @@ let make_runnable eng ~ctx_hint tid =
     (* A flag, not a Hashtbl.add: a re-add after a missed remove cannot
        shadow-stack bindings. *)
     Tidtab.set eng.queued tid true;
-    (* §3.2: the work queues are reconstructible from the log. A thread
-       without a current sub (a restart release) needs no record: the
-       restart logic re-enqueues it, nothing replays it. *)
-    (match cur_sub_opt eng tid with
-    | Some sub ->
-      append eng ~order:sub.Subthread.id (Wal.Sched_enqueue { sub = sub.Subthread.id })
-    | None -> ());
+    (* §3.2: the work queues are reconstructible from the log. *)
+    (let id = (cur_sub eng tid).Subthread.id in
+     append eng ~order:id (Wal.Sched_enqueue { sub = id }));
     Sched.Scheduler.enqueue eng.sched ~ctx_hint tid
   end
 
@@ -395,17 +386,27 @@ let schedule_retire_check eng ~at =
 (* ------------------------------------------------------------------ *)
 
 let complete_current eng tid =
-  match cur_sub_opt eng tid with
-  | None -> ()
-  | Some sub ->
-    sub.Subthread.status <- Subthread.Complete (now eng);
-    Sim.Stats.sample eng.ctrs.sub_cycles
-      (float_of_int (now eng - sub.Subthread.started_at));
-    (match Rol.min_live_id eng.rol with
-    | Some min_id when min_id = sub.Subthread.id ->
-      schedule_retire_check eng
-        ~at:(now eng + eng.cfg.costs.Vm.Costs.detection_latency + 1)
-    | Some _ | None -> ())
+  let sub = cur_sub eng tid in
+  sub.Subthread.status <- Subthread.Complete (now eng);
+  Sim.Stats.sample eng.ctrs.sub_cycles
+    (float_of_int (now eng - sub.Subthread.started_at));
+  match Rol.min_live_id eng.rol with
+  | Some min_id when min_id = sub.Subthread.id ->
+    schedule_retire_check eng
+      ~at:(now eng + eng.cfg.costs.Vm.Costs.detection_latency + 1)
+  | Some _ | None -> ()
+
+(* A wake is a communication edge: the sleeper's continuation must be
+   ordered after the waker's sub-thread, or selective restart could
+   discard the wake and keep its consumer. Close the sleeper's sub-thread
+   and open a fresh one (a current order id) at the wake point, aliased
+   to the object the edge ran through. *)
+let wake eng w a =
+  complete_current eng w;
+  let sub = new_sub eng (Exec.State.thread eng.st w) in
+  Subthread.add_alias sub a;
+  add_delay eng w (boundary_cost eng);
+  sub
 
 (* Perform the synchronization operation at [tcb]'s pc on behalf of its
    freshly created sub-thread. pc still points at the instruction. *)
@@ -448,11 +449,20 @@ let grant eng tid =
          a turn to release (a cond_wait inside the critical section). *)
       Order.set_eligible eng.order tid false
   | Vm.Isa.Barrier { b } ->
-    Subthread.add_alias (cur_sub eng tid) (Subthread.Barrier_obj b);
+    let sub = cur_sub eng tid in
+    Subthread.add_alias sub (Subthread.Barrier_obj b);
     let released, d = Exec.Sem.barrier_arrive st tcb b in
-    (* The arrival that completes the episode is the release seam. *)
-    if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then
+    (* The arrival that completes the episode is the release seam, and
+       the waker of every other party. *)
+    if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then begin
       ignore (fire_point eng Faults.Points.Barrier_release);
+      List.iter
+        (fun w ->
+          let wsub = wake eng w (Subthread.Barrier_obj b) in
+          wsub.Subthread.wake_barrier <- b;
+          wsub.Subthread.releaser <- sub.Subthread.id)
+        released
+    end;
     add_delay eng tid d;
     if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then resume ~also:released ()
     else Order.set_eligible eng.order tid false
@@ -473,17 +483,10 @@ let grant eng tid =
     Subthread.add_alias (cur_sub eng tid) (Subthread.Condvar c);
     let woken, runnable, d = Exec.Sem.cond_wake st ~c ~all in
     add_delay eng tid d;
-    (* A wake is a communication edge: the woken continuation must be
-       ordered AFTER this signal. Close each sleeper's wait-sub and open
-       a fresh one (with a current order id) at the wake point. *)
     List.iter
       (fun (w, m) ->
-        complete_current eng w;
-        let wt = Exec.State.thread st w in
-        let wsub = new_sub eng wt in
-        Subthread.add_alias wsub (Subthread.Condvar c);
-        Subthread.add_alias wsub (Subthread.Mutex m);
-        add_delay eng w (boundary_cost eng))
+        let wsub = wake eng w (Subthread.Condvar c) in
+        Subthread.add_alias wsub (Subthread.Mutex m))
       woken;
     List.iter (fun w -> Order.set_eligible eng.order w true) runnable;
     resume ~also:runnable ()
@@ -514,9 +517,7 @@ let grant eng tid =
     add_delay eng tid d;
     if ready then resume () else Order.set_eligible eng.order tid false
   | Vm.Isa.Exit ->
-    (match cur_sub_opt eng tid with
-    | Some sub -> Subthread.add_alias sub (Subthread.Thread_edge tid)
-    | None -> ());
+    Subthread.add_alias (cur_sub eng tid) (Subthread.Thread_edge tid);
     let joiners, _d = Exec.Sem.exit_thread st tcb in
     List.iter
       (fun j ->
@@ -566,47 +567,19 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
   let tid = tcb.Vm.Tcb.tid in
   let t0 = now eng in
   eng.io_tid <- tid;
-  (match cur_sub_opt eng tid with
-  | Some sub -> arm_undo eng sub
-  | None -> disarm_undo eng);
+  let sub = cur_sub eng tid in
+  arm_undo eng sub;
   let pr = Exec.Fuse.fetch tcb in
   let instr = pr.Vm.Block.p_instr and ctrl = pr.Vm.Block.p_ctrl in
   incr eng.instrs;
   Vm.Block.profile_ctrl st.Exec.State.stats ctrl;
   Vm.Block.profile_instr st.Exec.State.stats instr;
-  (* A restarted thread may resume without a current sub-thread; create
-     one lazily so its writes stay squashable. *)
-  let ensure_sub () =
-    if cur_sub_opt eng tid = None then begin
-      arm_undo eng (new_sub eng tcb);
-      add_delay eng tid (boundary_cost eng - eng.cfg.costs.Vm.Costs.token_pass);
-      Sim.Stats.bump eng.ctrs.restart_subs
-    end
-  in
   let nested_lock =
     match instr with
     | Vm.Isa.Lock { m } -> flattens eng tcb (m tcb.Vm.Tcb.regs)
     | _ -> false
   in
-  let completed_episode_skip =
-    match instr with
-    | Vm.Isa.Barrier { b } ->
-      tcb.Vm.Tcb.barrier_seq.(b) < tcb.Vm.Tcb.barrier_done.(b)
-    | _ -> false
-  in
-  if completed_episode_skip then begin
-    (* Re-executed arrival for an episode that already released: passing
-       through is the only consistent continuation (the other parties
-       have retired past it). *)
-    let b = match instr with Vm.Isa.Barrier { b } -> b | _ -> assert false in
-    ensure_sub ();
-    tcb.Vm.Tcb.barrier_seq.(b) <- tcb.Vm.Tcb.barrier_seq.(b) + 1;
-    tcb.Vm.Tcb.pc <- tcb.Vm.Tcb.pc + 1;
-    Sim.Stats.bump eng.ctrs.barrier_skips;
-    schedule_tick eng ctx
-      ~after:(ctrl + eng.cfg.costs.Vm.Costs.barrier_entry + take_delay eng tid)
-  end
-  else if Vm.Isa.is_sync_point instr && not nested_lock then begin
+  if Vm.Isa.is_sync_point instr && not nested_lock then begin
     (* Sub-thread boundary: park for the deterministic turn. *)
     tcb.Vm.Tcb.wait <- Vm.Tcb.On_token;
     eng.ctx_of.(ctx) <- None;
@@ -630,30 +603,24 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
     fill eng ctx
   end
   else begin
-    ensure_sub ();
     tcb.Vm.Tcb.pc <- tcb.Vm.Tcb.pc + 1;
     let d =
       match instr with
       | Vm.Isa.Work { cost; run } -> Exec.Sem.exec_work st tcb ~cost ~run
       | Vm.Isa.Opaque { cost; run } ->
         (* Unknown mod-set (third-party code): conservative ⊤ dependence. *)
-        (match cur_sub_opt eng tid with
-        | Some sub -> sub.Subthread.global_dep <- not tcb.Vm.Tcb.in_cpr_region
-        | None -> ());
+        sub.Subthread.global_dep <- not tcb.Vm.Tcb.in_cpr_region;
         Sim.Stats.bump eng.ctrs.opaque_calls;
         Exec.Sem.exec_work st tcb ~cost ~run
       | Vm.Isa.Nonstd_atomic { var; rmw; dst } ->
         (* Home-spun synchronization is invisible to DEX; outside a CPR
            region it forces conservative recovery. *)
         let v = var tcb.Vm.Tcb.regs in
-        (match cur_sub_opt eng tid with
-        | Some sub ->
-          Subthread.add_alias sub (Subthread.Atomic_var v);
-          if not tcb.Vm.Tcb.in_cpr_region then begin
-            sub.Subthread.global_dep <- true;
-            Sim.Stats.bump eng.ctrs.nonstd_unprotected
-          end
-        | None -> ());
+        Subthread.add_alias sub (Subthread.Atomic_var v);
+        if not tcb.Vm.Tcb.in_cpr_region then begin
+          sub.Subthread.global_dep <- true;
+          Sim.Stats.bump eng.ctrs.nonstd_unprotected
+        end;
         Exec.Sem.atomic_rmw st tcb ~var:v ~rmw ~dst
       | Vm.Isa.Unlock { m } ->
         (* [Error] here models a lock-release/handoff timeout. *)
@@ -672,10 +639,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
         ignore (fire_point eng Faults.Points.Alloc_grant);
         let a, d = Exec.Sem.alloc st tcb ~size ~dst in
         let size = Option.get (Vm.Mem.block_size st.Exec.State.mem a) in
-        (match cur_sub_opt eng tid with
-        | Some sub ->
-          append eng ~order:sub.Subthread.id (Wal.Alloc { addr = a; size })
-        | None -> ());
+        append eng ~order:sub.Subthread.id (Wal.Alloc { addr = a; size });
         d + eng.cfg.costs.Vm.Costs.wal_append
       | Vm.Isa.Free { addr } ->
         (* Quarantined free: the block leaves the allocator only when
@@ -689,17 +653,14 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
              recoveries; quarantined reuse makes addresses unique until
              retirement, so skipping the free is sound. *)
           Sim.Stats.bump eng.ctrs.stale_frees
-        | Some size -> (
-          match cur_sub_opt eng tid with
-          | Some sub ->
-            sub.Subthread.freed_blocks <- (a, size) :: sub.Subthread.freed_blocks;
-            append eng ~order:sub.Subthread.id (Wal.Free { addr = a; size })
-          | None -> Vm.Mem.free st.Exec.State.mem a));
+        | Some size ->
+          sub.Subthread.freed_blocks <- (a, size) :: sub.Subthread.freed_blocks;
+          append eng ~order:sub.Subthread.id (Wal.Free { addr = a; size }));
         eng.cfg.costs.Vm.Costs.free + eng.cfg.costs.Vm.Costs.wal_append
       | Vm.Isa.Lock { m } ->
         (* Nested lock on a free mutex, flattened ([flattens]). *)
         let m = m tcb.Vm.Tcb.regs in
-        Subthread.add_alias (cur_sub eng tid) (Subthread.Mutex m);
+        Subthread.add_alias sub (Subthread.Mutex m);
         let acquired, d = Exec.Sem.try_lock st tcb m in
         assert acquired;
         Sim.Stats.bump eng.ctrs.flattened_locks;
@@ -725,13 +686,11 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
       (* The last-writer dependence flag and the additive counter land
          identically whether applied per instruction or per compiled
          entry. *)
-      let sub = cur_sub_opt eng tid in
       let on_commit ~opaques ~last_opaque_in_cpr =
-        match sub with
-        | Some sub when opaques > 0 ->
+        if opaques > 0 then begin
           sub.Subthread.global_dep <- not last_opaque_in_cpr;
           Sim.Stats.bump_by eng.ctrs.opaque_calls opaques
-        | Some _ | None -> ()
+        end
       in
       let vend =
         Exec.Fuse.run_chain st tcb ~instrs:eng.instrs ~horizon ~on_commit
@@ -937,9 +896,9 @@ let restart_points (subs : Subthread.t list) =
    affected thread ({!restart_points}), in the order the caller resets
    them. Undoes the losers' writes and runtime operations, scrubs the
    rolled-back threads out of every synchronization object, restores
-   each thread from its checkpoint and hands freed mutexes to stranded
-   waiters. Returns the words restored, the WAL records undone and the
-   restarted tids. *)
+   each thread from its checkpoint into a replacement sub-thread and
+   hands freed mutexes to stranded waiters. Returns the words restored,
+   the WAL records undone and the restarted tids. *)
 let rollback eng ~losers ~ops ~restores =
   let st = eng.st in
   (* Undo architectural state newest-sub first. For conflicting memory
@@ -985,6 +944,15 @@ let rollback eng ~losers ~ops ~restores =
      arrives. *)
   let rolled = Tidtab.create false in
   List.iter (fun (s : Subthread.t) -> Tidtab.set rolled s.Subthread.tid true) losers;
+  (* Loser ids, built only if a barrier wake is restored. *)
+  let lost =
+    lazy
+      (let t = Hashtbl.create 16 in
+       List.iter
+         (fun (s : Subthread.t) -> Hashtbl.replace t s.Subthread.id ())
+         losers;
+       t)
+  in
   let rolled_back tid = Tidtab.get rolled tid || Tidtab.get eng.destroyed tid in
   Array.iteri
     (fun mi (mu : Exec.State.mutex) ->
@@ -1028,8 +996,9 @@ let rollback eng ~losers ~ops ~restores =
       List.filter (fun j -> not (rolled_back j)) tcb.Vm.Tcb.joiners
   done;
   (* Precise restart: each affected thread resumes from its restart
-     point's history-buffer checkpoint. A loser Thread_create undo above
-     may have destroyed the thread instead. *)
+     point's history-buffer checkpoint, in a replacement sub-thread. A
+     loser Thread_create undo above may have destroyed the thread
+     instead. *)
   let restarts = ref [] in
   List.iter
     (fun (o : Subthread.t) ->
@@ -1045,9 +1014,6 @@ let rollback eng ~losers ~ops ~restores =
           if not (Order.mem eng.order tid) then
             Order.add_thread eng.order ~tid ~group:tcb.Vm.Tcb.group
         end;
-        (* Rolls the thread's barrier arrival counters back with it;
-           [barrier_done] stays monotonic, so dispatch skips re-arrivals
-           for episodes that already released. *)
         Vm.Tcb.restore_state tcb o.Subthread.saved;
         tcb.Vm.Tcb.wait <- Vm.Tcb.Runnable;
         (* Re-grant the mutexes held at the restore point (the checkpoint
@@ -1080,15 +1046,40 @@ let rollback eng ~losers ~ops ~restores =
           | Some _ ->
             mu.Exec.State.mwaiters <- Exec.Fifo.push mu.Exec.State.mwaiters tid;
             tcb.Vm.Tcb.wait <- Vm.Tcb.On_mutex m));
-        Tidtab.set eng.cur_sub tid None;
+        (* A checkpoint taken at a barrier release whose releasing arrival
+           is lost too is not released: the thread goes back on the
+           barrier until the re-executed arrival wakes it again. *)
+        let b = o.Subthread.wake_barrier in
+        let rearrive =
+          b >= 0 && Hashtbl.mem (Lazy.force lost) o.Subthread.releaser
+        in
+        if rearrive then begin
+          let br = st.Exec.State.barriers.(b) in
+          br.Exec.State.arrived <- tid :: br.Exec.State.arrived;
+          tcb.Vm.Tcb.wait <- Vm.Tcb.On_barrier b
+        end;
         ignore (Sched.Scheduler.remove eng.sched tid);
         Tidtab.set eng.queued tid false;
         Tidtab.set eng.pending_delay tid 0;
-        (* The replacement sub-thread is created lazily at the thread's
-           next dispatch (non-sync restart points) or at its next token
-           grant (sync restart points). A thread reset into a mutex queue
-           passes its turns until the hand-off, like any blocked
-           acquirer. *)
+        (* The replacement re-issues the restart point under a current
+           id, so the restored thread is in the ROL from now on: a later
+           squash of the edge it resumed from (the same aliases) reaches
+           it, whether or not its pc is at a sync point. A thread sent
+           back to the barrier is its own releaser: losing the
+           replacement sends it back again. *)
+        let r = new_sub eng tcb in
+        Subthread.copy_aliases ~src:o r;
+        r.Subthread.held_locks <- o.Subthread.held_locks;
+        r.Subthread.pending_mutex <- o.Subthread.pending_mutex;
+        r.Subthread.wake_barrier <- b;
+        r.Subthread.releaser <-
+          (if rearrive then r.Subthread.id else o.Subthread.releaser);
+        add_delay eng tid
+          (boundary_cost eng - eng.cfg.costs.Vm.Costs.token_pass);
+        Sim.Stats.bump eng.ctrs.restart_subs;
+        (* A thread reset into a mutex queue or onto a barrier passes its
+           turns until the hand-off or release, like any blocked
+           thread. *)
         Order.set_eligible eng.order tid (tcb.Vm.Tcb.wait = Vm.Tcb.Runnable);
         restarts := tid :: !restarts
       end)
@@ -1241,10 +1232,7 @@ let schedule_next_fault eng =
 let fault_occur eng ctx kind =
   let victim =
     match eng.ctx_of.(ctx) with
-    | Some tid -> (
-      match cur_sub_opt eng tid with
-      | Some sub -> V_sub sub.Subthread.id
-      | None -> V_runtime)
+    | Some tid -> V_sub (cur_sub eng tid).Subthread.id
     | None -> V_runtime
   in
   add_fault_time eng (now eng + eng.cfg.costs.Vm.Costs.detection_latency);
@@ -1314,6 +1302,24 @@ let finalize eng ~dnc =
         | Some s -> Format.asprintf "%a" Subthread.pp s
         | None -> "-")
     done;
+    let pp_tids =
+      Format.pp_print_list ~pp_sep:Format.pp_print_space Format.pp_print_int
+    in
+    Array.iteri
+      (fun b (br : Exec.State.barrier) ->
+        Format.eprintf "barrier %d: parties=%d arrived=[%a]@." b
+          br.Exec.State.parties pp_tids br.Exec.State.arrived)
+      st.Exec.State.barriers;
+    Array.iteri
+      (fun m (mu : Exec.State.mutex) ->
+        let queue = Exec.Fifo.to_list mu.Exec.State.mwaiters in
+        match (mu.Exec.State.holder, queue) with
+        | None, [] -> ()
+        | holder, queue ->
+          Format.eprintf "mutex %d: holder=%s queue=[%a]@." m
+            (match holder with Some t -> string_of_int t | None -> "none")
+            pp_tids queue)
+      st.Exec.State.mutexes;
     Format.eprintf "rol: %a@."
       (Format.pp_print_list ~pp_sep:Format.pp_print_space Subthread.pp)
       (Rol.to_list eng.rol);
@@ -1372,9 +1378,8 @@ let install_hooks eng =
   eng.st.Exec.State.on_io_grow <-
     Some
       (fun file words ->
-        match cur_sub_opt eng eng.io_tid with
-        | Some sub -> append eng ~order:sub.Subthread.id (Wal.Io_op { file; words })
-        | None -> ())
+        let id = (cur_sub eng eng.io_tid).Subthread.id in
+        append eng ~order:id (Wal.Io_op { file; words }))
 
 let boot_checkpoint eng =
   if Wal.stable_armed eng.wal then begin
@@ -1487,19 +1492,6 @@ let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
   let words, undone, restarts =
     rollback eng ~losers:d.d_subs ~ops:loser_ops ~restores
   in
-  (* Runnable threads with no in-flight sub-thread lost only their seat
-     in the (volatile) work queues — e.g. threads a pre-crash live
-     recovery had reset and re-queued. Their TCBs are current; they just
-     need re-enqueueing when recovery completes. Every loser thread the
-     rollback did not destroy is already in [restarts]. *)
-  let restarts = ref restarts in
-  for tid = 0 to st.Exec.State.n_threads - 1 do
-    if
-      (Exec.State.thread st tid).Vm.Tcb.wait = Vm.Tcb.Runnable
-      && (not (Tidtab.get eng.destroyed tid))
-      && not (List.mem tid !restarts)
-    then restarts := tid :: !restarts
-  done;
   Sim.Stats.incr stats "recovery.cold_restarts";
   Sim.Stats.add stats "recovery.replayed_lsns" replayed;
   Sim.Stats.add stats "recovery.redone_ops" redone;
@@ -1507,7 +1499,7 @@ let cold_restart (d : crash_dump) ~redo ~loser_ops ~replayed ~next_sub =
   Sim.Stats.add stats "recovery.restored_words" words;
   Sim.Stats.add stats "recovery.wal_undone" undone;
   pause_for_repair eng ~from:d.d_cycle ~words ~undone:(replayed + undone)
-    !restarts;
+    restarts;
   boot_checkpoint eng;
   schedule_next_fault eng;
   fun () -> run_loop eng

@@ -25,6 +25,8 @@ type t = {
   mutable forked : int list;
   mutable pending_mutex : int option;
   mutable freed_blocks : (int * int) list;
+  mutable wake_barrier : int;
+  mutable releaser : int;
 }
 
 (* --- alias encoding --------------------------------------------------- *)
@@ -65,6 +67,8 @@ let make ~id ~tid ~now ~saved =
     forked = [];
     pending_mutex = None;
     freed_blocks = [];
+    wake_barrier = -1;
+    releaser = -1;
   }
 
 let add_alias t a =
@@ -86,6 +90,12 @@ let mem_alias t a =
   let c = alias_code a in
   let w = c lsr 5 in
   w < t.alias_words && t.alias_bits.(w) land (1 lsl (c land 31)) <> 0
+
+let copy_aliases ~src dst =
+  if src.alias_words > Array.length dst.alias_bits then
+    dst.alias_bits <- Array.make (Array.length src.alias_bits) 0;
+  Array.blit src.alias_bits 0 dst.alias_bits 0 src.alias_words;
+  dst.alias_words <- src.alias_words
 
 let clear_aliases t =
   Array.fill t.alias_bits 0 t.alias_words 0;
@@ -184,6 +194,8 @@ let release p sub =
     sub.forked <- [];
     sub.pending_mutex <- None;
     sub.freed_blocks <- [];
+    sub.wake_barrier <- -1;
+    sub.releaser <- -1;
     p.free <- sub :: p.free
   end
 
@@ -199,7 +211,7 @@ let pp_alias ppf = function
   | Thread_edge t -> Format.fprintf ppf "t%d" t
 
 let pp ppf t =
-  Format.fprintf ppf "sub#%d(tid=%d,%s,[%a]%s)" t.id t.tid
+  Format.fprintf ppf "sub#%d(tid=%d,%s,[%a]%s%s)" t.id t.tid
     (match t.status with
     | Running -> "running"
     | Complete c -> Printf.sprintf "complete@%d" c
@@ -209,3 +221,6 @@ let pp ppf t =
        pp_alias)
     (aliases t)
     (if t.global_dep then ",⊤" else "")
+    (if t.wake_barrier >= 0 then
+       Printf.sprintf ",b%d released by #%d" t.wake_barrier t.releaser
+     else "")

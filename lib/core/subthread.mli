@@ -74,6 +74,16 @@ type t = {
           {e quarantined}: the block re-enters the allocator only when
           this sub-thread retires, so no unsquashed sub-thread can ever
           hold memory whose free might still be rolled back. *)
+  mutable wake_barrier : int;
+      (** the barrier whose release this checkpoint resumes after, or -1:
+          set on the sub-thread a barrier release opens for each waiter,
+          and inherited by a restored thread's replacement *)
+  mutable releaser : int;
+      (** with [wake_barrier]: the id of the sub-thread whose arrival
+          released the waiter, or the record's own id for a replacement
+          whose thread went back on the barrier. Restoring this
+          checkpoint while the releaser is lost too puts the thread
+          back on the barrier. *)
 }
 
 val make : id:int -> tid:int -> now:int -> saved:Vm.Tcb.saved -> t
@@ -83,6 +93,10 @@ val add_alias : t -> alias -> unit
 (** Idempotent constant-time insert. *)
 
 val mem_alias : t -> alias -> bool
+
+val copy_aliases : src:t -> t -> unit
+(** [copy_aliases ~src dst] gives [dst], a fresh record with no aliases,
+    [src]'s alias bits. *)
 
 (** {1 Accumulated alias sets}
 

@@ -47,7 +47,7 @@ type snapshot = {
   live_threads : int;
   live : int array;
       (** tids of the threads not [Done] at the snapshot, ascending. A
-          [Done] thread's TCB, wait, joiners, barrier counters and work
+          [Done] thread's TCB, wait, joiners and work
           cannot change while this snapshot is retained (only a restore
           to an older snapshot revives it, and that drops this one), so
           the per-thread arrays below hold the [live] threads only, in
@@ -56,10 +56,6 @@ type snapshot = {
   waits : Vm.Tcb.wait array;
   joiners : int list array;
   work_done : int array;  (** per-thread executed cycles, for progress gating *)
-  barrier_done : int array array;
-      (** CPR rolls everything back, including completed barrier
-          episodes — unlike selective restart, the whole machine replays
-          them. *)
   (* Waiter queues are immutable, so snapshotting them is by reference. *)
   mutex_state : (int option * Exec.Fifo.t) array;
   cond_state : Exec.Fifo.t array;
@@ -144,7 +140,6 @@ let take_snapshot eng =
     tcbs = per_live Vm.Tcb.copy_state;
     waits = per_live (fun t -> t.Vm.Tcb.wait);
     joiners = per_live (fun t -> t.Vm.Tcb.joiners);
-    barrier_done = per_live (fun t -> Array.copy t.Vm.Tcb.barrier_done);
     mutex_state =
       Array.map
         (fun (m : Exec.State.mutex) -> (m.Exec.State.holder, m.Exec.State.mwaiters))
@@ -172,8 +167,6 @@ let restore_snapshot eng snap =
       Vm.Tcb.restore_state tcb snap.tcbs.(k);
       tcb.Vm.Tcb.wait <- snap.waits.(k);
       tcb.Vm.Tcb.joiners <- snap.joiners.(k);
-      Array.blit snap.barrier_done.(k) 0 tcb.Vm.Tcb.barrier_done 0
-        (Array.length tcb.Vm.Tcb.barrier_done);
       Exec.Tidtab.set eng.hk.work_done tid snap.work_done.(k))
     snap.live;
   (* The holder map is restored wholesale, so rebuild the TCBs'

@@ -103,9 +103,6 @@ let barrier_arrive st (tcb : Vm.Tcb.t) b =
   let costs = st.State.costs in
   let br = st.State.barriers.(b) in
   let tid = tcb.Vm.Tcb.tid in
-  (* Arrival executed: part of the restartable state (rolled back with a
-     checkpoint restore). *)
-  tcb.Vm.Tcb.barrier_seq.(b) <- tcb.Vm.Tcb.barrier_seq.(b) + 1;
   let arrived = tid :: br.State.arrived in
   if List.length arrived >= br.State.parties then begin
     br.State.arrived <- [];
@@ -115,14 +112,6 @@ let barrier_arrive st (tcb : Vm.Tcb.t) b =
       (fun t -> (State.thread st t).Vm.Tcb.wait <- Vm.Tcb.Runnable)
       others;
     tcb.Vm.Tcb.wait <- Vm.Tcb.Runnable;
-    (* Episode physically complete for every party: monotonic under
-       selective restart (GPRS skips re-arrivals for completed episodes);
-       coordinated CPR snapshots/restores these counters wholesale. *)
-    List.iter
-      (fun t ->
-        let p = State.thread st t in
-        p.Vm.Tcb.barrier_done.(b) <- p.Vm.Tcb.barrier_done.(b) + 1)
-      arrived;
     (others, dur costs.Vm.Costs.barrier_entry 0)
   end
   else begin

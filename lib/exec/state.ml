@@ -49,9 +49,7 @@ let create ?blocks ~reference ~program ~costs ~n_contexts ~seed () =
     List.map (fun name -> (name, Vm.Io.add_file io ~name [||])) program.output_files
   in
   let main =
-    Vm.Tcb.create
-      ~n_barriers:(Array.length program.barrier_parties)
-      ~tid:main_tid ~group:0
+    Vm.Tcb.create ~tid:main_tid ~group:0
       ~proc:(find_proc program program.entry)
       ~args:[||]
   in
@@ -116,9 +114,7 @@ let thread t tid =
 let spawn t ~group ~proc ~args =
   let tid = t.n_threads in
   let tcb =
-    Vm.Tcb.create
-      ~n_barriers:(Array.length t.program.Vm.Isa.barrier_parties)
-      ~tid ~group
+    Vm.Tcb.create ~tid ~group
       ~proc:(Vm.Isa.find_proc t.program proc)
       ~args
   in

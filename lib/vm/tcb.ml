@@ -18,20 +18,16 @@ type t = {
   mutable joiners : int list;
   mutable in_cpr_region : bool;
   mutable held_mutexes : int list;
-  barrier_seq : int array;
-  barrier_done : int array;
 }
 
 (* Flat unboxed snapshot: one int array, blit-copied whole. Layout:
-   [0] pc, [1] CPR flag (0/1), [2 .. 2+R) registers, [2+R ..)
-   barrier_seq. Register and barrier array lengths are fixed
-   per program, so the offsets are stable across every snapshot of a
-   run. *)
+   [0] pc, [1] CPR flag (0/1), [2 .. 2+R) registers. The register count
+   is fixed, so the offsets are stable across every snapshot. *)
 type saved = int array
 
 let regs_off = 2
 
-let create ~n_barriers ~tid ~group ~proc ~args =
+let create ~tid ~group ~proc ~args =
   let regs = Array.make Isa.n_registers 0 in
   Array.blit args 0 regs 0 (Stdlib.min (Array.length args) Isa.n_registers);
   {
@@ -44,8 +40,6 @@ let create ~n_barriers ~tid ~group ~proc ~args =
     joiners = [];
     in_cpr_region = false;
     held_mutexes = [];
-    barrier_seq = Array.make n_barriers 0;
-    barrier_done = Array.make n_barriers 0;
   }
 
 let current_instr t =
@@ -57,13 +51,10 @@ let copy_state_into t s =
   let r = Array.length t.regs in
   s.(0) <- t.pc;
   s.(1) <- (if t.in_cpr_region then 1 else 0);
-  Array.blit t.regs 0 s regs_off r;
-  Array.blit t.barrier_seq 0 s (regs_off + r) (Array.length t.barrier_seq)
+  Array.blit t.regs 0 s regs_off r
 
 let copy_state t =
-  let s =
-    Array.make (regs_off + Array.length t.regs + Array.length t.barrier_seq) 0
-  in
+  let s = Array.make (regs_off + Array.length t.regs) 0 in
   copy_state_into t s;
   s
 
@@ -90,8 +81,7 @@ let restore_state t s =
   let r = Array.length t.regs in
   t.pc <- s.(0);
   t.in_cpr_region <- s.(1) <> 0;
-  Array.blit s regs_off t.regs 0 r;
-  Array.blit s (regs_off + r) t.barrier_seq 0 (Array.length t.barrier_seq)
+  Array.blit s regs_off t.regs 0 r
 
 let pp_wait ppf = function
   | Runnable -> Format.pp_print_string ppf "runnable"

@@ -31,24 +31,14 @@ type t = {
           transition (the executors' lock/unlock/hand-off paths) so that
           sub-thread checkpoints capture the held set in O(#held) instead
           of scanning the whole mutex table. *)
-  barrier_seq : int array;
-      (** per-barrier count of arrivals this thread has {e executed};
-          restartable state (rolled back with checkpoints) *)
-  barrier_done : int array;
-      (** per-barrier count of episodes this thread has {e physically
-          completed}; monotonic, never rolled back. When
-          [barrier_seq.(b) < barrier_done.(b)] a (re-executed) arrival is
-          for an episode that already released and must pass through —
-          selective restart cannot re-fill a completed barrier. *)
 }
 
 type saved
 (** Opaque snapshot of the restartable state (pc + registers + region
-    flag + barrier arrivals), stored as one flat unboxed [int array] so recycling
+    flag), stored as one flat unboxed [int array] so recycling
     a snapshot is two [Array.blit]s with no per-field boxing. *)
 
-val create :
-  n_barriers:int -> tid:int -> group:int -> proc:Isa.proc -> args:int array -> t
+val create : tid:int -> group:int -> proc:Isa.proc -> args:int array -> t
 (** A fresh thread with [args] loaded into the low registers. *)
 
 val current_instr : t -> Isa.instr option
@@ -59,8 +49,8 @@ val copy_state : t -> saved
 
 val copy_state_into : t -> saved -> unit
 (** Overwrite a recycled snapshot in place (no allocation). The snapshot
-    must come from a thread of the same program — register and barrier
-    array lengths are fixed per program, so the blits are total. *)
+    must come from {!copy_state}: the register count is fixed, so the
+    blits are total. *)
 
 val restore_state : t -> saved -> unit
 

@@ -341,7 +341,7 @@ let prop_rol_head_is_min =
       let rol = Gprs.Rol.create () in
       let dummy_saved =
         Vm.Tcb.copy_state
-          (Vm.Tcb.create ~n_barriers:0 ~tid:0 ~group:0
+          (Vm.Tcb.create ~tid:0 ~group:0
              ~proc:{ Vm.Isa.pname = "p"; code = [| Vm.Isa.Exit |] }
              ~args:[||])
       in
@@ -364,7 +364,7 @@ let prop_rol_retire_prefix =
       let rol = Gprs.Rol.create () in
       let dummy_saved =
         Vm.Tcb.copy_state
-          (Vm.Tcb.create ~n_barriers:0 ~tid:0 ~group:0
+          (Vm.Tcb.create ~tid:0 ~group:0
              ~proc:{ Vm.Isa.pname = "p"; code = [| Vm.Isa.Exit |] }
              ~args:[||])
       in
@@ -487,10 +487,10 @@ let prop_scheduler_conservation =
       (match drain 0 with () -> () | exception Exit -> ());
       Hashtbl.length taken = List.length items && Sched.Scheduler.is_empty s)
 
-(* --- Barrier counters -------------------------------------------------- *)
+(* --- Barrier phases ---------------------------------------------------- *)
 
-let prop_barrier_counters =
-  case ~count:40 "barriers: seq = done for every thread after a clean run"
+let prop_barrier_phases =
+  case ~count:40 "barriers: clean runs verify phases"
     Gen.(pair (int_range 2 6) (int_range 1 4))
     (fun (n, _steps) ->
       let p = Tprog.barrier_phases ~n () in
@@ -1370,7 +1370,7 @@ let prop_fetch_model =
       let proc = { Vm.Isa.pname = "p"; code = Array.of_list code } in
       let pc = min pc (Array.length proc.Vm.Isa.code) in
       let fresh () =
-        let t = Vm.Tcb.create ~n_barriers:0 ~tid:0 ~group:0 ~proc ~args:[| r0 |] in
+        let t = Vm.Tcb.create ~tid:0 ~group:0 ~proc ~args:[| r0 |] in
         t.Vm.Tcb.pc <- pc;
         t.Vm.Tcb.in_cpr_region <- in_cpr;
         t
@@ -1556,7 +1556,7 @@ let suite =
     prop_order_fair;
     prop_weighted_turn_share;
     prop_scheduler_conservation;
-    prop_barrier_counters;
+    prop_barrier_phases;
     prop_chunks_partition;
     prop_lint_wellformed_clean;
     prop_lint_mutation_caught;

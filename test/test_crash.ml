@@ -162,29 +162,37 @@ let test_sweep_pcpr_leg () =
   in
   checkb (Format.asprintf "%a" Recovery.pp_report r) true (Recovery.leg_ok r)
 
-(* A cold restart that wedges is an outcome, not a crash of the sweep:
-   at this configuration some resumed barnes-hut runs raise
-   [Exec.State.Deadlock], which the sweep reports as hung-timeout with
-   the deadlock message as detail. *)
-let test_sweep_wedged_restart_classified () =
-  let r =
-    Recovery.sweep_gprs ~leg:"barnes-hut"
-      ~cfg:(gprs_cfg ~ordering:Gprs.Order.Round_robin ())
-      (prepared "barnes-hut" 0.05)
+(* A run that wedges is an outcome, not a crash of the sweep: an
+   [Exec.State.Deadlock] from the armed run or from the run resumed after
+   cold recovery is hung-timeout, with the deadlock message as detail.
+   The program wedges by construction: main waits on a two-party
+   barrier that no other thread reaches. *)
+let test_wedged_run_classified () =
+  let b = Vm.Builder.proc "main" in
+  Vm.Builder.compute b 100;
+  Vm.Builder.barrier b 0;
+  Vm.Builder.exit_ b;
+  let p =
+    Vm.Builder.program ~mem_words:64 ~barrier_parties:[| 2 |] ~entry:"main"
+      [ Vm.Builder.finish b ]
   in
-  let hung =
-    List.filter
-      (fun (_, sg) -> sg = Recovery.Signature.hung)
-      r.Recovery.outcomes
-  in
-  checkb "hung-timeout outcomes" true (hung <> []);
   List.iter
-    (fun (p, _) ->
-      checkb "detail names the deadlock" true
-        (match List.assoc_opt p r.Recovery.mismatches with
-        | Some d -> String.starts_with ~prefix:"gprs:" d
-        | None -> false))
-    hung
+    (fun (name, crash_lsn) ->
+      let recovered = ref false in
+      let sg, detail =
+        Recovery.classify_crash
+          ~recovered:(fun _ _ -> recovered := true)
+          ~want:"" ~digest:(fun _ -> "")
+          ~finished:(fun _ -> (Recovery.Signature.ok, "finished"))
+          (fun () -> Gprs.Engine.run { (gprs_cfg ()) with crash_lsn } p)
+      in
+      checkb (name ^ ": cold recovery ran") (crash_lsn <> None) !recovered;
+      checks (name ^ ": hung-timeout") Recovery.Signature.hung sg;
+      checkb
+        (name ^ ": detail names the deadlock")
+        true
+        (String.starts_with ~prefix:"gprs:" detail))
+    [ ("unarmed", None); ("resumed after a crash", Some 2) ]
 
 (* Every field of the analysis, recomputed one at a time from the parsed
    records, at 60 record boundaries spread over a stable image whose run
@@ -299,6 +307,6 @@ let suite =
     Alcotest.test_case "sweep seeded sample" `Quick test_sweep_sampled;
     Alcotest.test_case "sweep p-cpr comparison leg" `Quick
       test_sweep_pcpr_leg;
-    Alcotest.test_case "sweep classifies a wedged restart" `Quick
-      test_sweep_wedged_restart_classified;
+    Alcotest.test_case "sweep classifies a wedged run" `Quick
+      test_wedged_run_classified;
   ]

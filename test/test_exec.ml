@@ -615,7 +615,7 @@ let test_zero_contexts_refused () =
 
 let fetch_at ?(r0 = 0) ?(in_cpr = false) ?(pc = 0) proc =
   let tcb =
-    Vm.Tcb.create ~n_barriers:0 ~tid:0 ~group:0 ~proc:(Vm.Builder.finish proc)
+    Vm.Tcb.create ~tid:0 ~group:0 ~proc:(Vm.Builder.finish proc)
       ~args:[| r0 |]
   in
   tcb.Vm.Tcb.pc <- pc;

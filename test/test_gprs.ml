@@ -262,9 +262,8 @@ let test_no_steals_key_without_steals () =
          "gprs.sub_cycles.mean" ])
 
 (* The one sub-thread boundary rule, counted: every sync point a
-   fault-free run dispatches either parks for its turn, is a nested lock
-   flattened into its critical section, or passes a barrier episode that
-   already released. *)
+   fault-free run dispatches either parks for its turn or is a nested
+   lock flattened into its critical section. *)
 let test_every_sync_point_accounted () =
   Vm.Block.set_profiling true;
   Fun.protect ~finally:(fun () -> Vm.Block.set_profiling false) @@ fun () ->
@@ -298,9 +297,9 @@ let test_every_sync_point_accounted () =
       in
       checkb (workload ^ " completes") false r.Exec.State.dnc;
       check
-        (workload ^ ": sync points dispatched = parks + flattened + skips")
+        (workload ^ ": sync points dispatched = parks + flattened")
         dispatched
-        (sum [ "gprs.sync_parks"; "gprs.flattened_locks"; "gprs.barrier_skips" ]))
+        (sum [ "gprs.sync_parks"; "gprs.flattened_locks" ]))
     Workloads.Suite.names
 
 let suite =

@@ -113,7 +113,7 @@ let test_late_join_enters_rotation () =
 
 let dummy_saved =
   Vm.Tcb.copy_state
-    (Vm.Tcb.create ~n_barriers:0 ~tid:0 ~group:0
+    (Vm.Tcb.create ~tid:0 ~group:0
        ~proc:{ Vm.Isa.pname = "p"; code = [| Vm.Isa.Exit |] }
        ~args:[||])
 

@@ -14,7 +14,7 @@ let grun ?(n_contexts = 4) ?(seed = 1) ?(rate = 0.0)
       n_contexts;
       seed;
       recovery;
-      injector = Faults.Injector.config ~process rate;
+      injector = Faults.Injector.config ~process ~seed rate;
       max_cycles;
     }
     program
@@ -69,36 +69,50 @@ let test_hybrid_region () =
   checkb "completed" false r.Exec.State.dnc;
   check "exact" 40 (mem0 r)
 
+let pthreads p = Exec.Baseline.run { Exec.Baseline.default_config with n_contexts = 4 } p
+
 (* The final memory of a fault-free Pthreads run, addresses [0, n). *)
-let pthreads_mem p n =
-  let b = Exec.Baseline.run { Exec.Baseline.default_config with n_contexts = 4 } p in
-  List.init n (Vm.Mem.read b.Exec.State.final_mem)
+let pthreads_mem p n = List.init n (Vm.Mem.read (pthreads p).Exec.State.final_mem)
 
 (* Runs [p] under Poisson exceptions at [rate] for each seed in [seeds],
    checks each run against the Pthreads memory [want], and returns the
-   runs' [gprs.flattened_locks] total. *)
-let against_pthreads ~rate ~seeds ~want p =
-  List.fold_left
-    (fun flattened seed ->
-      let r =
-        Gprs.Engine.run
-          {
-            Gprs.Engine.default_config with
-            n_contexts = 4;
-            injector =
-              Faults.Injector.config ~process:Faults.Injector.Poisson ~seed rate;
-          }
-          p
-      in
-      let tag = Printf.sprintf "seed %d: " seed in
-      let stats = r.Exec.State.run_stats in
-      checkb (tag ^ "completed") false r.Exec.State.dnc;
-      checkb (tag ^ "recovered") true (recoveries r > 0);
-      Alcotest.(check (list int))
-        (tag ^ "pthreads result") want
-        (List.init (List.length want) (Vm.Mem.read r.Exec.State.final_mem));
-      flattened + Sim.Stats.get stats "gprs.flattened_locks")
-    0 seeds
+   runs' [gprs.flattened_locks] total. At least [min_recovered] runs
+   (default: every one) must recover from an exception. [max_cycles]
+   bounds each run: a restart that wedges ends as DNC instead of running
+   on. *)
+let against_pthreads ?max_cycles ?min_recovered ~rate ~seeds ~want p =
+  let recovered = ref 0 in
+  let flattened =
+    List.fold_left
+      (fun flattened seed ->
+        let r =
+          Gprs.Engine.run
+            {
+              Gprs.Engine.default_config with
+              n_contexts = 4;
+              injector =
+                Faults.Injector.config ~process:Faults.Injector.Poisson ~seed rate;
+              max_cycles;
+            }
+            p
+        in
+        let tag = Printf.sprintf "seed %d: " seed in
+        let stats = r.Exec.State.run_stats in
+        checkb (tag ^ "completed") false r.Exec.State.dnc;
+        if recoveries r > 0 then incr recovered;
+        Alcotest.(check (list int))
+          (tag ^ "pthreads result") want
+          (List.init (List.length want) (Vm.Mem.read r.Exec.State.final_mem));
+        flattened + Sim.Stats.get stats "gprs.flattened_locks")
+      0 seeds
+  in
+  let min_recovered = Option.value ~default:(List.length seeds) min_recovered in
+  checkb
+    (Printf.sprintf "%d of %d runs recovered (want %d)" !recovered
+       (List.length seeds) min_recovered)
+    true
+    (!recovered >= min_recovered);
+  flattened
 
 let test_nested_lock_under_faults () =
   (* A lock taken while another is held is the one sync point that can
@@ -122,6 +136,69 @@ let test_lock_in_region_under_faults () =
   Alcotest.(check (list int)) "pthreads count" [ 40 ] want;
   check "no lock flattened" 0
     (against_pthreads ~rate:2000.0 ~seeds:(List.init 20 succ) ~want p)
+
+let seeds_1_40 = List.init 40 succ
+
+let test_barrier_release_is_a_wake () =
+  (* A barrier's release is a communication edge into every waiter: each
+     waiter resumes in a sub-thread younger than the releasing arrival, so
+     squashing the releaser squashes the waiters' verification reads and
+     sends them back onto the barrier. At 2,000/s some runs see no
+     exception at all. *)
+  let p = Tprog.barrier_phases ~n:6 () in
+  let want = pthreads_mem p 16 in
+  List.iter
+    (fun (rate, min_recovered) ->
+      ignore (against_pthreads ~min_recovered ~rate ~seeds:seeds_1_40 ~want p))
+    [ (2000.0, 20); (10000.0, 40) ]
+
+let test_two_barrier_steps () =
+  (* Barnes-hut's shape: each phase reads across a barrier what another
+     thread wrote in the phase before, and main's [barrier 0] is followed
+     directly by [barrier 1], so a restored wake checkpoint sits at a sync
+     point. Every run completes within 30x the Pthreads cycles. *)
+  let p = Tprog.barrier_steps ~workers:4 ~steps:5 () in
+  let base = pthreads p in
+  let want = List.init 48 (Vm.Mem.read base.Exec.State.final_mem) in
+  ignore
+    (against_pthreads ~max_cycles:(30 * base.Exec.State.sim_cycles) ~rate:1000.0
+       ~seeds:seeds_1_40 ~want p)
+
+let test_restored_thread_is_squashable () =
+  (* A restored thread holds a live sub-thread from the restore on, so a
+     later squash of the wake it resumed from reaches it even before its
+     next dispatch. Pbzip2 at 8 contexts and a high rate restores threads
+     into exactly that window. *)
+  let spec = Workloads.Suite.find "pbzip2" in
+  let program =
+    spec.Workloads.Workload.build ~n_contexts:8 ~grain:Workloads.Workload.Default
+      ~scale:0.2
+  in
+  let blocks = Vm.Block.analyze program in
+  let want =
+    spec.Workloads.Workload.digest
+      (Exec.Baseline.run ~blocks
+         { Exec.Baseline.default_config with n_contexts = 8 }
+         program)
+  in
+  List.iter
+    (fun seed ->
+      let r =
+        Gprs.Engine.run ~blocks
+          {
+            Gprs.Engine.default_config with
+            n_contexts = 8;
+            seed;
+            injector = Faults.Injector.config ~seed 1000.0;
+          }
+          program
+      in
+      let tag = Printf.sprintf "seed %d: " seed in
+      checkb (tag ^ "completed") false r.Exec.State.dnc;
+      checkb (tag ^ "recovered") true (recoveries r > 0);
+      Alcotest.(check string) (tag ^ "pthreads digest") want
+        (spec.Workloads.Workload.digest r))
+    seeds_1_40
 
 let test_basic_recovery () =
   let r =
@@ -282,6 +359,10 @@ let suite =
     Alcotest.test_case "hybrid region" `Quick test_hybrid_region;
     Alcotest.test_case "nested lock under faults" `Quick test_nested_lock_under_faults;
     Alcotest.test_case "lock in region under faults" `Quick test_lock_in_region_under_faults;
+    Alcotest.test_case "barrier release is a wake" `Quick test_barrier_release_is_a_wake;
+    Alcotest.test_case "two-barrier steps under faults" `Quick test_two_barrier_steps;
+    Alcotest.test_case "restored thread is squashable" `Quick
+      test_restored_thread_is_squashable;
     Alcotest.test_case "basic recovery" `Quick test_basic_recovery;
     Alcotest.test_case "basic squashes more" `Quick test_basic_squashes_more;
     Alcotest.test_case "poisson arrivals" `Quick test_poisson_process;

@@ -448,13 +448,13 @@ let prop_gprs_compute_loops =
 (* --- directed: a recycled record is indistinguishable from a fresh one  *)
 
 let mk_tcb ?(regs = [||]) () =
-  Vm.Tcb.create ~n_barriers:2 ~tid:0 ~group:0
+  Vm.Tcb.create ~tid:0 ~group:0
     ~proc:{ Vm.Isa.pname = "p"; code = [| Vm.Isa.Exit |] }
     ~args:regs
 
 (* A sub-thread observed through everything the engine ever reads. *)
 let sub_fingerprint (s : Gprs.Subthread.t) =
-  Format.asprintf "%a|gd=%b held=%s undo_at=%d forked=%s pend=%s freed=%d"
+  Format.asprintf "%a|gd=%b held=%s undo_at=%d forked=%s pend=%s freed=%d wake=%d<-%d"
     Gprs.Subthread.pp s s.Gprs.Subthread.global_dep
     (String.concat "," (List.map string_of_int s.Gprs.Subthread.held_locks))
     s.Gprs.Subthread.undo_at
@@ -463,6 +463,7 @@ let sub_fingerprint (s : Gprs.Subthread.t) =
     | None -> "-"
     | Some m -> string_of_int m)
     (List.length s.Gprs.Subthread.freed_blocks)
+    s.Gprs.Subthread.wake_barrier s.Gprs.Subthread.releaser
 
 let test_recycled_sub_is_fresh () =
   let pool = Gprs.Subthread.pool_create () in
@@ -478,6 +479,8 @@ let test_recycled_sub_is_fresh () =
   s.Gprs.Subthread.pending_mutex <- Some 2;
   s.Gprs.Subthread.freed_blocks <- [ (100, 16) ];
   s.Gprs.Subthread.undo_at <- 8;
+  s.Gprs.Subthread.wake_barrier <- 1;
+  s.Gprs.Subthread.releaser <- 6;
   s.Gprs.Subthread.status <- Gprs.Subthread.Squashed;
   Gprs.Subthread.release pool s;
   (* Re-acquire (the pool hands the same record back) with a distinct

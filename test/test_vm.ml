@@ -171,37 +171,36 @@ let test_io_initial_array_shared () =
 
 let test_tcb_save_restore () =
   let proc = { Vm.Isa.pname = "p"; code = [| Vm.Isa.Exit |] } in
-  let t = Vm.Tcb.create ~n_barriers:2 ~tid:3 ~group:1 ~proc ~args:[| 10; 20 |] in
+  let t = Vm.Tcb.create ~tid:3 ~group:1 ~proc ~args:[| 10; 20 |] in
   check "args loaded" 10 t.Vm.Tcb.regs.(0);
   check "args loaded" 20 t.Vm.Tcb.regs.(1);
   let last = Vm.Isa.n_registers - 1 in
   t.Vm.Tcb.regs.(last) <- 7;
-  t.Vm.Tcb.barrier_seq.(1) <- 4;
   t.Vm.Tcb.in_cpr_region <- true;
   let saved = Vm.Tcb.copy_state t in
   t.Vm.Tcb.pc <- 5;
   t.Vm.Tcb.regs.(0) <- 999;
   t.Vm.Tcb.regs.(last) <- 998;
-  t.Vm.Tcb.barrier_seq.(0) <- 3;
-  t.Vm.Tcb.barrier_seq.(1) <- 9;
   t.Vm.Tcb.in_cpr_region <- false;
   Vm.Tcb.restore_state t saved;
   check "pc restored" 0 t.Vm.Tcb.pc;
   check "reg restored" 10 t.Vm.Tcb.regs.(0);
   check "last reg restored" 7 t.Vm.Tcb.regs.(last);
-  Alcotest.(check (array int)) "barrier arrivals restored" [| 0; 4 |]
-    t.Vm.Tcb.barrier_seq;
   checkb "region flag restored" true t.Vm.Tcb.in_cpr_region;
-  (* A recycled snapshot is overwritten whole. *)
-  t.Vm.Tcb.barrier_seq.(0) <- 2;
+  (* A recycled snapshot is overwritten whole: pc, flag and every
+     register, the last one included. *)
+  t.Vm.Tcb.pc <- 2;
+  t.Vm.Tcb.regs.(last) <- 6;
   t.Vm.Tcb.in_cpr_region <- false;
   Vm.Tcb.copy_state_into t saved;
-  t.Vm.Tcb.barrier_seq.(0) <- 0;
+  t.Vm.Tcb.pc <- 0;
+  t.Vm.Tcb.regs.(last) <- 0;
+  t.Vm.Tcb.in_cpr_region <- true;
   Vm.Tcb.restore_state t saved;
-  Alcotest.(check (array int)) "recycled snapshot" [| 2; 4 |]
-    t.Vm.Tcb.barrier_seq;
+  check "recycled pc" 2 t.Vm.Tcb.pc;
   checkb "recycled region flag" false t.Vm.Tcb.in_cpr_region;
-  check "recycled last reg" 7 t.Vm.Tcb.regs.(last)
+  check "recycled last reg" 6 t.Vm.Tcb.regs.(last);
+  check "recycled first reg" 10 t.Vm.Tcb.regs.(0)
 
 let test_builder_labels () =
   let b = Vm.Builder.proc "loop" in

@@ -94,6 +94,54 @@ let barrier_phases ~n () =
   program ~mem_words:256 ~barrier_parties:[| n |] ~n_groups:2 ~entry:"main"
     [ finish main; finish worker ]
 
+(* Barnes-hut in miniature: [steps] rounds of two barrier phases. Main
+   writes a "tree" word (address 1) from the positions, then barrier 0;
+   each worker reads the tree and its own position and writes a force,
+   then barrier 1; main folds the forces into the positions. Every phase
+   reads what the previous one wrote on another thread, across a
+   barrier. Positions at [10, 10 + workers), forces at [40, 40 +
+   workers). *)
+let barrier_steps ~workers ~steps () =
+  let pos = 10 and force = 40 in
+  let worker = proc "worker" in
+  for_up worker ~reg:2 ~from:(fun _ -> 0) ~until:(fun _ -> steps) (fun () ->
+      barrier worker 0;
+      work_const worker 20_000 (fun env ->
+          let i = Vm.Env.get env 0 in
+          let t = env.Vm.Env.read 1 and x = env.Vm.Env.read (pos + i) in
+          env.Vm.Env.write (force + i) (((t * 31) + (x * 7) + i) land 0xFFF));
+      barrier worker 1);
+  exit_ worker;
+  let main = proc "main" in
+  work_const main 10 (fun env ->
+      for i = 0 to workers - 1 do
+        env.Vm.Env.write (pos + i) (i + 1)
+      done);
+  for i = 0 to workers - 1 do
+    fork main ~group:1 ~proc:"worker" ~dst:(10 + i) (fun _ -> [| i |])
+  done;
+  for_up main ~reg:2 ~from:(fun _ -> 0) ~until:(fun _ -> steps) (fun () ->
+      work_const main 5_000 (fun env ->
+          let acc = ref 0 in
+          for i = 0 to workers - 1 do
+            acc := ((!acc * 17) + env.Vm.Env.read (pos + i)) land 0xFFFF
+          done;
+          env.Vm.Env.write 1 !acc);
+      barrier main 0;
+      barrier main 1;
+      work_const main 5_000 (fun env ->
+          for i = 0 to workers - 1 do
+            env.Vm.Env.write (pos + i)
+              ((env.Vm.Env.read (pos + i) + env.Vm.Env.read (force + i)) land 0xFFFF)
+          done));
+  for i = 0 to workers - 1 do
+    join_reg main (10 + i)
+  done;
+  exit_ main;
+  program ~mem_words:256
+    ~barrier_parties:[| workers + 1; workers + 1 |]
+    ~n_groups:2 ~entry:"main" [ finish main; finish worker ]
+
 (* A 3-stage pipeline in miniature (a tiny Pbzip2): one producer reads
    "blocks" and enqueues into a 4-slot FIFO guarded by mutex 0 / condvars
    0 (not-full) and 1 (not-empty); [consumers] dequeue and add processed
